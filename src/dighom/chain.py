@@ -15,8 +15,6 @@ Two reduction routines coexist on purpose:
   an incremental integer column echelonization (unimodular column operations
   only, so invariant factors are preserved) followed by unit-pivot
   elimination, handing only the small non-unit residue to the dense routine.
-
-Ranks from the two paths are asserted equal whenever both are available.
 """
 
 from __future__ import annotations
@@ -571,7 +569,7 @@ class ChainComplex:
     zero, as are their boundary maps.
     """
 
-    __slots__ = ("bases", "boundaries", "_indexes", "_hom_cache")
+    __slots__ = ("bases", "boundaries", "_indexes", "_hom_cache", "_is_complex")
 
     def __init__(self, bases, boundaries):
         bases = tuple(tuple(b) for b in bases)
@@ -600,6 +598,7 @@ class ChainComplex:
         self.boundaries = tuple(mats)
         self._indexes = {}
         self._hom_cache = {}
+        self._is_complex = None
 
     @property
     def max_degree(self):
@@ -644,11 +643,13 @@ class ChainComplex:
         return Chain(q - 1, {lower[i]: v for i, v in acc.items()})
 
     def is_complex(self):
-        """True iff consecutive boundaries compose to zero."""
-        for q in range(2, self.max_degree + 1):
-            if not (self.boundary_matrix(q - 1) @ self.boundary_matrix(q)).is_zero():
-                return False
-        return True
+        """True iff consecutive boundaries compose to zero (checked once)."""
+        if self._is_complex is None:
+            self._is_complex = all(
+                (self.boundary_matrix(q - 1) @ self.boundary_matrix(q)).is_zero()
+                for q in range(2, self.max_degree + 1)
+            )
+        return self._is_complex
 
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):

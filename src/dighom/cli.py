@@ -16,7 +16,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .bridge import beta, beta_matrices, verify_isomorphism
 from .chain import homology_through, rank_and_invariant_factors, smith_normal_form, verify_chain_map
@@ -55,21 +54,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    image: str | None = None
-    codomain: str | None = None
-    map_path: str | None = None
-    relative: str | None = None
-    max_dim: int | None = None
-    max_q: int | None = None
-    budget: int = DEFAULT_BUDGET
-    fmt: str = "text"
-    seed: int = 0
-    suites: tuple = ()
 
 
 def _positive_int(text):
@@ -139,8 +123,8 @@ def build_parser():
     return p
 
 
-def _emit(cfg, lines, obj):
-    if cfg.fmt == "json":
+def _emit(args, lines, obj):
+    if args.format == "json":
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))
@@ -152,33 +136,33 @@ def _group_json(q, g):
     return {"q": q, "rank": g.rank, "torsion": list(g.torsion)}
 
 
-def cmd_homology(cfg):
-    X = load_image(cfg.image)
-    if cfg.relative is not None:
-        A = load_image(cfg.relative)
-        C = relative_c1_complex(X, A, cfg.max_dim)
+def cmd_homology(args):
+    X = load_image(args.image)
+    if args.relative is not None:
+        A = load_image(args.relative)
+        C = relative_c1_complex(X, A, args.max_dim)
     else:
-        C = build_c1_complex(X, cfg.max_dim).complex
-    top = cfg.max_dim if cfg.max_dim is not None else C.max_degree
+        C = build_c1_complex(X, args.max_dim).complex
+    top = args.max_dim if args.max_dim is not None else C.max_degree
     groups = homology_through(C, top)
     lines = [f"H_{q} = {g}" for q, g in enumerate(groups)]
-    _emit(cfg, lines, {"groups": [_group_json(q, g) for q, g in enumerate(groups)]})
+    _emit(args, lines, {"groups": [_group_json(q, g) for q, g in enumerate(groups)]})
     return EXIT_OK
 
 
-def cmd_singular(cfg):
-    X = load_image(cfg.image)
-    groups = singular_homology(X, cfg.max_q, cfg.budget)
+def cmd_singular(args):
+    X = load_image(args.image)
+    groups = singular_homology(X, args.max_q, args.budget)
     lines = []
     for q, g in enumerate(groups):
         lines.append(f"H_{q} = ? (budget exceeded)" if g is None else f"H_{q} = {g}")
-    _emit(cfg, lines, {"groups": [_group_json(q, g) for q, g in enumerate(groups)]})
+    _emit(args, lines, {"groups": [_group_json(q, g) for q, g in enumerate(groups)]})
     return EXIT_BUDGET if any(g is None for g in groups) else EXIT_OK
 
 
-def cmd_compare(cfg):
-    X = load_image(cfg.image)
-    report = verify_isomorphism(X, cfg.max_q, cfg.budget)
+def cmd_compare(args):
+    X = load_image(args.image)
+    report = verify_isomorphism(X, args.max_q, args.budget)
     lines = []
     for c in report.comparisons:
         if c.verdict == "skipped":
@@ -186,18 +170,18 @@ def cmd_compare(cfg):
         else:
             word = "OK" if c.verdict == "ok" else "MISMATCH"
             lines.append(f"q={c.q}: singular {c.singular} vs c1 {c.c1} {word}")
-    _emit(cfg, lines, report.to_json())
+    _emit(args, lines, report.to_json())
     return EXIT_FAIL if report.any_mismatch else EXIT_OK
 
 
-def cmd_classify(cfg):
-    X = load_image(cfg.image)
+def cmd_classify(args):
+    X = load_image(args.image)
     rows = []
     bad = []
-    for q in range(2, cfg.max_q + 1):
+    for q in range(2, args.max_q + 1):
         counts = {1: 0, 2: 0, 3: 0}
         total = 0
-        for s in enumerate_singular_cubes(X, q, cfg.budget):
+        for s in enumerate_singular_cubes(X, q, args.budget):
             if degree_of_injectivity(s) != q - 1:
                 continue
             total += 1
@@ -218,16 +202,16 @@ def cmd_classify(cfg):
         ],
         "unclassifiable": len(bad),
     }
-    _emit(cfg, lines, obj)
+    _emit(args, lines, obj)
     return EXIT_FAIL if bad else EXIT_OK
 
 
-def cmd_induced(cfg):
-    X = load_image(cfg.image)
-    Y = load_image(cfg.codomain)
-    f = load_point_map(cfg.map_path, X, Y)
-    if cfg.max_q is not None:
-        top = cfg.max_q
+def cmd_induced(args):
+    X = load_image(args.domain)
+    Y = load_image(args.codomain)
+    f = load_point_map(args.map, X, Y)
+    if args.max_q is not None:
+        top = args.max_q
     else:
         top = dimension(X) if len(X) else 0
     mats = [induced_map(f, q) for q in range(top + 1)]
@@ -242,7 +226,7 @@ def cmd_induced(cfg):
         lines.extend(f"  {row}" for row in dense)
         rows_json.append({"q": q, "shape": [M.nrows, M.ncols], "rows": dense})
     lines.append(f"chain map: {'OK' if ok else 'FAIL'}")
-    _emit(cfg, lines, {"matrices": rows_json, "chain_map": ok})
+    _emit(args, lines, {"matrices": rows_json, "chain_map": ok})
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -433,8 +417,8 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg):
-    names = list(cfg.suites) or sorted(_SUITES)
+def cmd_verify(args):
+    names = args.suites or sorted(_SUITES)
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         print(f"error: unknown suite(s) {', '.join(unknown)}; "
@@ -443,7 +427,7 @@ def cmd_verify(cfg):
     results = []
     for name in names:
         try:
-            ok, detail = _SUITES[name](random.Random(cfg.seed))
+            ok, detail = _SUITES[name](random.Random(args.seed))
         except DighomError as e:
             ok, detail = False, str(e)
         results.append((name, ok, detail))
@@ -452,7 +436,7 @@ def cmd_verify(cfg):
         "suites": [{"name": n, "ok": ok, "detail": d} for n, ok, d in results],
         "all_ok": all(ok for _, ok, _ in results),
     }
-    _emit(cfg, lines, obj)
+    _emit(args, lines, obj)
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_FAIL
 
 
@@ -466,27 +450,10 @@ _COMMANDS = {
 }
 
 
-def _config_from_args(args):
-    return RunConfig(
-        command=args.command,
-        image=getattr(args, "image", None) or getattr(args, "domain", None),
-        codomain=getattr(args, "codomain", None),
-        map_path=getattr(args, "map", None),
-        relative=getattr(args, "relative", None),
-        max_dim=getattr(args, "max_dim", None),
-        max_q=getattr(args, "max_q", None),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        fmt=getattr(args, "format", "text"),
-        seed=getattr(args, "seed", 0),
-        suites=tuple(getattr(args, "suites", ()) or ()),
-    )
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -117,14 +117,11 @@ class ElementaryCube:
         return "x".join(parts)
 
 
-def enumerate_elementary_cubes(X, q):
-    """All elementary q-cubes whose vertices lie in X, in (min_corner, extent)
-    lexicographic order.  Out-of-range q gives the empty list."""
+def _elementary_cubes(X, q):
+    """Yield the elementary q-cubes whose vertices lie in X, in
+    (min_corner, extent) lexicographic order; 0 <= q <= ambient_dim."""
     n = X.ambient_dim
-    if q < 0 or q > n:
-        return []
     pts = X.points
-    out = []
     for p in X.sorted_points:
         for ext in combinations(range(1, n + 1), q):
             ok = True
@@ -137,8 +134,15 @@ def enumerate_elementary_cubes(X, q):
                     ok = False
                     break
             if ok:
-                out.append(ElementaryCube(p, ext))
-    return out
+                yield ElementaryCube(p, ext)
+
+
+def enumerate_elementary_cubes(X, q):
+    """All elementary q-cubes whose vertices lie in X, in (min_corner, extent)
+    lexicographic order.  Out-of-range q gives the empty list."""
+    if q < 0 or q > X.ambient_dim:
+        return []
+    return list(_elementary_cubes(X, q))
 
 
 def c1_faces(Q, i):
@@ -171,22 +175,9 @@ def dimension(X):
     """Largest q with an elementary q-cube contained in X."""
     if len(X) == 0:
         raise EmptyImage("dimension of the empty image is undefined")
-    n = X.ambient_dim
-    pts = X.points
-    for q in range(n, 0, -1):
-        for p in X.sorted_points:
-            for ext in combinations(range(1, n + 1), q):
-                ok = True
-                for c in range(1, 1 << q):
-                    v = list(p)
-                    for b, j in enumerate(ext):
-                        if (c >> b) & 1:
-                            v[j - 1] += 1
-                    if tuple(v) not in pts:
-                        ok = False
-                        break
-                if ok:
-                    return q
+    for q in range(X.ambient_dim, 0, -1):
+        if next(_elementary_cubes(X, q), None) is not None:
+            return q
     return 0
 
 
@@ -214,15 +205,7 @@ def build_c1_complex(X, max_dim=None):
     mats = []
     for q in range(1, top + 1):
         rowindex = {Q: r for r, Q in enumerate(bases[q - 1])}
-        cols = []
-        for Q in bases[q]:
-            col = {}
-            for i in range(1, q + 1):
-                front, back = c1_faces(Q, i)
-                s = (-1) ** i
-                col[rowindex[front]] = s
-                col[rowindex[back]] = -s
-            cols.append(col)
+        cols = [{rowindex[F]: v for F, v in cube_boundary(Q).items()} for Q in bases[q]]
         mats.append(SparseIntMatrix(len(bases[q - 1]), len(bases[q]), cols))
     return C1Complex(X, ChainComplex(bases, mats))
 

@@ -77,10 +77,6 @@ __all__ = [
 DEFAULT_BUDGET = 2_000_000
 
 
-class _SpanSaturated(Exception):
-    """Internal: the streamed column span already fills the cycle lattice."""
-
-
 @dataclass(frozen=True)
 class SingularCube:
     """A continuous map I^q -> Z^n as a corner table of length 2^q."""
@@ -459,11 +455,13 @@ def _neighbor_tables(X):
     return pts, nb_list, nb_set
 
 
-def _enumerate_nondegenerate(X, q, budget, emit):
-    """Drive emit(assign) for every nondegenerate q-cube on X, in lex order.
+def _enumerate_nondegenerate(X, q, budget):
+    """Yield every nondegenerate q-cube on X as a key, in lex order.
 
-    assign is a tuple of indices into X.sorted_points, one per corner index.
-    Raises BudgetExceeded as soon as more than budget cubes have been emitted.
+    A key is a tuple of indices into X.sorted_points, one per corner index.
+    Raises BudgetExceeded as soon as more than budget cubes have been yielded.
+    The search keeps one candidate iterator per assigned corner on an explicit
+    stack, so its depth 2^q is not bounded by the interpreter's recursion.
     """
     pts, nb_list, nb_set = _neighbor_tables(X)
     npts = len(pts)
@@ -473,7 +471,7 @@ def _enumerate_nondegenerate(X, q, budget, emit):
         if npts > budget:
             raise BudgetExceeded(0, budget)
         for i in range(npts):
-            emit((i,))
+            yield (i,)
         return
     total = 1 << q
     preds = [[c ^ (1 << b) for b in range(q) if (c >> b) & 1] for c in range(total)]
@@ -490,43 +488,93 @@ def _enumerate_nondegenerate(X, q, budget, emit):
                 return False  # constant across this coordinate
         return True
 
-    def rec(c):
-        nonlocal count
-        if c == total:
-            if nondegenerate():
-                count += 1
-                if count > budget:
-                    raise BudgetExceeded(q, budget)
-                emit(tuple(assign))
-            return
-        ps = preds[c]
-        if not ps:
-            cands = range(npts)
-        else:
+    # stack[c] iterates the candidates for corner c; every corner c >= 1 has
+    # a one-bit predecessor, so only corner 0 ranges over all points
+    stack = [iter(range(npts))]
+    while stack:
+        c = len(stack) - 1
+        v = next(stack[c], None)
+        if v is None:
+            stack.pop()
+            continue
+        assign[c] = v
+        c += 1
+        if c < total:
+            ps = preds[c]
             cands = nb_list[assign[ps[0]]]
             if len(ps) > 1:
                 rest = [nb_set[assign[p]] for p in ps[1:]]
-                cands = [v for v in cands if all(v in s for s in rest)]
-        nxt = c + 1
-        for v in cands:
-            assign[c] = v
-            rec(nxt)
+                cands = [u for u in cands if all(u in s for s in rest)]
+            stack.append(iter(cands))
+        elif nondegenerate():
+            count += 1
+            if count > budget:
+                raise BudgetExceeded(q, budget)
+            yield tuple(assign)
 
-    rec(0)
+
+@lru_cache(maxsize=None)
+def _signed_face_maps(q):
+    """(corner-index table, sign) for each of the 2q faces of a q-cube."""
+    return tuple(
+        (_face_index_map(q, i, sb), -((-1) ** i) if sb else (-1) ** i)
+        for i in range(1, q + 1)
+        for sb in (0, 1)
+    )
+
+
+def _boundary_column(key, fmaps, rowindex):
+    """Sparse boundary column of the cube with this key over rowindex.
+
+    Faces missing from rowindex are degenerate, dropped by normalization.
+    """
+    col = {}
+    for fmap, sgn in fmaps:
+        r = rowindex.get(tuple(key[c] for c in fmap))
+        if r is None:
+            continue
+        v = col.get(r, 0) + sgn
+        if v:
+            col[r] = v
+        else:
+            del col[r]
+    return col
+
+
+def _materialize(X, top, budget):
+    """(keys, mats, err) for degrees 0..top, stopping short of the first
+    degree over budget.
+
+    keys[q] lists the q-cube keys in lex order, mats[q-1] is the boundary of
+    degree q over them, and err is the BudgetExceeded that cut keys short, or
+    None when every degree fit.
+    """
+    keys = []
+    mats = []
+    for q in range(top + 1):
+        try:
+            kq = list(_enumerate_nondegenerate(X, q, budget))
+        except BudgetExceeded as e:
+            return keys, mats, e
+        if q:
+            fmaps = _signed_face_maps(q)
+            rowindex = {k: r for r, k in enumerate(keys[-1])}
+            cols = [_boundary_column(k, fmaps, rowindex) for k in kq]
+            mats.append(SparseIntMatrix(len(keys[-1]), len(kq), cols))
+        keys.append(kq)
+    return keys, mats, None
+
+
+def _cubes(X, q, keys):
+    pts = X.sorted_points
+    return [SingularCube(q, tuple(pts[a] for a in k)) for k in keys]
 
 
 def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
     """All nondegenerate singular q-cubes on X, lexicographic in corner tables."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    pts = X.sorted_points
-    out = []
-    _enumerate_nondegenerate(
-        X, q, budget, lambda assign: out.append(
-            SingularCube(q, tuple(pts[a] for a in assign))
-        )
-    )
-    return out
+    return _cubes(X, q, _enumerate_nondegenerate(X, q, budget))
 
 
 def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
@@ -536,33 +584,10 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     """
     if max_q < 0:
         raise ValueError("max_q must be nonnegative")
-    top = max_q + 1
-    bases = [tuple(enumerate_singular_cubes(X, q, budget)) for q in range(top + 1)]
-    mats = []
-    for q in range(1, top + 1):
-        rowindex = {s.corners: r for r, s in enumerate(bases[q - 1])}
-        fmaps = [
-            (_face_index_map(q, i, sb), -((-1) ** i) if sb else (-1) ** i)
-            for i in range(1, q + 1)
-            for sb in (0, 1)
-        ]
-        cols = []
-        for s in bases[q]:
-            corners = s.corners
-            col = {}
-            for fmap, sgn in fmaps:
-                fc = tuple(corners[c] for c in fmap)
-                r = rowindex.get(fc)
-                if r is None:
-                    continue  # degenerate face, dropped by normalization
-                v = col.get(r, 0) + sgn
-                if v:
-                    col[r] = v
-                else:
-                    del col[r]
-            cols.append(col)
-        mats.append(SparseIntMatrix(len(bases[q - 1]), len(bases[q]), cols))
-    return ChainComplex(bases, mats)
+    keys, mats, err = _materialize(X, max_q + 1, budget)
+    if err is not None:
+        raise err
+    return ChainComplex([_cubes(X, q, kq) for q, kq in enumerate(keys)], mats)
 
 
 def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
@@ -577,49 +602,18 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
         raise ValueError("max_q must be nonnegative")
     if len(X) == 0:
         return [ZERO_GROUP] * (max_q + 1)
-    bases = []
-    fail_at = None
-    for q in range(max_q + 1):
-        try:
-            bases.append(tuple(enumerate_singular_cubes(X, q, budget)))
-        except BudgetExceeded as e:
-            fail_at = e.degree
-            break
-    m = len(bases) - 1  # top materialized degree
+    keys, mats, err = _materialize(X, max_q, budget)
+    m = len(keys) - 1  # top materialized degree
     if m < 0:
         return [None] * (max_q + 1)
-    mats = []
-    for q in range(1, m + 1):
-        rowindex = {s.corners: r for r, s in enumerate(bases[q - 1])}
-        fmaps = [
-            (_face_index_map(q, i, sb), -((-1) ** i) if sb else (-1) ** i)
-            for i in range(1, q + 1)
-            for sb in (0, 1)
-        ]
-        cols = []
-        for s in bases[q]:
-            corners = s.corners
-            col = {}
-            for fmap, sgn in fmaps:
-                fc = tuple(corners[c] for c in fmap)
-                r = rowindex.get(fc)
-                if r is None:
-                    continue
-                v = col.get(r, 0) + sgn
-                if v:
-                    col[r] = v
-                else:
-                    del col[r]
-            cols.append(col)
-        mats.append(SparseIntMatrix(len(bases[q - 1]), len(bases[q]), cols))
-    trunc = ChainComplex(bases, mats)
+    trunc = ChainComplex(keys, mats)
     if not trunc.is_complex():
         raise NotAComplex("boundary composed with boundary is nonzero")
 
     groups = [None] * (max_q + 1)
-    if fail_at is not None:
+    if err is not None:
         # H_q computable only when degrees q and q+1 both materialized
-        for q in range(max(0, fail_at - 1)):
+        for q in range(max(0, err.degree - 1)):
             groups[q] = homology(trunc, q)
         return groups
 
@@ -627,79 +621,53 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
         groups[q] = homology(trunc, q)
 
     # stream degree m+1
-    q1 = m + 1
-    pts = X.sorted_points
-    pindex = {p: a for a, p in enumerate(pts)}
-    rowindex = {tuple(pindex[p] for p in s.corners): r for r, s in enumerate(bases[m])}
-    fmaps = [
-        (_face_index_map(q1, i, sb), -((-1) ** i) if sb else (-1) ** i)
-        for i in range(1, q1 + 1)
-        for sb in (0, 1)
-    ]
+    fmaps = _signed_face_maps(m + 1)
+    rowindex = trunc.index(m)
     dm = trunc.boundary_matrix(m)
     rank_m, _ = trunc._reduction(m)
     # im d_{m+1} lives inside ker d_m; once the streamed span reaches that
     # rank with an all-unit pivot set it IS the kernel lattice, no further
     # column can move the quotient, and enumeration may stop
-    kernel_dim = len(bases[m]) - rank_m
+    kernel_dim = len(keys[m]) - rank_m
     red = _ColumnReducer()
-    streamed = 0
 
-    def emit(assign, reduce_all):
-        nonlocal streamed
-        col = {}
-        for fmap, sgn in fmaps:
-            fc = tuple(assign[c] for c in fmap)
-            r = rowindex.get(fc)
-            if r is None:
+    def stream(reduce_all):
+        """One pass over degree m+1; True iff the span saturated."""
+        for streamed, key in enumerate(_enumerate_nondegenerate(X, m + 1, budget), 1):
+            col = _boundary_column(key, fmaps, rowindex)
+            if streamed <= 64 or streamed % 1024 == 0:
+                acc = {}
+                for r, v in col.items():
+                    for rr, w in dm.columns[r].items():
+                        s = acc.get(rr, 0) + v * w
+                        if s:
+                            acc[rr] = s
+                        else:
+                            del acc[rr]
+                if acc:
+                    raise NotAComplex("streamed boundary column is not a cycle")
+            if not col:
                 continue
-            v = col.get(r, 0) + sgn
-            if v:
-                col[r] = v
-            else:
-                del col[r]
-        streamed += 1
-        if streamed <= 64 or streamed % 1024 == 0:
-            acc = {}
-            for r, v in col.items():
-                for rr, w in dm.columns[r].items():
-                    s = acc.get(rr, 0) + v * w
-                    if s:
-                        acc[rr] = s
-                    else:
-                        del acc[rr]
-            if acc:
-                raise NotAComplex("streamed boundary column is not a cycle")
-        if not col:
-            return
-        if not reduce_all:
-            # cheap pass: claim an unclaimed minimal row or improve a
-            # non-unit pivot; columns falling on a unit pivot are dropped
-            # (they cannot change the span unless the cheap pass ends short,
-            # and then the full pass below reduces every column anyway)
-            p = red.pivots.get(min(col))
-            if p is not None and p[min(col)] == 1:
-                return
-        red.add(col)
-        if red.rank == kernel_dim and red.nonunit == 0:
-            raise _SpanSaturated
+            if not reduce_all:
+                # cheap pass: claim an unclaimed minimal row or improve a
+                # non-unit pivot; columns falling on a unit pivot are dropped
+                # (they cannot change the span unless the cheap pass ends
+                # short, and then the full pass reduces every column anyway)
+                p = red.pivots.get(min(col))
+                if p is not None and p[min(col)] == 1:
+                    continue
+            red.add(col)
+            if red.rank == kernel_dim and red.nonunit == 0:
+                return True
+        return False
 
-    saturated = False
     try:
-        _enumerate_nondegenerate(X, q1, budget, lambda a: emit(a, False))
+        if not stream(False):
+            stream(True)
     except BudgetExceeded:
         return groups  # H_m stays None
-    except _SpanSaturated:
-        saturated = True
-    if not saturated:
-        try:
-            _enumerate_nondegenerate(X, q1, budget, lambda a: emit(a, True))
-        except BudgetExceeded:
-            return groups
-        except _SpanSaturated:
-            pass
     rank_top = red.rank
     factors_top = _invariant_factors_of_columns(red.pivots.values())
-    free = len(bases[m]) - rank_m - rank_top
+    free = len(keys[m]) - rank_m - rank_top
     groups[m] = FGAbelianGroup(free, tuple(t for t in factors_top if t > 1))
     return groups

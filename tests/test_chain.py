@@ -12,6 +12,7 @@ from dighom import (
     ShapeMismatch,
     SparseIntMatrix,
     ZERO_GROUP,
+    build_c1_complex,
     groups_isomorphic,
     homology,
     homology_through,
@@ -284,6 +285,20 @@ def test_is_complex_detects_failure():
     assert not bad.is_complex()
     with pytest.raises(NotAComplex):
         homology(bad, 0)
+
+
+def test_homology_through_checks_the_complex_once(monkeypatch):
+    products = []
+    matmul = SparseIntMatrix.__matmul__
+
+    def counting(self, other):
+        products.append((self.ncols, other.ncols))
+        return matmul(self, other)
+
+    monkeypatch.setattr(SparseIntMatrix, "__matmul__", counting)
+    C = build_c1_complex(helpers.block()).complex  # degrees 0..3
+    assert homology_through(C, 3) == [FGAbelianGroup(1)] + [ZERO_GROUP] * 3
+    assert len(products) == 2  # d1 @ d2 and d2 @ d3
 
 
 def test_homology_point():

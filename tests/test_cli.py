@@ -112,6 +112,13 @@ def test_singular_edge(run, tmp_path):
     assert out == "H_0 = Z\nH_1 = 0\n"
 
 
+def test_singular_point_high_degree(run, tmp_path):
+    path = write_image(tmp_path, "pt.json", helpers.pt())
+    rc, out, err = run(["singular", path, "--max-q", "9"])
+    assert rc == 0 and err == ""
+    assert out == "H_0 = Z\n" + "".join(f"H_{q} = 0\n" for q in range(1, 10))
+
+
 def test_singular_budget_exceeded_is_partial(run, tmp_path):
     path = write_image(tmp_path, "ring.json", helpers.ring())
     rc, out, _ = run(["singular", path, "--max-q", "1", "--budget", "20"])

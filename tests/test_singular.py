@@ -549,6 +549,11 @@ def test_singular_homology_values():
         FGAbelianGroup(3), FGAbelianGroup(0)]
 
 
+def test_singular_homology_deep_search_on_a_point():
+    # degree 10 is searched 2^10 corners deep, past the default recursion limit
+    assert singular_homology(helpers.pt(), 9) == [FGAbelianGroup(1)] + [FGAbelianGroup(0)] * 9
+
+
 def test_singular_homology_empty_image():
     assert singular_homology(DigitalImage(1, []), 2) == [
         FGAbelianGroup(0)] * 3
