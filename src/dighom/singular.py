@@ -14,8 +14,12 @@ permuting corner indices, so all of their algebra is exact bit manipulation.
 Enumeration of all nondegenerate q-cubes is a depth-first search over corner
 tables in lexicographic order, pruned by the common closed neighborhood of the
 already-assigned one-bit predecessors of each corner.  A budget caps the
-number of nondegenerate cubes produced; the top homology degree can be
-streamed through the column reducer without materializing cube objects.
+number of nondegenerate cubes produced.  Every materialized basis is listed in
+that lex order.  The degree above the top homology degree is streamed instead,
+without materializing cube objects, in one pass that fully reduces every
+column: its cubes come round-robin from the search subtrees of their front
+faces t_q = 0, so the span of their boundaries saturates the cycles below
+early and the pass can stop there.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .chain import (
     Chain,
@@ -455,31 +460,35 @@ def _neighbor_tables(X):
     return pts, nb_list, nb_set
 
 
-def _enumerate_nondegenerate(X, q, budget):
-    """Yield every nondegenerate q-cube on X as a key, in lex order.
+def _corner_search(X, q):
+    """Depth-first search over the corner tables of q-cubes on X.
 
-    A key is a tuple of indices into X.sorted_points, one per corner index.
-    Raises BudgetExceeded as soon as more than budget cubes have been yielded.
-    The search keeps one candidate iterator per assigned corner on an explicit
-    stack, so its depth 2^q is not bounded by the interpreter's recursion.
+    Returns search(assign, lo, hi), a generator that fills corners lo..hi-1 of
+    the list assign in lex order, given corners 0..lo-1, and yields assign once
+    per continuous filling; a filling of the whole table (hi = 2^q) is yielded
+    only when it is nondegenerate.  The candidates for a corner are the common
+    closed neighborhood of its one-bit predecessors.  Every search from one
+    call shares these tables; each keeps one candidate iterator per corner on
+    an explicit stack, so its depth is not bounded by the interpreter's
+    recursion.
     """
     pts, nb_list, nb_set = _neighbor_tables(X)
     npts = len(pts)
-    if npts == 0:
-        return
-    if q == 0:
-        if npts > budget:
-            raise BudgetExceeded(0, budget)
-        for i in range(npts):
-            yield (i,)
-        return
     total = 1 << q
     preds = [[c ^ (1 << b) for b in range(q) if (c >> b) & 1] for c in range(total)]
     bits = [1 << b for b in range(q)]
-    assign = [0] * total
-    count = 0
 
-    def nondegenerate():
+    def candidates(assign, c):
+        ps = preds[c]
+        if not ps:  # only corner 0 has no predecessor
+            return range(npts)
+        cands = nb_list[assign[ps[0]]]
+        if len(ps) > 1:
+            rest = [nb_set[assign[p]] for p in ps[1:]]
+            cands = [u for u in cands if all(u in s for s in rest)]
+        return cands
+
+    def nondegenerate(assign):
         for bit in bits:
             for c in range(total):
                 if not c & bit and assign[c] != assign[c | bit]:
@@ -488,39 +497,88 @@ def _enumerate_nondegenerate(X, q, budget):
                 return False  # constant across this coordinate
         return True
 
-    # stack[c] iterates the candidates for corner c; every corner c >= 1 has
-    # a one-bit predecessor, so only corner 0 ranges over all points
-    stack = [iter(range(npts))]
-    while stack:
-        c = len(stack) - 1
-        v = next(stack[c], None)
-        if v is None:
-            stack.pop()
-            continue
-        assign[c] = v
-        c += 1
-        if c < total:
-            ps = preds[c]
-            cands = nb_list[assign[ps[0]]]
-            if len(ps) > 1:
-                rest = [nb_set[assign[p]] for p in ps[1:]]
-                cands = [u for u in cands if all(u in s for s in rest)]
-            stack.append(iter(cands))
-        elif nondegenerate():
-            count += 1
-            if count > budget:
-                raise BudgetExceeded(q, budget)
-            yield tuple(assign)
+    def search(assign, lo, hi):
+        stack = [iter(candidates(assign, lo))]
+        while stack:
+            c = lo + len(stack) - 1
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+                continue
+            assign[c] = v
+            c += 1
+            if c < hi:
+                stack.append(iter(candidates(assign, c)))
+            elif hi < total or nondegenerate(assign):
+                yield assign
+
+    return search
+
+
+def _within_budget(keys, q, budget):
+    """Pass keys through; raise BudgetExceeded once more than budget went by."""
+    for count, key in enumerate(keys, 1):
+        if count > budget:
+            raise BudgetExceeded(q, budget)
+        yield key
+
+
+def _enumerate_nondegenerate(X, q, budget):
+    """Every nondegenerate q-cube on X as a key, in lex order.
+
+    A key is a tuple of indices into X.sorted_points, one per corner index.
+    Raises BudgetExceeded as soon as more than budget cubes have been yielded.
+    """
+    total = 1 << q
+    search = _corner_search(X, q)
+    keys = (tuple(a) for a in search([0] * total, 0, total))
+    return _within_budget(keys, q, budget)
+
+
+def _enumerate_interleaved(X, q, budget):
+    """The keys of _enumerate_nondegenerate(X, q, budget), q >= 1, reordered.
+
+    Each continuous front face t_q = 0 (corners 0..2^(q-1)-1) roots a subtree
+    of the search, which is searched in lex order, and each round takes the
+    next cube from every subtree that has one left.  Consecutive cubes thus
+    have different front faces, so their boundary columns span the cycles of
+    degree q-1 after far fewer columns than in lex order, where long runs of
+    cubes share a front face.
+    """
+    total = 1 << q
+    half = total >> 1
+    search = _corner_search(X, q)
+
+    def rounds():
+        # the first round starts the subtrees as it goes
+        live = (search(front + [0] * half, half, total)
+                for front in search([0] * half, 0, half))
+        while live:
+            kept = []
+            for sub in live:
+                a = next(sub, None)
+                if a is not None:
+                    kept.append(sub)
+                    yield tuple(a)
+            live = kept
+
+    return _within_budget(rounds(), q, budget)
 
 
 @lru_cache(maxsize=None)
 def _signed_face_maps(q):
-    """(corner-index table, sign) for each of the 2q faces of a q-cube."""
-    return tuple(
-        (_face_index_map(q, i, sb), -((-1) ** i) if sb else (-1) ** i)
-        for i in range(1, q + 1)
-        for sb in (0, 1)
-    )
+    """(face-key getter, sign) for each of the 2q faces of a q-cube.
+
+    The getter maps a q-cube key to the key of the face.  An itemgetter of one
+    index returns a scalar, so the faces of a 1-cube slice out a 1-tuple.
+    """
+    out = []
+    for i in range(1, q + 1):
+        for sb in (0, 1):
+            fmap = _face_index_map(q, i, sb)
+            get = itemgetter(*fmap) if q > 1 else itemgetter(slice(fmap[0], fmap[0] + 1))
+            out.append((get, -((-1) ** i) if sb else (-1) ** i))
+    return tuple(out)
 
 
 def _boundary_column(key, fmaps, rowindex):
@@ -529,8 +587,8 @@ def _boundary_column(key, fmaps, rowindex):
     Faces missing from rowindex are degenerate, dropped by normalization.
     """
     col = {}
-    for fmap, sgn in fmaps:
-        r = rowindex.get(tuple(key[c] for c in fmap))
+    for get, sgn in fmaps:
+        r = rowindex.get(get(key))
         if r is None:
             continue
         v = col.get(r, 0) + sgn
@@ -594,9 +652,12 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     """[H_0, ..., H_max_q] of the normalized singular complex.
 
     Degrees 0..max_q are materialized; degree max_q+1 is streamed column by
-    column through the integer reducer, so its cubes are never stored.  If the
-    enumeration budget is exhausted at degree j, every group needing that
-    degree (q >= j-1) comes back as None instead of a group.
+    column through the integer reducer, so its cubes are never stored.  The
+    stream is one pass that fully reduces every column, fed round-robin over
+    the front faces of the cubes (see _enumerate_interleaved), and it ends
+    early once the span of the columns saturates the cycles of degree max_q.
+    If the enumeration budget is exhausted at degree j, every group needing
+    that degree (q >= j-1) comes back as None instead of a group.
     """
     if max_q < 0:
         raise ValueError("max_q must be nonnegative")
@@ -622,23 +683,29 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
 
     # stream degree m+1
     fmaps = _signed_face_maps(m + 1)
-    rowindex = trunc.index(m)
+    # rows are numbered in descending colex order (keys compared from their
+    # last corner), so the reducer pivots on the colex-greatest face of a
+    # column; on the interleaved stream this keeps the reductions short
+    # (measured against lex row order: the 2,651 columns of square to q=3
+    # reduce about 100 times faster, the first 8,000 of shell to q=3 about
+    # 500 times faster)
+    order = sorted(range(len(keys[m])), key=lambda r: keys[m][r][::-1], reverse=True)
+    rowindex = {keys[m][r]: i for i, r in enumerate(order)}
     dm = trunc.boundary_matrix(m)
+    dm_columns = [dm.columns[r] for r in order]
     rank_m, _ = trunc._reduction(m)
     # im d_{m+1} lives inside ker d_m; once the streamed span reaches that
     # rank with an all-unit pivot set it IS the kernel lattice, no further
     # column can move the quotient, and enumeration may stop
     kernel_dim = len(keys[m]) - rank_m
     red = _ColumnReducer()
-
-    def stream(reduce_all):
-        """One pass over degree m+1; True iff the span saturated."""
-        for streamed, key in enumerate(_enumerate_nondegenerate(X, m + 1, budget), 1):
+    try:
+        for streamed, key in enumerate(_enumerate_interleaved(X, m + 1, budget), 1):
             col = _boundary_column(key, fmaps, rowindex)
             if streamed <= 64 or streamed % 1024 == 0:
                 acc = {}
                 for r, v in col.items():
-                    for rr, w in dm.columns[r].items():
+                    for rr, w in dm_columns[r].items():
                         s = acc.get(rr, 0) + v * w
                         if s:
                             acc[rr] = s
@@ -648,26 +715,17 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
                     raise NotAComplex("streamed boundary column is not a cycle")
             if not col:
                 continue
-            if not reduce_all:
-                # cheap pass: claim an unclaimed minimal row or improve a
-                # non-unit pivot; columns falling on a unit pivot are dropped
-                # (they cannot change the span unless the cheap pass ends
-                # short, and then the full pass reduces every column anyway)
-                p = red.pivots.get(min(col))
-                if p is not None and p[min(col)] == 1:
-                    continue
             red.add(col)
             if red.rank == kernel_dim and red.nonunit == 0:
-                return True
-        return False
-
-    try:
-        if not stream(False):
-            stream(True)
+                break
     except BudgetExceeded:
         return groups  # H_m stays None
-    rank_top = red.rank
-    factors_top = _invariant_factors_of_columns(red.pivots.values())
-    free = len(keys[m]) - rank_m - rank_top
-    groups[m] = FGAbelianGroup(free, tuple(t for t in factors_top if t > 1))
+    if red.nonunit:
+        torsion = tuple(t for t in _invariant_factors_of_columns(red.pivots.values()) if t > 1)
+    else:
+        # unit pivots on distinct rows of a column echelon form make a
+        # unimodular pivot minor: every invariant factor is 1
+        torsion = ()
+    free = len(keys[m]) - rank_m - red.rank
+    groups[m] = FGAbelianGroup(free, torsion)
     return groups

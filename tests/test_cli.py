@@ -119,6 +119,13 @@ def test_singular_point_high_degree(run, tmp_path):
     assert out == "H_0 = Z\n" + "".join(f"H_{q} = 0\n" for q in range(1, 10))
 
 
+def test_singular_square_top_degree_within_small_budget(run, tmp_path):
+    path = write_image(tmp_path, "square.json", helpers.square())
+    rc, out, err = run(["singular", path, "--max-q", "3", "--budget", "5000"])
+    assert rc == 0 and err == ""
+    assert out == "H_0 = Z\nH_1 = 0\nH_2 = 0\nH_3 = 0\n"
+
+
 def test_singular_budget_exceeded_is_partial(run, tmp_path):
     path = write_image(tmp_path, "ring.json", helpers.ring())
     rc, out, _ = run(["singular", path, "--max-q", "1", "--budget", "20"])

@@ -1,13 +1,17 @@
-"""Property checks on random small images.
+"""Property checks on random small images and integer matrices.
 
 The singular homology (streamed and materialized) and the c1 homology must
 agree on every image, and dimension() must match the elementary cubes that
-enumerate_elementary_cubes lists.
+enumerate_elementary_cubes lists.  The column reducer's pivots must have the
+invariant factors that sympy's Smith normal form finds, all ones whenever
+every pivot entry is 1.
 """
 
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
 
 from dighom import (
     DigitalImage,
@@ -18,6 +22,7 @@ from dighom import (
     homology_through,
     singular_homology,
 )
+from dighom.chain import _ColumnReducer, _invariant_factors_of_columns
 
 
 def images(box):
@@ -43,3 +48,24 @@ def test_pipelines_agree(X):
 def test_dimension_is_the_top_nonempty_degree(X):
     top = max(q for q in range(X.ambient_dim + 1) if enumerate_elementary_cubes(X, q))
     assert dimension(X) == top
+
+
+# integer matrices of up to 5x5, stored as lists of dense columns
+MATRICES = st.integers(1, 5).flatmap(lambda rows: st.lists(
+    st.lists(st.integers(-3, 3), min_size=rows, max_size=rows), min_size=1, max_size=5))
+
+
+@settings(derandomize=True, deadline=None)
+@given(MATRICES)
+def test_unit_pivots_give_unit_invariant_factors(cols):
+    red = _ColumnReducer()
+    for col in cols:
+        red.add({r: v for r, v in enumerate(col) if v})
+    factors = _invariant_factors_of_columns(red.pivots.values())
+    snf = smith_normal_form(
+        Matrix(len(cols[0]), len(cols), lambda i, j: cols[j][i]), domain=ZZ)
+    diagonal = [abs(snf[i, i]) for i in range(min(snf.shape))]
+    assert sorted(factors) == sorted(d for d in diagonal if d)
+    assert red.rank == len(factors)
+    if red.nonunit == 0:
+        assert all(f == 1 for f in factors)

@@ -38,6 +38,7 @@ from dighom import (
     singular_homology,
     swap,
 )
+from dighom.singular import DEFAULT_BUDGET, _enumerate_interleaved, _enumerate_nondegenerate
 
 import helpers
 
@@ -519,6 +520,26 @@ def test_known_enumeration_counts():
     assert len(enumerate_singular_cubes(helpers.square(), 3)) == 2432
 
 
+@pytest.mark.parametrize("name", ["ring", "shell", "square"])
+def test_interleaved_stream_permutes_the_lex_enumeration(name):
+    X = getattr(helpers, name)()
+    lex = list(_enumerate_nondegenerate(X, 3, DEFAULT_BUDGET))
+    streamed = list(_enumerate_interleaved(X, 3, DEFAULT_BUDGET))
+    assert len(streamed) == len(lex)
+    assert len(set(streamed)) == len(streamed)
+    assert set(streamed) == set(lex)
+    assert streamed != lex
+    corners = [s.corners for s in enumerate_singular_cubes(X, 3)]
+    assert corners == sorted(corners)
+
+
+def test_interleaved_stream_counts_the_budget():
+    with pytest.raises(BudgetExceeded) as ei:
+        list(_enumerate_interleaved(helpers.square(), 3, 2431))
+    assert (ei.value.degree, ei.value.count) == (3, 2431)
+    assert len(list(_enumerate_interleaved(helpers.square(), 3, 2432))) == 2432
+
+
 # --- complexes and homology --------------------------------------------------------------
 
 def test_build_singular_complex_shape():
@@ -565,3 +586,10 @@ def test_singular_homology_budget_partial_results():
     assert singular_homology(X, 1, budget=20) == [FGAbelianGroup(1), None]
     assert singular_homology(X, 1, budget=112) == [
         FGAbelianGroup(1), FGAbelianGroup(1)]
+
+
+def test_streamed_top_degree_saturates_within_a_small_budget():
+    # degree 3 has 2,432 cubes; the streamed degree 4 has 1.3M, but its
+    # columns span the 3-cycles after about 2,651 of them
+    assert singular_homology(helpers.square(), 3, budget=5000) == [
+        FGAbelianGroup(1)] + [FGAbelianGroup(0)] * 3
