@@ -15,6 +15,12 @@ Two reduction routines coexist on purpose:
   an incremental integer column echelonization (unimodular column operations
   only, so invariant factors are preserved) followed by unit-pivot
   elimination, handing only the small non-unit residue to the dense routine.
+  When every pivot entry is 1 the invariant factors are all ones and the
+  elimination is skipped.
+
+Homology reduces the boundaries of a complex from the top degree down and
+clears as it goes (the "twist" of Chen and Kerber): d_q skips the columns at
+the unit pivot rows of d_{q+1}, which would only reduce to zero.
 """
 
 from __future__ import annotations
@@ -541,22 +547,40 @@ def _invariant_factors_of_columns(pivot_cols):
     return (1,) * ones + res.invariant_factors
 
 
-def rank_and_invariant_factors(columns, nrows):
-    """(rank, invariant_factors) of the matrix whose columns are given.
+def _pivot_invariant_factors(red):
+    """Invariant factors (with 1s) of the pivot columns of a _ColumnReducer.
 
-    columns: iterable of sparse dicts (may be consumed lazily; suitable for
-    streaming).  nrows is only used for sanity checks.
+    When every pivot entry is 1, the pivot rows carry a unitriangular minor,
+    which is unimodular, so every invariant factor is 1 and no elimination
+    is needed.
     """
+    if not red.nonunit:
+        return (1,) * red.rank
+    factors = _invariant_factors_of_columns(red.pivots.values())
+    if len(factors) != red.rank:
+        raise RuntimeError("rank mismatch between reduction and invariant factors")
+    return factors
+
+
+def _reduce(columns, nrows):
+    """A _ColumnReducer fed every column, with row indices checked."""
     red = _ColumnReducer()
     for col in columns:
         for r in col:
             if not 0 <= r < nrows:
                 raise ValueError(f"row index {r} outside 0..{nrows - 1}")
         red.add(dict(col))
-    factors = _invariant_factors_of_columns(red.pivots.values())
-    if len(factors) != red.rank:
-        raise RuntimeError("rank mismatch between reduction and invariant factors")
-    return red.rank, factors
+    return red
+
+
+def rank_and_invariant_factors(columns, nrows):
+    """(rank, invariant_factors) of the matrix whose columns are given.
+
+    columns: iterable of sparse dicts (may be consumed lazily; suitable for
+    streaming).  nrows is only used for sanity checks.
+    """
+    red = _reduce(columns, nrows)
+    return red.rank, _pivot_invariant_factors(red)
 
 
 # --- chain complexes --------------------------------------------------------
@@ -663,10 +687,27 @@ class ChainComplex:
         return f"ChainComplex(sizes=[{sizes}])"
 
     def _reduction(self, q):
-        """(rank, invariant_factors) of boundary_matrix(q), cached."""
+        """(rank, invariant_factors, unit_rows) of boundary_matrix(q), cached.
+
+        unit_rows are the pivot rows whose pivot entry is 1.  If degree q+1
+        is already reduced and is_complex() has been found true, the columns
+        of d_q at its unit rows are cleared (skipped): such a pivot column p
+        lies in im d_{q+1}, has entry 1 at its minimal row j and d_q p = 0,
+        so column j of d_q is minus a combination of later columns.  Zeroing
+        all those columns at once is a unitriangular column operation, which
+        keeps the rank and the invariant factors.  A pivot entry above 1
+        clears nothing.
+        """
         if q not in self._hom_cache:
             M = self.boundary_matrix(q)
-            self._hom_cache[q] = rank_and_invariant_factors(M.columns, M.nrows)
+            columns = M.columns
+            above = self._hom_cache.get(q + 1)
+            if above and self._is_complex:
+                cleared = above[2]
+                columns = [c for j, c in enumerate(columns) if j not in cleared]
+            red = _reduce(columns, M.nrows)
+            unit_rows = {r for r, p in red.pivots.items() if p[r] == 1}
+            self._hom_cache[q] = (red.rank, _pivot_invariant_factors(red), unit_rows)
         return self._hom_cache[q]
 
 
@@ -674,7 +715,8 @@ def homology(C, q):
     """H_q of the complex as an FGAbelianGroup.
 
     rank H_q = dim C_q - rank d_q - rank d_{q+1}; torsion comes from the
-    invariant factors of d_{q+1} that exceed 1.
+    invariant factors of d_{q+1} that exceed 1.  The reductions are cached
+    on C, and d_{q+1} is reduced before d_q so that d_q can be cleared.
     """
     if q < 0:
         raise ValueError("degree must be nonnegative")
@@ -683,8 +725,8 @@ def homology(C, q):
     n_q = len(C.basis(q))
     if n_q == 0:
         return ZERO_GROUP
-    rank_in, factors_in = C._reduction(q + 1)
-    rank_out, _ = C._reduction(q)
+    rank_in, factors_in, _ = C._reduction(q + 1)
+    rank_out, _, _ = C._reduction(q)
     free = n_q - rank_out - rank_in
     if free < 0:
         raise RuntimeError("negative free rank: broken reduction")
@@ -693,8 +735,14 @@ def homology(C, q):
 
 
 def homology_through(C, top):
-    """[H_0, ..., H_top]; degrees beyond the complex are zero groups."""
-    return [homology(C, q) for q in range(top + 1)]
+    """[H_0, ..., H_top]; degrees beyond the complex are zero groups.
+
+    The groups are computed from the top degree down, so every boundary
+    below d_{top+1} is reduced with the columns cleared by the one above.
+    """
+    groups = [homology(C, q) for q in range(top, -1, -1)]
+    groups.reverse()
+    return groups
 
 
 def quotient_complex(C, sub_labels):

@@ -36,7 +36,7 @@ from .chain import (
     SparseIntMatrix,
     ZERO_GROUP,
     _ColumnReducer,
-    _invariant_factors_of_columns,
+    _pivot_invariant_factors,
     homology,
 )
 from .errors import (
@@ -528,7 +528,11 @@ def _enumerate_nondegenerate(X, q, budget):
 
     A key is a tuple of indices into X.sorted_points, one per corner index.
     Raises BudgetExceeded as soon as more than budget cubes have been yielded.
+    Without a c1-adjacent pair in X every continuous cube is constant, so
+    there is none in a degree q >= 1, and no table of size 2^q is built.
     """
+    if q and not any(X.neighbors(p) for p in X.sorted_points):
+        return iter(())
     total = 1 << q
     search = _corner_search(X, q)
     keys = (tuple(a) for a in search([0] * total, 0, total))
@@ -615,7 +619,7 @@ def _materialize(X, top, budget):
         except BudgetExceeded as e:
             return keys, mats, e
         if q:
-            fmaps = _signed_face_maps(q)
+            fmaps = _signed_face_maps(q) if kq else ()
             rowindex = {k: r for r, k in enumerate(keys[-1])}
             cols = [_boundary_column(k, fmaps, rowindex) for k in kq]
             mats.append(SparseIntMatrix(len(keys[-1]), len(kq), cols))
@@ -651,11 +655,13 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
 def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     """[H_0, ..., H_max_q] of the normalized singular complex.
 
-    Degrees 0..max_q are materialized; degree max_q+1 is streamed column by
-    column through the integer reducer, so its cubes are never stored.  The
-    stream is one pass that fully reduces every column, fed round-robin over
-    the front faces of the cubes (see _enumerate_interleaved), and it ends
-    early once the span of the columns saturates the cycles of degree max_q.
+    Degrees 0..max_q are materialized and their homology is computed from
+    the top degree down (see homology_through); degree max_q+1 is streamed
+    column by column through the integer reducer, so its cubes are never
+    stored.  The stream is one pass that fully reduces every column, fed
+    round-robin over the front faces of the cubes (see
+    _enumerate_interleaved), and it ends early once the span of the columns
+    saturates the cycles of degree max_q.
     If the enumeration budget is exhausted at degree j, every group needing
     that degree (q >= j-1) comes back as None instead of a group.
     """
@@ -672,14 +678,15 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
         raise NotAComplex("boundary composed with boundary is nonzero")
 
     groups = [None] * (max_q + 1)
-    if err is not None:
-        # H_q computable only when degrees q and q+1 both materialized
-        for q in range(max(0, err.degree - 1)):
-            groups[q] = homology(trunc, q)
-        return groups
-
-    for q in range(m):
+    # from the top down, so that each boundary is reduced after the one above
+    # it and skips the columns that one clears (see ChainComplex._reduction)
+    for q in range(m - 1, -1, -1):
         groups[q] = homology(trunc, q)
+    if err is not None:
+        return groups  # H_m needs degree m+1, which is over budget
+    if not keys[m]:  # then degree m+1 is empty too: nothing to stream
+        groups[m] = ZERO_GROUP
+        return groups
 
     # stream degree m+1
     fmaps = _signed_face_maps(m + 1)
@@ -693,7 +700,7 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     rowindex = {keys[m][r]: i for i, r in enumerate(order)}
     dm = trunc.boundary_matrix(m)
     dm_columns = [dm.columns[r] for r in order]
-    rank_m, _ = trunc._reduction(m)
+    rank_m, _, _ = trunc._reduction(m)
     # im d_{m+1} lives inside ker d_m; once the streamed span reaches that
     # rank with an all-unit pivot set it IS the kernel lattice, no further
     # column can move the quotient, and enumeration may stop
@@ -720,12 +727,7 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
                 break
     except BudgetExceeded:
         return groups  # H_m stays None
-    if red.nonunit:
-        torsion = tuple(t for t in _invariant_factors_of_columns(red.pivots.values()) if t > 1)
-    else:
-        # unit pivots on distinct rows of a column echelon form make a
-        # unimodular pivot minor: every invariant factor is 1
-        torsion = ()
+    torsion = tuple(t for t in _pivot_invariant_factors(red) if t > 1)
     free = len(keys[m]) - rank_m - red.rank
     groups[m] = FGAbelianGroup(free, torsion)
     return groups

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from dighom import (
     Chain,
     ChainComplex,
+    DigitalImage,
     FGAbelianGroup,
     NotAComplex,
     NotSubcomplex,
@@ -22,6 +24,7 @@ from dighom import (
     verify_chain_map,
     xgcd,
 )
+from dighom import chain
 
 import helpers
 
@@ -299,6 +302,38 @@ def test_homology_through_checks_the_complex_once(monkeypatch):
     C = build_c1_complex(helpers.block()).complex  # degrees 0..3
     assert homology_through(C, 3) == [FGAbelianGroup(1)] + [ZERO_GROUP] * 3
     assert len(products) == 2  # d1 @ d2 and d2 @ d3
+
+
+def test_nonunit_pivot_clears_nothing():
+    # d2 reduces to one pivot of entry 3 at row a; clearing column a of d1
+    # on it would leave d1 = [[3]] and give H_0 = Z/3
+    C = ChainComplex(
+        bases=[("v",), ("a", "b"), ("f",)],
+        boundaries=[
+            SparseIntMatrix.from_dense([[2, 3]]),
+            SparseIntMatrix.from_dense([[3], [-2]]),
+        ],
+    )
+    assert homology_through(C, 2) == [ZERO_GROUP] * 3
+
+
+def test_clearing_skips_the_unit_pivot_columns(monkeypatch):
+    # on the solid 3x3x3 cube every pivot of d2 is a unit, so d1 reduces
+    # only the columns that no pivot of d2 clears
+    reduced = []
+    reduce = chain._reduce
+
+    def recording(columns, nrows):
+        reduced.append((nrows, len(columns)))
+        return reduce(columns, nrows)
+
+    monkeypatch.setattr(chain, "_reduce", recording)
+    X = DigitalImage(3, list(itertools.product(range(3), repeat=3)))
+    C = build_c1_complex(X).complex
+    assert homology_through(C, 3) == [FGAbelianGroup(1)] + [ZERO_GROUP] * 3
+    n_0, n_1 = len(C.basis(0)), len(C.basis(1))
+    rank_2, _ = rank_and_invariant_factors(C.boundary_matrix(2).columns, n_1)
+    assert [ncols for nrows, ncols in reduced if nrows == n_0] == [n_1 - rank_2]
 
 
 def test_homology_point():

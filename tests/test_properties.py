@@ -1,8 +1,10 @@
 """Property checks on random small images and integer matrices.
 
 The singular homology (streamed and materialized) and the c1 homology must
-agree on every image, and dimension() must match the elementary cubes that
-enumerate_elementary_cubes lists.  The column reducer's pivots must have the
+agree on every image, homology_through (which clears columns from the top
+degree down) must agree with a reduction of every full boundary matrix, and
+dimension() must match the elementary cubes that enumerate_elementary_cubes
+lists.  The column reducer's pivots must have the
 invariant factors that sympy's Smith normal form finds, all ones whenever
 every pivot entry is 1.
 """
@@ -15,11 +17,13 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from dighom import (
     DigitalImage,
+    FGAbelianGroup,
     build_c1_complex,
     build_singular_complex,
     dimension,
     enumerate_elementary_cubes,
     homology_through,
+    rank_and_invariant_factors,
     singular_homology,
 )
 from dighom.chain import _ColumnReducer, _invariant_factors_of_columns
@@ -41,6 +45,23 @@ def test_pipelines_agree(X):
     groups = singular_homology(X, 1)
     assert groups == homology_through(build_singular_complex(X, 1), 1)
     assert groups == homology_through(build_c1_complex(X).complex, 1)
+
+
+def reference_homology(C):
+    """[H_0, ..., H_max] from a reduction of every full boundary matrix."""
+    reductions = [rank_and_invariant_factors(C.boundary_matrix(q).columns,
+                                             C.boundary_matrix(q).nrows)
+                  for q in range(C.max_degree + 2)]
+    return [FGAbelianGroup(len(C.basis(q)) - reductions[q][0] - reductions[q + 1][0],
+                           tuple(t for t in reductions[q + 1][1] if t > 1))
+            for q in range(C.max_degree + 1)]
+
+
+@settings(derandomize=True, deadline=None)
+@given(IMAGES)
+def test_clearing_keeps_the_groups(X):
+    for C in (build_c1_complex(X).complex, build_singular_complex(X, 1)):
+        assert homology_through(C, C.max_degree) == reference_homology(C)
 
 
 @settings(derandomize=True, deadline=None)

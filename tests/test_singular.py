@@ -571,8 +571,14 @@ def test_singular_homology_values():
 
 
 def test_singular_homology_deep_search_on_a_point():
-    # degree 10 is searched 2^10 corners deep, past the default recursion limit
+    # a point has no nondegenerate cube above degree 0, so no degree is searched
     assert singular_homology(helpers.pt(), 9) == [FGAbelianGroup(1)] + [FGAbelianGroup(0)] * 9
+
+
+def test_deep_search_on_an_edge():
+    # a 10-cube is searched 2^10 corners deep, past the default recursion limit
+    with pytest.raises(BudgetExceeded):
+        enumerate_singular_cubes(helpers.edge(), 10, budget=3)
 
 
 def test_singular_homology_empty_image():
