@@ -20,7 +20,9 @@ Two reduction routines coexist on purpose:
 
 Homology reduces the boundaries of a complex from the top degree down and
 clears as it goes (the "twist" of Chen and Kerber): d_q skips the columns at
-the unit pivot rows of d_{q+1}, which would only reduce to zero.
+the unit pivot rows of d_{q+1}, which would only reduce to zero.  The top
+boundary d_{top+1}, reduced after d_top, stops once it saturates ker d_top,
+so its columns may come from a lazy stream that is never stored.
 """
 
 from __future__ import annotations
@@ -562,14 +564,17 @@ def _pivot_invariant_factors(red):
     return factors
 
 
-def _reduce(columns, nrows):
-    """A _ColumnReducer fed every column, with row indices checked."""
+def _reduce(columns, nrows, saturation=None):
+    """A _ColumnReducer fed the columns, with row indices checked; it stops,
+    leaving the rest unread, once its rank is saturation with unit pivots."""
     red = _ColumnReducer()
     for col in columns:
         for r in col:
             if not 0 <= r < nrows:
                 raise ValueError(f"row index {r} outside 0..{nrows - 1}")
         red.add(dict(col))
+        if red.rank == saturation and not red.nonunit:
+            break
     return red
 
 
@@ -686,38 +691,57 @@ class ChainComplex:
         sizes = ", ".join(str(len(b)) for b in self.bases)
         return f"ChainComplex(sizes=[{sizes}])"
 
-    def _reduction(self, q):
-        """(rank, invariant_factors, unit_rows) of boundary_matrix(q), cached.
+    def _reduction(self, q, columns=None):
+        """(rank, invariant_factors, unit_rows) of d_q, cached.
 
-        unit_rows are the pivot rows whose pivot entry is 1.  If degree q+1
-        is already reduced and is_complex() has been found true, the columns
-        of d_q at its unit rows are cleared (skipped): such a pivot column p
-        lies in im d_{q+1}, has entry 1 at its minimal row j and d_q p = 0,
-        so column j of d_q is minus a combination of later columns.  Zeroing
-        all those columns at once is a unitriangular column operation, which
-        keeps the rank and the invariant factors.  A pivot entry above 1
-        clears nothing.
+        unit_rows are the pivot rows with pivot entry 1.  Given columns are
+        those of a d_q beyond the complex, possibly lazy: a sample is checked
+        to be cycles, and the result is not cached.  Once is_complex() holds,
+        two shortcuts keep the rank and the invariant factors.  Clearing: if
+        d_{q+1} is already reduced, d_q skips the columns at its unit rows;
+        such a pivot column p lies in im d_{q+1}, has entry 1 at its minimal
+        row j and d_q p = 0, so column j is a combination of later columns.
+        Saturation: if d_{q-1} is already reduced, the reduction stops once
+        its rank is dim ker d_{q-1} with unit pivots, as a direct summand of
+        full rank in ker d_{q-1} is all of it and no column can change it.
         """
-        if q not in self._hom_cache:
-            M = self.boundary_matrix(q)
-            columns = M.columns
+        if q in self._hom_cache:
+            return self._hom_cache[q]
+        nrows = len(self.basis(q - 1))
+        if columns is not None:
+            columns = _sampled_cycles(columns, self.boundary_matrix(q - 1).columns)
+        else:
+            columns = self.boundary_matrix(q).columns
             above = self._hom_cache.get(q + 1)
             if above and self._is_complex:
-                cleared = above[2]
-                columns = [c for j, c in enumerate(columns) if j not in cleared]
-            red = _reduce(columns, M.nrows)
-            unit_rows = {r for r, p in red.pivots.items() if p[r] == 1}
-            self._hom_cache[q] = (red.rank, _pivot_invariant_factors(red), unit_rows)
-        return self._hom_cache[q]
+                columns = [c for j, c in enumerate(columns) if j not in above[2]]
+        below = self._hom_cache.get(q - 1)
+        kernel_dim = nrows - below[0] if below and self._is_complex else None
+        red = _reduce(columns, nrows, kernel_dim)
+        unit_rows = {r for r, p in red.pivots.items() if p[r] == 1}
+        out = (red.rank, _pivot_invariant_factors(red), unit_rows)
+        if q <= self.max_degree:
+            self._hom_cache[q] = out
+        return out
 
 
-def homology(C, q):
-    """H_q of the complex as an FGAbelianGroup.
+def _sampled_cycles(columns, d):
+    """The columns, passed through; the first 64 and every 1024th after must
+    have zero image under the matrix with columns d, else NotAComplex."""
+    for n, col in enumerate(columns, 1):
+        if n <= 64 or n % 1024 == 0:
+            acc = {}
+            for r, v in col.items():
+                for rr, w in d[r].items():
+                    acc[rr] = acc.get(rr, 0) + v * w
+            if any(acc.values()):
+                raise NotAComplex("streamed boundary column is not a cycle")
+        yield col
 
-    rank H_q = dim C_q - rank d_q - rank d_{q+1}; torsion comes from the
-    invariant factors of d_{q+1} that exceed 1.  The reductions are cached
-    on C, and d_{q+1} is reduced before d_q so that d_q can be cleared.
-    """
+
+def _homology(C, q, columns_in=None):
+    """homology(C, q), with the columns of d_{q+1} read from columns_in if
+    given: a lazy stream of a degree beyond C, rows as in C.basis(q)."""
     if q < 0:
         raise ValueError("degree must be nonnegative")
     if not C.is_complex():
@@ -725,8 +749,8 @@ def homology(C, q):
     n_q = len(C.basis(q))
     if n_q == 0:
         return ZERO_GROUP
-    rank_in, factors_in, _ = C._reduction(q + 1)
     rank_out, _, _ = C._reduction(q)
+    rank_in, factors_in, _ = C._reduction(q + 1, columns_in)
     free = n_q - rank_out - rank_in
     if free < 0:
         raise RuntimeError("negative free rank: broken reduction")
@@ -734,11 +758,21 @@ def homology(C, q):
     return FGAbelianGroup(free, torsion)
 
 
+def homology(C, q):
+    """H_q of the complex as an FGAbelianGroup.
+
+    rank H_q = dim C_q - rank d_q - rank d_{q+1}; torsion comes from the
+    invariant factors of d_{q+1} that exceed 1.  The reductions are cached
+    on C.  d_q is reduced first, so d_{q+1} stops once it saturates ker d_q.
+    """
+    return _homology(C, q)
+
+
 def homology_through(C, top):
     """[H_0, ..., H_top]; degrees beyond the complex are zero groups.
 
-    The groups are computed from the top degree down, so every boundary
-    below d_{top+1} is reduced with the columns cleared by the one above.
+    The groups are computed from the top degree down, so d_{top+1} stops at
+    saturation and every boundary below it is cleared by the one above.
     """
     groups = [homology(C, q) for q in range(top, -1, -1)]
     groups.reverse()

@@ -487,11 +487,12 @@ def load_point_map(path, domain, codomain):
         raise ParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
-    if not isinstance(doc, dict) or "pairs" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
         raise ParseError('map document needs a "pairs" list')
     table = {}
     for item in doc["pairs"]:
-        if not (isinstance(item, list) and len(item) == 2):
+        if not (isinstance(item, list) and len(item) == 2
+                and all(isinstance(p, list) for p in item)):
             raise ParseError(f"pair {item!r} must be [[x...],[y...]]")
         x, y = _as_point(item[0]), _as_point(item[1])
         if x in table and table[x] != y:

@@ -15,11 +15,11 @@ Enumeration of all nondegenerate q-cubes is a depth-first search over corner
 tables in lexicographic order, pruned by the common closed neighborhood of the
 already-assigned one-bit predecessors of each corner.  A budget caps the
 number of nondegenerate cubes produced.  Every materialized basis is listed in
-that lex order.  The degree above the top homology degree is streamed instead,
-without materializing cube objects, in one pass that fully reduces every
-column: its cubes come round-robin from the search subtrees of their front
-faces t_q = 0, so the span of their boundaries saturates the cycles below
-early and the pass can stop there.
+that lex order, but the top degree of singular_homology in descending colex
+order.  The degree above it is streamed without materializing cubes: they
+come round-robin from the search subtrees of their front faces t_q = 0, and
+their boundary columns go lazily to the top-boundary reduction of chain.py,
+which stops once their span saturates the cycles below.
 """
 
 from __future__ import annotations
@@ -32,18 +32,14 @@ from operator import itemgetter
 from .chain import (
     Chain,
     ChainComplex,
-    FGAbelianGroup,
     SparseIntMatrix,
-    ZERO_GROUP,
-    _ColumnReducer,
-    _pivot_invariant_factors,
-    homology,
+    _homology,
+    homology_through,
 )
 from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
     NoSuchFace,
-    NotAComplex,
     NotCompatible,
     NotContinuous,
     NotInjective,
@@ -655,79 +651,41 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
 def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     """[H_0, ..., H_max_q] of the normalized singular complex.
 
-    Degrees 0..max_q are materialized and their homology is computed from
-    the top degree down (see homology_through); degree max_q+1 is streamed
-    column by column through the integer reducer, so its cubes are never
-    stored.  The stream is one pass that fully reduces every column, fed
-    round-robin over the front faces of the cubes (see
-    _enumerate_interleaved), and it ends early once the span of the columns
-    saturates the cycles of degree max_q.
+    Degrees 0..max_q are materialized.  The boundary columns of degree
+    max_q+1 are streamed, round-robin over the front faces of their cubes
+    (see _enumerate_interleaved), into the top-boundary reduction of
+    chain.py, which stops reading them once their span saturates the cycles
+    of degree max_q; those cubes are never stored.
     If the enumeration budget is exhausted at degree j, every group needing
     that degree (q >= j-1) comes back as None instead of a group.
     """
     if max_q < 0:
         raise ValueError("max_q must be nonnegative")
-    if len(X) == 0:
-        return [ZERO_GROUP] * (max_q + 1)
     keys, mats, err = _materialize(X, max_q, budget)
     m = len(keys) - 1  # top materialized degree
     if m < 0:
         return [None] * (max_q + 1)
-    trunc = ChainComplex(keys, mats)
-    if not trunc.is_complex():
-        raise NotAComplex("boundary composed with boundary is nonzero")
-
-    groups = [None] * (max_q + 1)
-    # from the top down, so that each boundary is reduced after the one above
-    # it and skips the columns that one clears (see ChainComplex._reduction)
-    for q in range(m - 1, -1, -1):
-        groups[q] = homology(trunc, q)
-    if err is not None:
-        return groups  # H_m needs degree m+1, which is over budget
-    if not keys[m]:  # then degree m+1 is empty too: nothing to stream
-        groups[m] = ZERO_GROUP
-        return groups
-
-    # stream degree m+1
-    fmaps = _signed_face_maps(m + 1)
-    # rows are numbered in descending colex order (keys compared from their
+    # degree m is listed in descending colex order (keys compared from their
     # last corner), so the reducer pivots on the colex-greatest face of a
-    # column; on the interleaved stream this keeps the reductions short
-    # (measured against lex row order: the 2,651 columns of square to q=3
-    # reduce about 100 times faster, the first 8,000 of shell to q=3 about
-    # 500 times faster)
+    # streamed column; on the interleaved stream this keeps the reductions
+    # short (measured against lex row order: the 2,651 columns of square to
+    # q=3 reduce about 100 times faster, the first 8,000 of shell to q=3
+    # about 500 times faster)
     order = sorted(range(len(keys[m])), key=lambda r: keys[m][r][::-1], reverse=True)
-    rowindex = {keys[m][r]: i for i, r in enumerate(order)}
-    dm = trunc.boundary_matrix(m)
-    dm_columns = [dm.columns[r] for r in order]
-    rank_m, _, _ = trunc._reduction(m)
-    # im d_{m+1} lives inside ker d_m; once the streamed span reaches that
-    # rank with an all-unit pivot set it IS the kernel lattice, no further
-    # column can move the quotient, and enumeration may stop
-    kernel_dim = len(keys[m]) - rank_m
-    red = _ColumnReducer()
-    try:
-        for streamed, key in enumerate(_enumerate_interleaved(X, m + 1, budget), 1):
-            col = _boundary_column(key, fmaps, rowindex)
-            if streamed <= 64 or streamed % 1024 == 0:
-                acc = {}
-                for r, v in col.items():
-                    for rr, w in dm_columns[r].items():
-                        s = acc.get(rr, 0) + v * w
-                        if s:
-                            acc[rr] = s
-                        else:
-                            del acc[rr]
-                if acc:
-                    raise NotAComplex("streamed boundary column is not a cycle")
-            if not col:
-                continue
-            red.add(col)
-            if red.rank == kernel_dim and red.nonunit == 0:
-                break
-    except BudgetExceeded:
-        return groups  # H_m stays None
-    torsion = tuple(t for t in _pivot_invariant_factors(red) if t > 1)
-    free = len(keys[m]) - rank_m - red.rank
-    groups[m] = FGAbelianGroup(free, torsion)
-    return groups
+    keys[m] = [keys[m][r] for r in order]
+    if m:
+        mats[m - 1].columns = [mats[m - 1].columns[r] for r in order]
+    trunc = ChainComplex(keys, mats)
+    top = None  # H_m needs degree m+1, which may be over budget
+    if err is None:
+        columns = ()
+        if keys[m]:  # else degree m+1 is empty too: build no 2^(m+1) tables
+            fmaps = _signed_face_maps(m + 1)
+            rowindex = {k: r for r, k in enumerate(keys[m])}
+            columns = (_boundary_column(k, fmaps, rowindex)
+                       for k in _enumerate_interleaved(X, m + 1, budget))
+        try:
+            top = _homology(trunc, m, columns)
+        except BudgetExceeded:
+            pass
+    return homology_through(trunc, m - 1) + [top] + [None] * (max_q - m)

@@ -15,6 +15,7 @@ from dighom import (
     SparseIntMatrix,
     ZERO_GROUP,
     build_c1_complex,
+    build_singular_complex,
     groups_isomorphic,
     homology,
     homology_through,
@@ -323,9 +324,9 @@ def test_clearing_skips_the_unit_pivot_columns(monkeypatch):
     reduced = []
     reduce = chain._reduce
 
-    def recording(columns, nrows):
+    def recording(columns, nrows, saturation=None):
         reduced.append((nrows, len(columns)))
-        return reduce(columns, nrows)
+        return reduce(columns, nrows, saturation)
 
     monkeypatch.setattr(chain, "_reduce", recording)
     X = DigitalImage(3, list(itertools.product(range(3), repeat=3)))
@@ -334,6 +335,57 @@ def test_clearing_skips_the_unit_pivot_columns(monkeypatch):
     n_0, n_1 = len(C.basis(0)), len(C.basis(1))
     rank_2, _ = rank_and_invariant_factors(C.boundary_matrix(2).columns, n_1)
     assert [ncols for nrows, ncols in reduced if nrows == n_0] == [n_1 - rank_2]
+
+
+def test_saturation_waits_for_unit_pivots():
+    # the first column of d2 already has the rank of ker d1 = Z, but spans
+    # only 2Z; stopping there would give H_1 = Z/2
+    C = ChainComplex(
+        bases=[("v",), ("e",), ("f", "g")],
+        boundaries=[
+            SparseIntMatrix.from_dense([[0]]),
+            SparseIntMatrix.from_dense([[2, 3]]),
+        ],
+    )
+    assert homology_through(C, 1) == [FGAbelianGroup(1), ZERO_GROUP]
+
+
+@pytest.mark.parametrize("X, top, ncols, groups", [
+    (helpers.square(), 2, 2432, [FGAbelianGroup(1), ZERO_GROUP, ZERO_GROUP]),
+    (helpers.ring(), 1, 112, [FGAbelianGroup(1), FGAbelianGroup(1)]),
+])
+def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncols, groups):
+    # d_{top+1} is read only until it spans ker d_top, which it never does
+    # while H_top != 0
+    read = {}
+    reduce = chain._reduce
+
+    def counting(columns, nrows, saturation=None):
+        columns = list(columns)
+        rest = iter(columns)
+        red = reduce(rest, nrows, saturation)
+        read[len(columns)] = len(columns) - len(list(rest))
+        return red
+
+    monkeypatch.setattr(chain, "_reduce", counting)
+    C = build_singular_complex(X, top)
+    assert len(C.basis(top + 1)) == ncols
+    assert homology_through(C, top) == groups
+    if groups[top].is_zero:
+        assert read[ncols] < ncols
+    else:
+        assert read[ncols] == ncols
+
+
+def test_streamed_columns_are_checked_to_be_cycles():
+    # columns handed in for d_2 lie outside is_complex(); the first 64 and
+    # every 1024th are multiplied out, and e alone has boundary b - a
+    C = circle_complex()
+    with pytest.raises(NotAComplex):
+        chain._homology(C, 1, iter([{0: 1}]))
+    with pytest.raises(NotAComplex):
+        chain._homology(C, 1, iter([{}] * 1023 + [{0: 1}]))
+    assert chain._homology(C, 1, iter([{}] * 1023 + [{0: 1, 1: 1}])) == ZERO_GROUP
 
 
 def test_homology_point():

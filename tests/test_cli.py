@@ -274,6 +274,20 @@ def test_induced_malformed_map(run, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"pairs": 5},
+    {"pairs": [[0, 1]]},
+    {"pairs": [[[0], 1]]},
+])
+def test_induced_map_of_the_wrong_shape(run, tmp_path, doc):
+    edge = write_image(tmp_path, "edge.json", helpers.edge())
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    rc, out, err = run(["induced", edge, edge, str(p)])
+    assert rc == 2
+    assert out == "" and err.startswith("error:")
+
+
 # --- verify ---------------------------------------------------------------------
 
 def test_verify_all_suites(run):
