@@ -122,7 +122,7 @@ def verify_isomorphism(X, max_q, budget=DEFAULT_BUDGET):
     Budget-starved singular degrees are reported as skipped, never guessed.
     """
     sing = singular_homology(X, max_q, budget)
-    c1 = homology_through(build_c1_complex(X).complex, max_q)
+    c1 = homology_through(build_c1_complex(X, max_q + 1).complex, max_q)
     comps = []
     for q in range(max_q + 1):
         s = sing[q]

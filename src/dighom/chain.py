@@ -439,6 +439,7 @@ class _ColumnReducer:
         return len(self.pivots)
 
     def add(self, col):
+        # the one copy: callers' columns are never mutated
         col = {k: v for k, v in col.items() if v}
         pivots = self.pivots
         while col:
@@ -572,7 +573,7 @@ def _reduce(columns, nrows, saturation=None):
         for r in col:
             if not 0 <= r < nrows:
                 raise ValueError(f"row index {r} outside 0..{nrows - 1}")
-        red.add(dict(col))
+        red.add(col)
         if red.rank == saturation and not red.nonunit:
             break
     return red

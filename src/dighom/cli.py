@@ -138,11 +138,12 @@ def _group_json(q, g):
 
 def cmd_homology(args):
     X = load_image(args.image)
+    # H_k needs d_{k+1}, so the complex goes one degree above the report
+    above = None if args.max_dim is None else args.max_dim + 1
     if args.relative is not None:
-        A = load_image(args.relative)
-        C = relative_c1_complex(X, A, args.max_dim)
+        C = relative_c1_complex(X, load_image(args.relative), above)
     else:
-        C = build_c1_complex(X, args.max_dim).complex
+        C = build_c1_complex(X, above).complex
     top = args.max_dim if args.max_dim is not None else C.max_degree
     groups = homology_through(C, top)
     lines = [f"H_{q} = {g}" for q, g in enumerate(groups)]

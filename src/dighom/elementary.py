@@ -1,22 +1,22 @@
 """Elementary cubes and the c1-cubical chain complex of a digital image.
 
 An elementary q-cube is a product of intervals [a_k, a_k+1] (in q coordinates,
-the extent) and singletons [a_k] (everywhere else).  It is stored as its
-minimal corner plus the sorted tuple of 1-based nondegenerate coordinate
-indices.  The boundary alternates over the extent positions: the face pair in
-the i-th smallest nondegenerate coordinate carries sign (-1)^i, front minus
-back.
+the extent) and singletons [a_k] (everywhere else), stored as its minimal
+corner plus the sorted tuple of 1-based extent coordinates.  The boundary
+alternates over the extent positions: the face pair in the i-th smallest
+extent coordinate carries sign (-1)^i, front minus back.
 
-The chain complex over these cubes is finite and canonically ordered, so the
-homology pipeline downstream is deterministic.  induced_map realizes a
-continuous map of images as matrices over these bases by evaluating it on each
-cube's canonical embedding and reading off the orientation sign.
+The complex is built level by level on keys (i, extent), i the index of the
+minimal corner in X.sorted_points: a (q+1)-cube is a q-cube whose translate
+one step up a direction above its extent is a q-cube too.  So the canonically
+ordered bases, the faces and dimension(X), the top nonempty level, are table
+lookups.  induced_map realizes a continuous map over these bases through each
+cube's canonical embedding and its orientation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .chain import Chain, ChainComplex, SparseIntMatrix, quotient_complex
 from .errors import EmptyImage, NoSuchFace, NotContinuous, PointNotInImage
@@ -117,32 +117,34 @@ class ElementaryCube:
         return "x".join(parts)
 
 
-def _elementary_cubes(X, q):
-    """Yield the elementary q-cubes whose vertices lie in X, in
-    (min_corner, extent) lexicographic order; 0 <= q <= ambient_dim."""
-    n = X.ambient_dim
-    pts = X.points
-    for p in X.sorted_points:
-        for ext in combinations(range(1, n + 1), q):
-            ok = True
-            for c in range(1, 1 << q):
-                v = list(p)
-                for b, j in enumerate(ext):
-                    if (c >> b) & 1:
-                        v[j - 1] += 1
-                if tuple(v) not in pts:
-                    ok = False
-                    break
-            if ok:
-                yield ElementaryCube(p, ext)
+def _levels(X, top=None):
+    """(tr, levels): the cubes of X in degrees 0..top, up to the top nonempty
+    one.  tr[d][i] is the index of point i + e_{d+1} in X.sorted_points or
+    None; levels[q] maps keys (i, ext) to positions in (min_corner, extent)
+    order.  A cube grows into d > ext[-1] iff its translate by e_d is a cube."""
+    pts = X.sorted_points
+    at = {p: i for i, p in enumerate(pts)}
+    tr = [[at.get(p[:d] + (p[d] + 1,) + p[d + 1:]) for p in pts] for d in range(X.ambient_dim)]
+    levels = [{(i, ()): i for i in range(len(pts))}]
+    while top is None or len(levels) <= top:
+        below = levels[-1]
+        level = {}
+        for i, ext in below:
+            for d in range(ext[-1] if ext else 0, len(tr)):
+                if (tr[d][i], ext) in below:
+                    level[(i, ext + (d + 1,))] = len(level)
+        if not level:
+            break
+        levels.append(level)
+    return tr, levels
 
 
 def enumerate_elementary_cubes(X, q):
     """All elementary q-cubes whose vertices lie in X, in (min_corner, extent)
     lexicographic order.  Out-of-range q gives the empty list."""
-    if q < 0 or q > X.ambient_dim:
-        return []
-    return list(_elementary_cubes(X, q))
+    levels = _levels(X, max(q, 0))[1]
+    level = levels[q] if 0 <= q < len(levels) else ()
+    return [ElementaryCube(X.sorted_points[i], ext) for i, ext in level]
 
 
 def c1_faces(Q, i):
@@ -175,10 +177,7 @@ def dimension(X):
     """Largest q with an elementary q-cube contained in X."""
     if len(X) == 0:
         raise EmptyImage("dimension of the empty image is undefined")
-    for q in range(X.ambient_dim, 0, -1):
-        if next(_elementary_cubes(X, q), None) is not None:
-            return q
-    return 0
+    return len(_levels(X)[1]) - 1
 
 
 @dataclass(frozen=True)
@@ -193,40 +192,41 @@ def build_c1_complex(X, max_dim=None):
     """The c1-cubical complex of X through degree min(max_dim, dimension(X)).
 
     Degrees above the top are zero; homology_through pads them as zero groups.
+    As in cube_boundary, cube (i, ext) has the faces (i, rest) and
+    (i + e_j, rest), j = ext[p-1], with the signs (-1)^p and -(-1)^p.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    if len(X) == 0:
-        return C1Complex(X, ChainComplex([()], []))
-    top = dimension(X)
-    if max_dim is not None:
-        top = min(top, max_dim)
-    bases = [tuple(enumerate_elementary_cubes(X, q)) for q in range(top + 1)]
+    tr, levels = _levels(X, max_dim)
+    pts = X.sorted_points
+    bases = [tuple(ElementaryCube(pts[i], ext) for i, ext in level) for level in levels]
     mats = []
-    for q in range(1, top + 1):
-        rowindex = {Q: r for r, Q in enumerate(bases[q - 1])}
-        cols = [{rowindex[F]: v for F, v in cube_boundary(Q).items()} for Q in bases[q]]
+    for q in range(1, len(levels)):
+        rows = levels[q - 1]
+        cols = []
+        for i, ext in levels[q]:
+            col = {}
+            for p, j in enumerate(ext, 1):
+                rest = ext[:p - 1] + ext[p:]
+                col[rows[(i, rest)]] = (-1) ** p
+                col[rows[(tr[j - 1][i], rest)]] = -(-1) ** p
+            cols.append(col)
         mats.append(SparseIntMatrix(len(bases[q - 1]), len(bases[q]), cols))
     return C1Complex(X, ChainComplex(bases, mats))
 
 
 def relative_c1_complex(X, A, max_dim=None):
-    """The quotient of the c1-complex of X by the subcomplex of cubes in A.
+    """The quotient of the c1-complex of X by its subcomplex of cubes in A,
+    the c1-complex of A.
 
     A may be a DigitalImage or an iterable of points; it must sit inside X.
     """
-    if isinstance(A, DigitalImage):
-        apts = set(A.points)
-    else:
-        apts = {tuple(p) for p in A}
+    apts = set(A.points) if isinstance(A, DigitalImage) else {tuple(p) for p in A}
     for p in apts:
         if p not in X.points:
             raise PointNotInImage(f"{p} is not a point of the ambient image")
-    C = build_c1_complex(X, max_dim).complex
-    sub = {}
-    for q in range(C.max_degree + 1):
-        sub[q] = {Q for Q in C.basis(q) if all(v in apts for v in Q.vertices())}
-    return quotient_complex(C, sub)
+    sub = build_c1_complex(DigitalImage(X.ambient_dim, apts), max_dim).complex.bases
+    return quotient_complex(build_c1_complex(X, max_dim).complex, dict(enumerate(sub)))
 
 
 def induced_map(f, q):

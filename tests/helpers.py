@@ -35,6 +35,12 @@ def tall_edge():
     return DigitalImage(2, [(0, 0), (0, 1)])
 
 
+def high_edge(n):
+    # two adjacent points in Z^n: testing every extent of every degree
+    # would take about 2^n steps
+    return DigitalImage(n, [(0,) * n, (0,) * (n - 1) + (1,)])
+
+
 def path3():
     return DigitalImage(1, [(0,), (1,), (2,)])
 
@@ -202,6 +208,22 @@ def components_oracle(image):
         remaining -= comp
     comps.sort(key=lambda c: min(c))
     return comps
+
+
+def elementary_cubes_by_vertex_test(image, q):
+    """Every elementary q-cube whose 2^q vertices all lie in the image, by
+    testing each point with each of the C(n, q) extents, in (min_corner,
+    extent) order."""
+    from dighom import ElementaryCube
+
+    out = []
+    for p in sorted(image.points):
+        for ext in combinations(range(1, image.ambient_dim + 1), q):
+            corners = product(*((c, c + 1) if k in ext else (c,)
+                                for k, c in enumerate(p, start=1)))
+            if all(v in image.points for v in corners):
+                out.append(ElementaryCube(p, ext))
+    return out
 
 
 def brute_singular_cubes(image, q):

@@ -216,6 +216,15 @@ def test_rank_and_invariant_factors_matches_dense():
         assert factors == res.invariant_factors
 
 
+def test_reduction_leaves_the_callers_columns_unchanged():
+    # column 1 is not a multiple of column 0 at the pivot row, so the
+    # reducer mixes the two; column 2 carries an explicit zero entry
+    cols = [{0: 2, 1: 3}, {0: 3, 1: 5}, {0: 4, 1: 0, 2: 1}]
+    before = [dict(c) for c in cols]
+    assert rank_and_invariant_factors(cols, 3) == (3, (1, 1, 1))
+    assert cols == before
+
+
 def test_rank_and_invariant_factors_rejects_bad_rows():
     with pytest.raises(ValueError):
         rank_and_invariant_factors([{5: 1}], 3)

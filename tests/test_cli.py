@@ -58,6 +58,23 @@ def test_homology_shell_with_max_dim(run, tmp_path):
     assert out == "H_0 = Z\nH_1 = 0\nH_2 = Z\nH_3 = 0\n"
 
 
+@pytest.mark.parametrize("max_dim, out", [
+    ("0", "H_0 = Z\n"),
+    ("1", "H_0 = Z\nH_1 = 0\n"),
+])
+def test_homology_max_dim_below_the_dimension(run, tmp_path, max_dim, out):
+    # H_k needs d_{k+1}, which a complex cut at degree k would lack
+    path = write_image(tmp_path, "square.json", helpers.square())
+    assert run(["homology", path, "--max-dim", max_dim]) == (0, out, "")
+
+
+def test_homology_in_high_ambient_dimension(run, tmp_path):
+    path = write_image(tmp_path, "edge.json", helpers.high_edge(40))
+    start = time.perf_counter()
+    assert run(["homology", path]) == (0, "H_0 = Z\nH_1 = 0\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_homology_json(run, tmp_path):
     path = write_image(tmp_path, "ring.json", helpers.ring())
     rc, out, _ = run(["homology", path, "--format", "json"])
@@ -84,6 +101,15 @@ def test_homology_relative(run, tmp_path):
     rc, out, _ = run(["homology", X, "--relative", str(p), "--max-dim", "1"])
     assert rc == 0
     assert out == "H_0 = 0\nH_1 = Z\n"
+
+
+def test_homology_relative_below_the_dimension(run, tmp_path):
+    X = write_image(tmp_path, "square.json", helpers.square())
+    p = tmp_path / "corner.json"
+    p.write_text(json.dumps({"ambient_dim": 2, "points": [[0, 0]]}))
+    rc, out, _ = run(["homology", X, "--relative", str(p), "--max-dim", "1"])
+    assert rc == 0
+    assert out == "H_0 = 0\nH_1 = 0\n"
 
 
 def test_homology_relative_not_a_subset(run, tmp_path):
@@ -170,6 +196,15 @@ def test_compare_budget_skip_is_not_failure(run, tmp_path):
         "q=0: singular Z vs c1 Z OK\n"
         "q=1: singular skipped (budget exceeded), c1 Z\n"
     )
+
+
+def test_compare_in_high_ambient_dimension(run, tmp_path):
+    path = write_image(tmp_path, "edge.json", helpers.high_edge(40))
+    start = time.perf_counter()
+    rc, out, _ = run(["compare", path, "--max-q", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
+    assert out == "q=0: singular Z vs c1 Z OK\nq=1: singular 0 vs c1 0 OK\n"
 
 
 def test_compare_json_roundtrip(run, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -193,6 +194,16 @@ def test_dimension_values():
     assert dimension(helpers.shell()) == 2  # every unit 3-box needs the center
     with pytest.raises(EmptyImage):
         dimension(DigitalImage(1, []))
+
+
+def test_dimension_and_cubes_are_cheap_in_high_ambient_dimension():
+    X = helpers.high_edge(40)
+    start = time.perf_counter()
+    assert dimension(X) == 1
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert enumerate_elementary_cubes(X, 1) == [ElementaryCube((0,) * 40, (40,))]
+    assert time.perf_counter() - start < 1.0
 
 
 # --- complexes ------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 The singular homology (streamed and materialized) and the c1 homology must
 agree on every image, homology_through (which clears columns from the top
-degree down) must agree with a reduction of every full boundary matrix, and
-dimension() must match the elementary cubes that enumerate_elementary_cubes
-lists.  The column reducer's pivots must have the
-invariant factors that sympy's Smith normal form finds, all ones whenever
-every pivot entry is 1.
+degree down) must agree with a reduction of every full boundary matrix.  The
+c1 complex must have the cubes of a brute-force vertex test as its bases,
+cube_boundary as its columns, dimension() as its top degree, and the
+quotient by the cubes inside a subimage as its relative complex.  The column
+reducer's pivots must have the invariant factors that sympy's Smith normal
+form finds, all ones whenever every pivot entry is 1.
 """
 
 from itertools import product
@@ -16,17 +17,23 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from dighom import (
+    ChainComplex,
     DigitalImage,
     FGAbelianGroup,
     build_c1_complex,
     build_singular_complex,
+    cube_boundary,
     dimension,
     enumerate_elementary_cubes,
     homology_through,
+    quotient_complex,
     rank_and_invariant_factors,
+    relative_c1_complex,
     singular_homology,
 )
 from dighom.chain import _ColumnReducer, _invariant_factors_of_columns
+
+import helpers
 
 
 def images(box):
@@ -64,11 +71,48 @@ def test_clearing_keeps_the_groups(X):
         assert homology_through(C, C.max_degree) == reference_homology(C)
 
 
+# random images in 1D, 2D (3x3), 3D (2x2x2) and 4D (2x2x2x2) boxes
+C1_IMAGES = st.one_of(images((5,)), images((3, 3)), images((2, 2, 2)), images((2, 2, 2, 2)))
+
+
 @settings(derandomize=True, deadline=None)
-@given(IMAGES)
+@given(C1_IMAGES)
 def test_dimension_is_the_top_nonempty_degree(X):
-    top = max(q for q in range(X.ambient_dim + 1) if enumerate_elementary_cubes(X, q))
+    top = max(q for q in range(X.ambient_dim + 1)
+              if helpers.elementary_cubes_by_vertex_test(X, q))
     assert dimension(X) == top
+
+
+@settings(derandomize=True, deadline=None)
+@given(C1_IMAGES)
+def test_c1_bases_are_the_vertex_test_cubes(X):
+    C = build_c1_complex(X).complex
+    for q in range(X.ambient_dim + 2):
+        cubes = helpers.elementary_cubes_by_vertex_test(X, q)
+        assert enumerate_elementary_cubes(X, q) == cubes
+        assert list(C.basis(q)) == cubes
+    for k in range(C.max_degree + 1):
+        assert build_c1_complex(X, k).complex == ChainComplex(C.bases[:k + 1], C.boundaries[:k])
+
+
+@settings(derandomize=True, deadline=None)
+@given(C1_IMAGES)
+def test_c1_columns_are_cube_boundaries(X):
+    C = build_c1_complex(X).complex
+    for q in range(1, C.max_degree + 1):
+        rows = C.basis(q - 1)
+        for Q, col in zip(C.basis(q), C.boundary_matrix(q).columns):
+            assert {rows[r]: v for r, v in col.items()} == cube_boundary(Q).coeffs
+
+
+@settings(derandomize=True, deadline=None)
+@given(C1_IMAGES, st.data())
+def test_relative_c1_complex_is_the_quotient_by_cubes_in_A(X, data):
+    A = data.draw(st.sets(st.sampled_from(X.sorted_points)))
+    C = build_c1_complex(X).complex
+    sub = {q: [Q for Q in C.basis(q) if all(v in A for v in Q.vertices())]
+           for q in range(C.max_degree + 1)}
+    assert relative_c1_complex(X, A) == quotient_complex(C, sub)
 
 
 # integer matrices of up to 5x5, stored as lists of dense columns
