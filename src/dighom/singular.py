@@ -14,12 +14,14 @@ permuting corner indices, so all of their algebra is exact bit manipulation.
 Enumeration of all nondegenerate q-cubes is a depth-first search over corner
 tables in lexicographic order, pruned by the common closed neighborhood of the
 already-assigned one-bit predecessors of each corner.  A budget caps the
-number of nondegenerate cubes produced.  Every materialized basis is listed in
-that lex order, but the top degree of singular_homology in descending colex
-order.  The degree above it is streamed without materializing cubes: they
-come round-robin from the search subtrees of their front faces t_q = 0, and
-their boundary columns go lazily to the top-boundary reduction of chain.py,
-which stops once their span saturates the cycles below.
+number of nondegenerate cubes produced.  Bases are listed in that lex order,
+with two exceptions.  The top degree of a materialized complex comes
+round-robin from the search subtrees of its front faces t_q = 0, so that the
+reduction of its boundary saturates the cycles below early.  The top degree
+of singular_homology is in descending colex order; the degree above it is
+streamed in that round-robin order without materializing cubes, and its
+boundary columns go lazily to the top-boundary reduction of chain.py, which
+stops once their span saturates the cycles below.
 """
 
 from __future__ import annotations
@@ -463,50 +465,61 @@ def _corner_search(X, q):
     the list assign in lex order, given corners 0..lo-1, and yields assign once
     per continuous filling; a filling of the whole table (hi = 2^q) is yielded
     only when it is nondegenerate.  The candidates for a corner are the common
-    closed neighborhood of its one-bit predecessors.  Every search from one
-    call shares these tables; each keeps one candidate iterator per corner on
-    an explicit stack, so its depth is not bounded by the interpreter's
-    recursion.
+    closed neighborhood of its one-bit predecessors, computed once per tuple
+    of their values and shared by every search from one call.  Each search
+    keeps one candidate iterator per corner but the last on an explicit stack,
+    so its depth is not bounded by the interpreter's recursion, and fills the
+    last corner in a plain loop.
     """
     pts, nb_list, nb_set = _neighbor_tables(X)
-    npts = len(pts)
     total = 1 << q
-    preds = [[c ^ (1 << b) for b in range(q) if (c >> b) & 1] for c in range(total)]
-    bits = [1 << b for b in range(q)]
 
-    def candidates(assign, c):
-        ps = preds[c]
-        if not ps:  # only corner 0 has no predecessor
-            return range(npts)
-        cands = nb_list[assign[ps[0]]]
-        if len(ps) > 1:
-            rest = [nb_set[assign[p]] for p in ps[1:]]
-            cands = [u for u in cands if all(u in s for s in rest)]
-        return cands
+    class Common(dict):
+        """Memo from a tuple of point indices to their common closed neighborhood."""
+
+        def __missing__(self, vals):
+            rest = [nb_set[v] for v in vals[1:]]
+            cands = self[vals] = [u for u in nb_list[vals[0]] if all(u in s for s in rest)]
+            return cands
+
+    # (getter of the predecessor values, table from those values to the
+    # candidates) per corner; corner 0 has no predecessor
+    pick = [(lambda assign: 0, (range(len(pts)),))]
+    common = Common()
+    for c in range(1, total):
+        preds = [c ^ (1 << b) for b in range(q) if (c >> b) & 1]
+        pick.append((itemgetter(*preds), nb_list if len(preds) == 1 else common))
+    # a cube is degenerate iff its corners with t_b = 0 equal those with t_b = 1
+    halves = [(itemgetter(*[c for c in range(total) if not c >> b & 1]),
+               itemgetter(*[c for c in range(total) if c >> b & 1])) for b in range(q)]
 
     def nondegenerate(assign):
-        for bit in bits:
-            for c in range(total):
-                if not c & bit and assign[c] != assign[c | bit]:
-                    break
-            else:
-                return False  # constant across this coordinate
+        for at0, at1 in halves:
+            if at0(assign) == at1(assign):
+                return False
         return True
 
     def search(assign, lo, hi):
-        stack = [iter(candidates(assign, lo))]
-        while stack:
-            c = lo + len(stack) - 1
-            v = next(stack[-1], None)
-            if v is None:
+        last = hi - 1
+        whole = hi == total
+        stack = []
+        c = lo
+        while True:
+            get, table = pick[c]
+            if c < last:
+                stack.append(iter(table[get(assign)]))
+            else:
+                for v in table[get(assign)]:
+                    assign[c] = v
+                    if not whole or nondegenerate(assign):
+                        yield assign
+            while stack and (v := next(stack[-1], None)) is None:
                 stack.pop()
-                continue
+            if not stack:
+                return
+            c = lo + len(stack) - 1
             assign[c] = v
             c += 1
-            if c < hi:
-                stack.append(iter(candidates(assign, c)))
-            elif hi < total or nondegenerate(assign):
-                yield assign
 
     return search
 
@@ -545,6 +558,8 @@ def _enumerate_interleaved(X, q, budget):
     degree q-1 after far fewer columns than in lex order, where long runs of
     cubes share a front face.
     """
+    if not any(X.neighbors(p) for p in X.sorted_points):
+        return iter(())
     total = 1 << q
     half = total >> 1
     search = _corner_search(X, q)
@@ -603,15 +618,18 @@ def _materialize(X, top, budget):
     """(keys, mats, err) for degrees 0..top, stopping short of the first
     degree over budget.
 
-    keys[q] lists the q-cube keys in lex order, mats[q-1] is the boundary of
-    degree q over them, and err is the BudgetExceeded that cut keys short, or
-    None when every degree fit.
+    keys[q] lists the q-cube keys in lex order, but those of degree top >= 1
+    round-robin by front face (see _enumerate_interleaved), so a reduction of
+    its boundary saturates early; mats[q-1] is the boundary of degree q over
+    them, and err is the BudgetExceeded that cut keys short, or None when
+    every degree fit.
     """
     keys = []
     mats = []
     for q in range(top + 1):
+        enum = _enumerate_interleaved if 0 < q == top else _enumerate_nondegenerate
         try:
-            kq = list(_enumerate_nondegenerate(X, q, budget))
+            kq = list(enum(X, q, budget))
         except BudgetExceeded as e:
             return keys, mats, e
         if q:
@@ -639,6 +657,9 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     """The normalized singular chain complex of X through degree max_q + 1.
 
     One extra degree is materialized so homology through max_q is exact.
+    Degrees 0..max_q are in lex order, as enumerate_singular_cubes lists
+    them; degree max_q + 1 is round-robin by front face (the order of
+    _enumerate_interleaved), so its boundary saturates early.
     """
     if max_q < 0:
         raise ValueError("max_q must be nonnegative")

@@ -381,7 +381,9 @@ def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncol
     assert len(C.basis(top + 1)) == ncols
     assert homology_through(C, top) == groups
     if groups[top].is_zero:
-        assert read[ncols] < ncols
+        # listed round-robin by front face, the square's d_3 spans ker d_2
+        # after 83 columns (after 900 in lex order)
+        assert read[ncols] < 100
     else:
         assert read[ncols] == ncols
 

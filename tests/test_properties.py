@@ -5,9 +5,11 @@ agree on every image, homology_through (which clears columns from the top
 degree down) must agree with a reduction of every full boundary matrix.  The
 c1 complex must have the cubes of a brute-force vertex test as its bases,
 cube_boundary as its columns, dimension() as its top degree, and the
-quotient by the cubes inside a subimage as its relative complex.  The column
-reducer's pivots must have the invariant factors that sympy's Smith normal
-form finds, all ones whenever every pivot entry is 1.
+quotient by the cubes inside a subimage as its relative complex.  The search
+for singular cubes must yield those of a brute-force filter of every corner
+table, in the same order, and its interleaved stream a permutation of them.
+The column reducer's pivots must have the invariant factors that sympy's
+Smith normal form finds, all ones whenever every pivot entry is 1.
 """
 
 from itertools import product
@@ -25,6 +27,7 @@ from dighom import (
     cube_boundary,
     dimension,
     enumerate_elementary_cubes,
+    enumerate_singular_cubes,
     homology_through,
     quotient_complex,
     rank_and_invariant_factors,
@@ -32,13 +35,14 @@ from dighom import (
     singular_homology,
 )
 from dighom.chain import _ColumnReducer, _invariant_factors_of_columns
+from dighom.singular import DEFAULT_BUDGET, _enumerate_interleaved, _enumerate_nondegenerate
 
 import helpers
 
 
-def images(box):
+def images(box, max_size=None):
     cells = list(product(*(range(k) for k in box)))
-    return st.sets(st.sampled_from(cells), min_size=1).map(
+    return st.sets(st.sampled_from(cells), min_size=1, max_size=max_size).map(
         lambda pts: DigitalImage(len(box), sorted(pts)))
 
 
@@ -113,6 +117,34 @@ def test_relative_c1_complex_is_the_quotient_by_cubes_in_A(X, data):
     sub = {q: [Q for Q in C.basis(q) if all(v in A for v in Q.vertices())]
            for q in range(C.max_degree + 1)}
     assert relative_c1_complex(X, A) == quotient_complex(C, sub)
+
+
+def check_corner_search(X, q):
+    # the same cubes in the same lex order as a filter of every corner table,
+    # and the interleaved stream is a permutation of them
+    assert enumerate_singular_cubes(X, q) == helpers.brute_singular_cubes(X, q)
+    if q:
+        lex = list(_enumerate_nondegenerate(X, q, DEFAULT_BUDGET))
+        assert sorted(_enumerate_interleaved(X, q, DEFAULT_BUDGET)) == lex
+
+
+# random images in 1D, 2D (3x3) and 3D (2x2x2) boxes
+SEARCH_IMAGES = st.one_of(images((5,)), images((3, 3)), images((2, 2, 2)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(SEARCH_IMAGES)
+def test_corner_search_is_the_brute_force_filter(X):
+    for q in range(3):
+        check_corner_search(X, q)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(images((5,), 3), images((3, 3), 3), images((2, 2, 2), 3)))
+def test_corner_search_in_degree_3(X):
+    # corners with two and three predecessors share the memoized
+    # common neighborhoods
+    check_corner_search(X, 3)
 
 
 # integer matrices of up to 5x5, stored as lists of dense columns

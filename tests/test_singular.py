@@ -542,6 +542,24 @@ def test_interleaved_stream_counts_the_budget():
 
 # --- complexes and homology --------------------------------------------------------------
 
+@pytest.mark.parametrize("name, m", [("ring", 0), ("ring", 1), ("path3", 2), ("square", 2)])
+def test_build_singular_complex_basis_order(name, m):
+    # lex below the top, round-robin by front face in the top degree m+1
+    X = getattr(helpers, name)()
+    C = build_singular_complex(X, m)
+    for q in range(m + 1):
+        assert list(C.basis(q)) == enumerate_singular_cubes(X, q)
+    pts = X.sorted_points
+    top = [SingularCube(m + 1, tuple(pts[a] for a in k))
+           for k in _enumerate_interleaved(X, m + 1, DEFAULT_BUDGET)]
+    assert list(C.basis(m + 1)) == top
+    budget = (len(C.basis(m)) + len(top)) // 2
+    assert len(C.basis(m)) <= budget < len(top)
+    with pytest.raises(BudgetExceeded) as ei:
+        build_singular_complex(X, m, budget)
+    assert (ei.value.degree, ei.value.count) == (m + 1, budget)
+
+
 def test_build_singular_complex_shape():
     C = build_singular_complex(helpers.edge(), 1)
     assert [len(C.basis(q)) for q in (0, 1, 2)] == [2, 2, 10]
