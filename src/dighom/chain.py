@@ -23,6 +23,10 @@ clears as it goes (the "twist" of Chen and Kerber): d_q skips the columns at
 the unit pivot rows of d_{q+1}, which would only reduce to zero.  The top
 boundary d_{top+1}, reduced after d_top, stops once it saturates ker d_top,
 so its columns may come from a lazy stream that is never stored.
+
+Composites (``is_complex``, ``verify_chain_map``) are checked column by
+column with ``_apply``, the one matrix-times-column product, up to the first
+nonzero or unequal column; no product matrix is built.
 """
 
 from __future__ import annotations
@@ -63,6 +67,20 @@ def xgcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _apply(columns, col):
+    """The sparse sum of columns[k] * w over the entries k: w of col, zeros
+    dropped: the product of the matrix with these columns and the column."""
+    acc = {}
+    for k, w in col.items():
+        for i, v in columns[k].items():
+            s = acc.get(i, 0) + v * w
+            if s:
+                acc[i] = s
+            else:
+                acc.pop(i, None)
+    return acc
 
 
 class SparseIntMatrix:
@@ -144,17 +162,7 @@ class SparseIntMatrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = []
-        for bcol in other.columns:
-            acc = {}
-            for k, w in bcol.items():
-                for i, v in self.columns[k].items():
-                    s = acc.get(i, 0) + v * w
-                    if s:
-                        acc[i] = s
-                    else:
-                        acc.pop(i, None)
-            cols.append(acc)
+        cols = [_apply(self.columns, c) for c in other.columns]
         return SparseIntMatrix(self.nrows, other.ncols, cols)
 
     def __eq__(self, other):
@@ -614,18 +622,11 @@ class ChainComplex:
                 f"{len(bases)} bases need {len(bases) - 1} boundary maps, "
                 f"got {len(boundaries)}"
             )
-        mats = []
-        for q, M in enumerate(boundaries, start=1):
-            if not isinstance(M, SparseIntMatrix):
-                M = SparseIntMatrix.from_dense(M, nrows=len(bases[q - 1]), ncols=len(bases[q]))
-            if M.nrows != len(bases[q - 1]) or M.ncols != len(bases[q]):
-                raise ShapeMismatch(
-                    f"boundary in degree {q} is {M.nrows}x{M.ncols}, "
-                    f"expected {len(bases[q - 1])}x{len(bases[q])}"
-                )
-            mats.append(M)
         self.bases = bases
-        self.boundaries = tuple(mats)
+        self.boundaries = tuple(
+            _as_matrix(M, len(bases[q - 1]), len(bases[q]), f"boundary in degree {q}")
+            for q, M in enumerate(boundaries, start=1)
+        )
         self._indexes = {}
         self._hom_cache = {}
         self._is_complex = None
@@ -659,25 +660,17 @@ class ChainComplex:
         """Apply the boundary to a Chain written in basis labels."""
         q = chain.degree
         idx = self.index(q)
-        M = self.boundary_matrix(q)
         lower = self.basis(q - 1)
-        acc = {}
-        for lab, c in chain.items():
-            j = idx[lab]
-            for i, v in M.columns[j].items():
-                s = acc.get(i, 0) + c * v
-                if s:
-                    acc[i] = s
-                else:
-                    acc.pop(i, None)
+        acc = _apply(self.boundary_matrix(q).columns, {idx[lab]: c for lab, c in chain.items()})
         return Chain(q - 1, {lower[i]: v for i, v in acc.items()})
 
     def is_complex(self):
-        """True iff consecutive boundaries compose to zero (checked once)."""
+        """True iff consecutive boundaries compose to zero (checked once,
+        column by column, up to the first nonzero column)."""
         if self._is_complex is None:
-            self._is_complex = all(
-                (self.boundary_matrix(q - 1) @ self.boundary_matrix(q)).is_zero()
-                for q in range(2, self.max_degree + 1)
+            cols = [M.columns for M in self.boundaries]
+            self._is_complex = not any(
+                _apply(lower, c) for lower, upper in zip(cols, cols[1:]) for c in upper
             )
         return self._is_complex
 
@@ -730,13 +723,8 @@ def _sampled_cycles(columns, d):
     """The columns, passed through; the first 64 and every 1024th after must
     have zero image under the matrix with columns d, else NotAComplex."""
     for n, col in enumerate(columns, 1):
-        if n <= 64 or n % 1024 == 0:
-            acc = {}
-            for r, v in col.items():
-                for rr, w in d[r].items():
-                    acc[rr] = acc.get(rr, 0) + v * w
-            if any(acc.values()):
-                raise NotAComplex("streamed boundary column is not a cycle")
+        if (n <= 64 or n % 1024 == 0) and _apply(d, col):
+            raise NotAComplex("streamed boundary column is not a cycle")
         yield col
 
 
@@ -833,22 +821,25 @@ def verify_chain_map(phi, C, D):
     """Check that the matrices phi[0..k] form a chain map C -> D.
 
     phi[q] must be |D_q| x |C_q|; commutation d^D_q @ phi[q] == phi[q-1] @ d^C_q
-    is required for 1 <= q <= k.  Shape errors raise ShapeMismatch; a failed
+    is required for 1 <= q <= k, and is checked column by column up to the
+    first unequal one.  Shape errors raise ShapeMismatch; a failed
     commutation just returns False.
     """
-    mats = []
-    for q, M in enumerate(phi):
-        if not isinstance(M, SparseIntMatrix):
-            M = SparseIntMatrix.from_dense(M, nrows=len(D.basis(q)), ncols=len(C.basis(q)))
-        if M.nrows != len(D.basis(q)) or M.ncols != len(C.basis(q)):
-            raise ShapeMismatch(
-                f"phi[{q}] is {M.nrows}x{M.ncols}, expected "
-                f"{len(D.basis(q))}x{len(C.basis(q))}"
-            )
-        mats.append(M)
+    mats = [_as_matrix(M, len(D.basis(q)), len(C.basis(q)), f"phi[{q}]").columns
+            for q, M in enumerate(phi)]
     for q in range(1, len(mats)):
-        lhs = D.boundary_matrix(q) @ mats[q]
-        rhs = mats[q - 1] @ C.boundary_matrix(q)
-        if lhs != rhs:
+        d_D, d_C = D.boundary_matrix(q).columns, C.boundary_matrix(q).columns
+        below = mats[q - 1]
+        if any(_apply(d_D, a) != _apply(below, b) for a, b in zip(mats[q], d_C)):
             return False
     return True
+
+
+def _as_matrix(M, nrows, ncols, what):
+    """M as a SparseIntMatrix, read from dense rows if need be, checked to be
+    nrows x ncols; what names M in the ShapeMismatch."""
+    if not isinstance(M, SparseIntMatrix):
+        M = SparseIntMatrix.from_dense(M, nrows=nrows, ncols=ncols)
+    if M.nrows != nrows or M.ncols != ncols:
+        raise ShapeMismatch(f"{what} is {M.nrows}x{M.ncols}, expected {nrows}x{ncols}")
+    return M

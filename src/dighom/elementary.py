@@ -151,8 +151,8 @@ def c1_faces(Q, i):
     """(front, back) faces in the i-th smallest nondegenerate coordinate.
 
     The front keeps the minimum of that interval, the back the maximum."""
-    if not 1 <= i <= Q.dimension:
-        raise NoSuchFace(f"no face index {i} in a {Q.dimension}-cube")
+    if type(i) is not int or not 1 <= i <= Q.dimension:
+        raise NoSuchFace(f"no face index {i!r} in a {Q.dimension}-cube")
     j = Q.extent[i - 1]
     rest = Q.extent[: i - 1] + Q.extent[i:]
     front = ElementaryCube(Q.min_corner, rest)

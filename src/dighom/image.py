@@ -385,11 +385,7 @@ def random_continuous_map(domain, codomain, rng, tries=100):
                 if not assigned:
                     table[x] = rng.choice(cod)
                     continue
-                cands = None
-                for img in assigned:
-                    nb = set(codomain.neighbors(img))
-                    nb.add(img)
-                    cands = nb if cands is None else cands & nb
+                cands = closed_neighborhood(codomain, assigned)
                 if not cands:
                     dead = True
                     break

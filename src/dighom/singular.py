@@ -161,8 +161,8 @@ def face(sigma, side, i):
     """The face of sigma with t_i frozen; side is 'front' (0) or 'back' (1)."""
     if side not in ("front", "back"):
         raise ValueError(f"side must be 'front' or 'back', got {side!r}")
-    if not 1 <= i <= sigma.q:
-        raise NoSuchFace(f"no coordinate {i} in a {sigma.q}-cube")
+    if type(i) is not int or not 1 <= i <= sigma.q:
+        raise NoSuchFace(f"no coordinate {i!r} in a {sigma.q}-cube")
     fmap = _face_index_map(sigma.q, i, 0 if side == "front" else 1)
     return SingularCube(sigma.q - 1, tuple(sigma.corners[c] for c in fmap))
 
@@ -195,12 +195,23 @@ def _check_index(q, i):
         raise IndexOutOfRange(f"coordinate index {i!r} outside 1..{q}")
 
 
+@lru_cache(maxsize=None)
+def _precomposition(q, src, mask):
+    """Getter of the corner table of a q-cube precomposed with a coordinate map.
+
+    Corner c of the result is corner m ^ mask of the cube, where bit b of m
+    is bit src[b] of c: src permutes the coordinates, and mask reflects
+    those at its set bits.
+    """
+    return itemgetter(*[sum((c >> s & 1) << b for b, s in enumerate(src)) ^ mask
+                        for c in range(1 << q)])
+
+
 def flip(sigma, j):
     """Precompose with the reflection t_j -> 1 - t_j."""
     _check_index(sigma.q, j)
-    bit = 1 << (j - 1)
-    corners = sigma.corners
-    return SingularCube(sigma.q, tuple(corners[c ^ bit] for c in range(len(corners))))
+    get = _precomposition(sigma.q, tuple(range(sigma.q)), 1 << (j - 1))
+    return SingularCube(sigma.q, get(sigma.corners))
 
 
 def swap(sigma, i, j):
@@ -209,17 +220,9 @@ def swap(sigma, i, j):
     _check_index(sigma.q, j)
     if i == j:
         return sigma
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    both = bi | bj
-    corners = sigma.corners
-    out = []
-    for c in range(len(corners)):
-        masked = c & both
-        if masked == 0 or masked == both:
-            out.append(corners[c])
-        else:
-            out.append(corners[c ^ both])
-    return SingularCube(sigma.q, tuple(out))
+    src = list(range(sigma.q))
+    src[i - 1], src[j - 1] = j - 1, i - 1
+    return SingularCube(sigma.q, _precomposition(sigma.q, tuple(src), 0)(sigma.corners))
 
 
 def shift(sigma, i, j):
@@ -233,24 +236,9 @@ def shift(sigma, i, j):
     _check_index(q, j)
     if i == j:
         return sigma
-    # source bit position feeding each output bit b (0-based)
     src = list(range(q))
-    if i < j:
-        for b in range(i - 1, j - 1):
-            src[b] = b + 1
-        src[j - 1] = i - 1
-    else:
-        for b in range(j, i):
-            src[b] = b - 1
-        src[j - 1] = i - 1
-    corners = sigma.corners
-    out = []
-    for c in range(len(corners)):
-        m = 0
-        for b in range(q):
-            m |= ((c >> src[b]) & 1) << b
-        out.append(corners[m])
-    return SingularCube(q, tuple(out))
+    src.insert(j - 1, src.pop(i - 1))
+    return SingularCube(q, _precomposition(q, tuple(src), 0)(sigma.corners))
 
 
 def rotate(sigma, i, j):

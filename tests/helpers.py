@@ -251,6 +251,33 @@ def brute_singular_cubes(image, q):
     return out
 
 
+def precompose_oracle(sigma, op):
+    """sigma after the coordinate map of an operator tag ('F', j), ('C', i, j),
+    ('S', i, j) or ('R', i, j), evaluated on each t in {0,1}^q as a bit vector
+    (t_1, ..., t_q); no corner-index table is built.
+
+    F reflects t_j; C exchanges t_i and t_j; S moves t_i into slot j; R
+    exchanges t_i and t_j, then reflects t_j.
+    """
+    kind, *idx = op
+    i, j = idx[0], idx[-1]
+
+    def move(t):
+        t = list(t)
+        if kind in "CR":
+            t[i - 1], t[j - 1] = t[j - 1], t[i - 1]
+        if kind == "S":
+            t.insert(j - 1, t.pop(i - 1))
+        if kind in "FR":
+            t[j - 1] = 1 - t[j - 1]
+        return tuple(t)
+
+    # t_1 varies fastest, as in the corner table
+    points = [t[::-1] for t in product((0, 1), repeat=sigma.q)]
+    value = dict(zip(points, sigma.corners))
+    return SingularCube(sigma.q, tuple(value[move(t)] for t in points))
+
+
 def raw_boundary(cube):
     """Unnormalized boundary as a face-multiset, degenerate faces included."""
     from dighom import face

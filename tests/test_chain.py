@@ -14,6 +14,7 @@ from dighom import (
     ShapeMismatch,
     SparseIntMatrix,
     ZERO_GROUP,
+    beta_matrices,
     build_c1_complex,
     build_singular_complex,
     groups_isomorphic,
@@ -301,17 +302,22 @@ def test_is_complex_detects_failure():
 
 
 def test_homology_through_checks_the_complex_once(monkeypatch):
-    products = []
-    matmul = SparseIntMatrix.__matmul__
+    composed = []
+    apply = chain._apply
 
-    def counting(self, other):
-        products.append((self.ncols, other.ncols))
-        return matmul(self, other)
+    def recording(columns, col):
+        composed.append((columns, col))
+        return apply(columns, col)
 
-    monkeypatch.setattr(SparseIntMatrix, "__matmul__", counting)
+    monkeypatch.setattr(chain, "_apply", recording)
     C = build_c1_complex(helpers.block()).complex  # degrees 0..3
-    assert homology_through(C, 3) == [FGAbelianGroup(1)] + [ZERO_GROUP] * 3
-    assert len(products) == 2  # d1 @ d2 and d2 @ d3
+    for _ in range(3):
+        assert homology_through(C, 3) == [FGAbelianGroup(1)] + [ZERO_GROUP] * 3
+    # each column of d2 and d3, composed once with the boundary below it
+    d1, d2, d3 = (M.columns for M in C.boundaries)
+    expected = [(d1, c) for c in d2] + [(d2, c) for c in d3]
+    assert len(composed) == len(expected)
+    assert all(a is b and c is d for (a, c), (b, d) in zip(composed, expected))
 
 
 def test_nonunit_pivot_clears_nothing():
@@ -478,6 +484,29 @@ def test_verify_chain_map_identity_and_sign_flip():
     flipped = [SparseIntMatrix.identity(2),
                SparseIntMatrix.from_dense([[-1, 0], [0, 1]])]
     assert not verify_chain_map(flipped, C, C)
+
+
+def test_composite_checks_reach_the_last_column():
+    square = helpers.square()
+    C = build_singular_complex(square, 2)
+    _, d2, d3 = C.boundaries
+    # add to the last column of d3 a face with nonzero boundary; flipping a
+    # sign there may not do, as its face can have zero boundary
+    last = dict(d3.columns[-1])
+    last[next(r for r, c in enumerate(d2.columns) if c and r not in last)] = 1
+    bad = SparseIntMatrix(d3.nrows, d3.ncols, d3.columns[:-1] + [last])
+    assert C.is_complex()
+    assert not ChainComplex(C.bases, C.boundaries[:2] + (bad,)).is_complex()
+
+    bm = beta_matrices(square, 1)
+    CS, CE = bm.singular, bm.elementary.complex
+    assert verify_chain_map(bm.matrices, CS, CE)
+    b2 = bm.matrices[2]
+    j = max(j for j, c in enumerate(b2.columns) if c)
+    cols = [dict(c) for c in b2.columns]
+    cols[j] = {i: -v for i, v in cols[j].items()}
+    negated = bm.matrices[:2] + (SparseIntMatrix(b2.nrows, b2.ncols, cols),)
+    assert not verify_chain_map(negated, CS, CE)
 
 
 def test_verify_chain_map_shape_mismatch():

@@ -137,6 +137,9 @@ def test_c1_faces_of_interval():
         c1_faces(Q, 2)
     with pytest.raises(NoSuchFace):
         c1_faces(front, 1)
+    for i in (1.0, True):  # the index must be a plain int
+        with pytest.raises(NoSuchFace):
+            c1_faces(Q, i)
 
 
 def test_c1_faces_of_square_are_position_indexed():

@@ -8,6 +8,8 @@ cube_boundary as its columns, dimension() as its top degree, and the
 quotient by the cubes inside a subimage as its relative complex.  The search
 for singular cubes must yield those of a brute-force filter of every corner
 table, in the same order, and its interleaved stream a permutation of them.
+The coordinate operators must precompose with the maps that an oracle
+evaluates point by point.
 The column reducer's pivots must have the invariant factors that sympy's
 Smith normal form finds, all ones whenever every pivot entry is 1.
 """
@@ -22,6 +24,8 @@ from dighom import (
     ChainComplex,
     DigitalImage,
     FGAbelianGroup,
+    SingularCube,
+    apply_operator,
     build_c1_complex,
     build_singular_complex,
     cube_boundary,
@@ -145,6 +149,24 @@ def test_corner_search_in_degree_3(X):
     # corners with two and three predecessors share the memoized
     # common neighborhoods
     check_corner_search(X, 3)
+
+
+@st.composite
+def cubes_and_operators(draw):
+    """A q-cube, q <= 4, with distinct corners, and an operator tag on it."""
+    q = draw(st.integers(1, 4))
+    corners = draw(st.permutations([(c,) for c in range(1 << q)]))
+    kind = draw(st.sampled_from("FCSR"))
+    arity = 1 if kind == "F" else 2
+    idx = draw(st.lists(st.integers(1, q), min_size=arity, max_size=arity))
+    return SingularCube(q, tuple(corners)), (kind, *idx)
+
+
+@settings(derandomize=True, deadline=None)
+@given(cubes_and_operators())
+def test_operators_precompose_with_their_coordinate_maps(case):
+    sigma, op = case
+    assert apply_operator(sigma, op) == helpers.precompose_oracle(sigma, op)
 
 
 # integer matrices of up to 5x5, stored as lists of dense columns

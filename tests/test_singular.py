@@ -117,6 +117,11 @@ def test_face_errors():
         face(sq, "front", 3)
     with pytest.raises(NoSuchFace):
         face(id_cube(0), "front", 1)
+    # the index must be a plain int, also once face(sq, "front", 1) is cached
+    face(sq, "front", 1)
+    for i in (1.0, True):
+        with pytest.raises(NoSuchFace):
+            face(sq, "front", i)
     with pytest.raises(ValueError):
         face(sq, "left", 1)
 
