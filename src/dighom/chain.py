@@ -24,6 +24,16 @@ the unit pivot rows of d_{q+1}, which would only reduce to zero.  The top
 boundary d_{top+1}, reduced after d_top, stops once it saturates ker d_top,
 so its columns may come from a lazy stream that is never stored.
 
+A stream that cannot saturate (H_top != 0) is read to the end, and most of
+its columns only reduce to zero, each through a cascade of pivot steps.
+Once more columns than the rank have reduced to zero since the last new
+pivot, each in more steps than it had entries, the column reducer
+interreduces its unit pivots, the exhaustive reduction of PHAT (Bauer,
+Kerber, Reininghaus and Wagner); a column in their span then reduces in one
+step per entry.  These are unimodular column operations that keep every
+pivot row and pivot entry, so the result stays exact and clearing and
+saturation keep their meaning.
+
 Composites (``is_complex``, ``verify_chain_map``) are checked column by
 column with ``_apply``, the one matrix-times-column product, up to the first
 nonzero or unequal column; no product matrix is built.
@@ -105,6 +115,8 @@ class SparseIntMatrix:
                 for r, v in col.items():
                     if not 0 <= r < nrows:
                         raise ValueError(f"row index {r} outside 0..{nrows - 1}")
+                    if type(v) is not int:
+                        raise ValueError(f"matrix entry {v!r} is not an int")
                     if v == 0:
                         raise ValueError("explicit zero entry")
         self.nrows = nrows
@@ -298,6 +310,10 @@ def smith_normal_form(M, ncols=None):
         m, n = M.nrows, M.ncols
     else:
         orig = [list(r) for r in M]
+        for row in orig:
+            for v in row:
+                if type(v) is not int:
+                    raise ValueError(f"matrix entry {v!r} is not an int")
         m = len(orig)
         n = len(orig[0]) if orig else (0 if ncols is None else ncols)
     S = [row[:] for row in orig]
@@ -434,13 +450,29 @@ class _ColumnReducer:
     form with unit pivots), which callers use for early termination: a
     saturated sublattice cannot grow further inside a lattice of the same
     rank.
+
+    A stream whose span stops growing (it cannot saturate while the homology
+    it computes is nonzero) reduces each later column to zero, often through
+    a cascade: each pivot subtracted brings in entries at other pivot rows.
+    Over interreduced unit pivots, each zero at every other unit pivot row,
+    a column in their span needs one step per entry at those rows.  So a
+    zero column that took more steps than it had entries is a slow one, and
+    once more than rank slow columns have come since the last new pivot or
+    interreduction, and some unit pivot is not yet interreduced, the unit
+    pivots are interreduced.  That costs about as much as reducing rank
+    columns, paid after at least rank slow ones; columns that reduce without
+    cascades never pay it.  Interreduction only subtracts multiples of later
+    unit pivots, so it is unimodular and leaves the span, the pivot rows and
+    the pivot entries as they were.
     """
 
-    __slots__ = ("pivots", "nonunit")
+    __slots__ = ("pivots", "nonunit", "interreduced", "slow")
 
     def __init__(self):
         self.pivots = {}  # pivot row -> column dict
         self.nonunit = 0
+        self.interreduced = 0  # unit pivots at the last interreduction
+        self.slow = 0  # slow zero columns since the last pivot or interreduction
 
     @property
     def rank(self):
@@ -450,6 +482,7 @@ class _ColumnReducer:
         # the one copy: callers' columns are never mutated
         col = {k: v for k, v in col.items() if v}
         pivots = self.pivots
+        steps = -len(col)  # pivot steps beyond the entries: > 0 when slow
         while col:
             r = min(col)
             p = pivots.get(r)
@@ -459,7 +492,9 @@ class _ColumnReducer:
                 pivots[r] = col
                 if col[r] != 1:
                     self.nonunit += 1
+                self.slow = 0
                 return True
+            steps += 1
             a, b = p[r], col[r]
             if b % a == 0:
                 m = b // a
@@ -489,7 +524,33 @@ class _ColumnReducer:
                 if a != 1 and g == 1:
                     self.nonunit -= 1
                 col = newc
+        if steps > 0:
+            self.slow += 1
+            if self.slow > len(pivots) and self.interreduced < len(pivots) - self.nonunit:
+                self._interreduce()
         return False
+
+    def _interreduce(self):
+        """Make every unit pivot zero at every other unit pivot row.
+
+        From the highest row down: the entries of p_r at unit rows k > r are
+        taken out with the already interreduced p_k, which adds none at the
+        other unit rows.  Unit pivots never change in add(), so they stay
+        interreduced; nonunit pivots are left alone.
+        """
+        pivots = self.pivots
+        unit = {r for r, p in pivots.items() if p[r] == 1}
+        for r in sorted(unit, reverse=True):
+            col = pivots[r]
+            for k, m in [(k, v) for k, v in col.items() if k in unit and k != r]:
+                for i, v in pivots[k].items():
+                    w = col.get(i, 0) - m * v
+                    if w:
+                        col[i] = w
+                    else:
+                        col.pop(i, None)
+        self.interreduced = len(unit)
+        self.slow = 0
 
 
 def _invariant_factors_of_columns(pivot_cols):
@@ -574,13 +635,16 @@ def _pivot_invariant_factors(red):
 
 
 def _reduce(columns, nrows, saturation=None):
-    """A _ColumnReducer fed the columns, with row indices checked; it stops,
-    leaving the rest unread, once its rank is saturation with unit pivots."""
+    """A _ColumnReducer fed the columns, with row indices and int entries
+    checked; it stops, leaving the rest unread, once its rank is saturation
+    with unit pivots."""
     red = _ColumnReducer()
     for col in columns:
-        for r in col:
+        for r, v in col.items():
             if not 0 <= r < nrows:
                 raise ValueError(f"row index {r} outside 0..{nrows - 1}")
+            if type(v) is not int:
+                raise ValueError(f"matrix entry {v!r} is not an int")
         red.add(col)
         if red.rank == saturation and not red.nonunit:
             break

@@ -22,6 +22,7 @@ from dighom import (
     homology_through,
     quotient_complex,
     rank_and_invariant_factors,
+    singular_homology,
     smith_normal_form,
     verify_chain_map,
     xgcd,
@@ -79,6 +80,19 @@ def test_sparse_matrix_rejects_bad_entries():
         SparseIntMatrix(2, 2, [{}])  # wrong column count
     with pytest.raises(ValueError):
         SparseIntMatrix(-1, 2)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+@pytest.mark.parametrize("entry_point", [
+    lambda v: SparseIntMatrix(1, 1, [{0: v}]),
+    lambda v: smith_normal_form([[v, 2]]),
+    lambda v: rank_and_invariant_factors([{0: v}], 2),
+], ids=["SparseIntMatrix", "smith_normal_form", "rank_and_invariant_factors"])
+def test_non_integer_entries_are_refused(entry_point, bad):
+    # a float or a bool would pass through the arithmetic and come back as
+    # a factor such as 1.5 or True
+    with pytest.raises(ValueError, match="not an int"):
+        entry_point(bad)
 
 
 def test_sparse_matmul_matches_dense_oracle():
@@ -363,6 +377,74 @@ def test_saturation_waits_for_unit_pivots():
         ],
     )
     assert homology_through(C, 1) == [FGAbelianGroup(1), ZERO_GROUP]
+
+
+def recording_interreductions(monkeypatch):
+    """(rank, nonunit) of the reducer at each interreduction, from now on."""
+    calls = []
+    interreduce = chain._ColumnReducer._interreduce
+
+    def recording(red):
+        calls.append((red.rank, red.nonunit))
+        interreduce(red)
+
+    monkeypatch.setattr(chain._ColumnReducer, "_interreduce", recording)
+    return calls
+
+
+def test_unsaturating_stream_is_interreduced_and_read_to_the_end(monkeypatch):
+    # H_2 = Z, so the streamed degree 3 never spans ker d_2: after its last
+    # pivot, at rank 1128, its columns only reduce to zero; the materialized
+    # d_2 (rank 71) and the stream each interreduce once
+    read = []
+    reduce = chain._reduce
+
+    def counting(columns, nrows, saturation=None):
+        n = 0
+
+        def tally():
+            nonlocal n
+            for col in columns:
+                n += 1
+                yield col
+
+        red = reduce(tally(), nrows, saturation)
+        read.append(n)
+        return red
+
+    monkeypatch.setattr(chain, "_reduce", counting)
+    interreductions = recording_interreductions(monkeypatch)
+    assert singular_homology(helpers.shell(), 2) == [
+        FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
+    assert 77616 in read
+    assert interreductions == [(71, 0), (1128, 0)]
+
+
+def test_interreduction_keeps_the_torsion_of_a_stream(monkeypatch):
+    # five loops at one vertex; the stream spans the path p0, p1, p2 (unit
+    # pivots at rows 0, 1, 2) and the pivot 2 at row 3, so H_1 = Z + Z/2.
+    # Each padding column has two entries but telescopes down the path in
+    # three or four pivot steps; after five of them the unit pivots are
+    # interreduced, and the last column then takes one step.
+    C = ChainComplex(bases=[("v",), ("e0", "e1", "e2", "e3", "e4")],
+                     boundaries=[SparseIntMatrix.zeros(1, 5)])
+    path = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {3: 2}]
+    padding = [{0: 1, 3: 1}, {0: 1, 3: -1}, {0: 2, 3: 2}, {0: -1, 3: 1}, {0: 3, 3: 1},
+               {1: 1, 3: -1}]
+    interreductions = recording_interreductions(monkeypatch)
+    assert chain._homology(C, 1, iter(path + padding)) == FGAbelianGroup(1, (2,))
+    assert interreductions == [(4, 1)]
+
+
+@pytest.mark.parametrize("X", [helpers.shell(), helpers.block(), helpers.ring()],
+                         ids=["shell", "block", "ring"])
+def test_c1_boundaries_reduce_without_interreduction(monkeypatch, X):
+    # the zero columns of a c1 boundary take no more pivot steps than they
+    # have entries, so none of them is slow and no interreduction is paid
+    C = build_c1_complex(X).complex
+    interreductions = recording_interreductions(monkeypatch)
+    homology_through(C, C.max_degree)
+    assert interreductions == []
 
 
 @pytest.mark.parametrize("X, top, ncols, groups", [

@@ -11,10 +11,14 @@ table, in the same order, and its interleaved stream a permutation of them.
 The coordinate operators must precompose with the maps that an oracle
 evaluates point by point.
 The column reducer's pivots must have the invariant factors that sympy's
-Smith normal form finds, all ones whenever every pivot entry is 1.
+Smith normal form finds, all ones whenever every pivot entry is 1; on
+streams that repeat their own span, the interreduction of the reducer's
+unit pivots must leave the result, the pivot rows and the pivot entries as
+they are.
 """
 
 from itertools import product
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ, Matrix
@@ -38,6 +42,7 @@ from dighom import (
     relative_c1_complex,
     singular_homology,
 )
+from dighom import chain
 from dighom.chain import _ColumnReducer, _invariant_factors_of_columns
 from dighom.singular import DEFAULT_BUDGET, _enumerate_interleaved, _enumerate_nondegenerate
 
@@ -188,3 +193,64 @@ def test_unit_pivots_give_unit_invariant_factors(cols):
     assert red.rank == len(factors)
     if red.nonunit == 0:
         assert all(f == 1 for f in factors)
+
+
+@st.composite
+def redundant_streams(draw):
+    """(nrows, columns) with 4 to 9 rows: one or two blocks, each a path
+    (columns with a 1 at one row and -1 or 1 at the next row used) and one
+    to three other new columns, then 16 to 24 combinations, each telescoping
+    along a run of at least three path columns, plus at most one column so
+    far.  Most have few entries but take a pivot step per column of the run:
+    the slow zero columns after which the unit pivots are interreduced,
+    often beside nonunit pivots."""
+    nrows = draw(st.integers(4, 9))
+    entries = st.dictionaries(st.integers(0, nrows - 1),
+                              st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    new, stream = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        rows = sorted(draw(st.sets(st.integers(0, nrows - 1), min_size=4)))
+        path = [{r: 1, s: draw(st.sampled_from([-1, 1]))} for r, s in zip(rows, rows[1:])]
+        fresh = path + draw(st.lists(entries, min_size=1, max_size=3))
+        new += fresh
+        stream += fresh
+        for _ in range(draw(st.integers(16, 24))):
+            i = draw(st.integers(0, len(path) - 3))
+            m = draw(st.sampled_from([-2, -1, 1, 2]))
+            combo = {}
+            for col in path[i:draw(st.integers(i + 3, len(path)))]:
+                for r, v in col.items():
+                    combo[r] = combo.get(r, 0) + m * v
+                m = -m * col[max(col)]  # cancels this column's last row
+            m = draw(st.integers(-1, 1))
+            for r, v in draw(st.sampled_from(new)).items():
+                combo[r] = combo.get(r, 0) + m * v
+            stream.append({r: v for r, v in combo.items() if v})
+    return nrows, stream
+
+
+@settings(derandomize=True, deadline=None)
+@given(redundant_streams())
+def test_interreduction_keeps_the_reduction(case):
+    nrows, stream = case
+    unit = set()  # the unit pivot rows at the last interreduction
+    interreduce = _ColumnReducer._interreduce
+
+    def recording(red):
+        interreduce(red)
+        unit.clear()
+        unit.update(r for r, p in red.pivots.items() if p[r] == 1)
+
+    with patch.object(_ColumnReducer, "_interreduce", recording):
+        red = chain._reduce(stream, nrows)
+    snf = smith_normal_form(
+        Matrix(nrows, len(stream), lambda i, j: stream[j].get(i, 0)), domain=ZZ)
+    diagonal = [abs(snf[i, i]) for i in range(min(snf.shape))]
+    assert sorted(chain._pivot_invariant_factors(red)) == sorted(d for d in diagonal if d)
+    assert red.rank == sum(1 for d in diagonal if d)
+    with patch.object(_ColumnReducer, "_interreduce", lambda red: None):
+        plain = chain._reduce(stream, nrows)
+    assert {r: p[r] for r, p in red.pivots.items()} == {r: p[r] for r, p in plain.pivots.items()}
+    assert red.interreduced == len(unit)
+    for r in unit:
+        assert not any(k in unit for k in red.pivots[r] if k != r)
