@@ -16,6 +16,7 @@ from .chain import ChainComplex, FGAbelianGroup, SparseIntMatrix, groups_isomorp
 from .elementary import C1Complex, ElementaryCube, build_c1_complex
 from .singular import (
     DEFAULT_BUDGET,
+    _beta_key,
     build_singular_complex,
     is_injective,
     orientation,
@@ -54,18 +55,18 @@ class BetaMatrix:
 
 
 def beta_matrices(X, max_q, budget=DEFAULT_BUDGET):
-    """Matrices of beta for degrees 0..max_q+1 over canonical bases."""
+    """Matrices of beta for degrees 0..max_q+1 over the keys of both complexes."""
     sing = build_singular_complex(X, max_q, budget)
     elem = build_c1_complex(X)
+    pts = X.sorted_points
     mats = []
     for q in range(max_q + 2):
         yindex = elem.complex.index(q)
-        nrows = len(elem.complex.basis(q))
         cols = []
-        for s in sing.basis(q):
-            b = beta(s)
+        for key in sing.basis(q):
+            b = _beta_key(key, pts)
             cols.append({} if b is None else {yindex[b[1]]: b[0]})
-        mats.append(SparseIntMatrix(nrows, len(sing.basis(q)), cols))
+        mats.append(SparseIntMatrix(len(yindex), len(cols), cols))
     return BetaMatrix(tuple(mats), sing, elem)
 
 

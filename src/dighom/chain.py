@@ -42,7 +42,6 @@ nonzero or unequal column; no product matrix is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import NotAComplex, NotSubcomplex, ShapeMismatch
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .chain import Chain, ChainComplex, SparseIntMatrix, quotient_complex
 from .errors import EmptyImage, NoSuchFace, NotContinuous, PointNotInImage
 from .image import DigitalImage, is_continuous
-from .singular import SingularCube, orientation
+from .singular import _beta_key
 
 __all__ = [
     "ElementaryCube",
@@ -139,12 +139,16 @@ def _levels(X, top=None):
     return tr, levels
 
 
+def _level(X, q):
+    """(tr, keys of degree q) of _levels(X, q); no keys for q out of range."""
+    tr, levels = _levels(X, max(q, 0))
+    return tr, levels[q] if 0 <= q < len(levels) else {}
+
+
 def enumerate_elementary_cubes(X, q):
     """All elementary q-cubes whose vertices lie in X, in (min_corner, extent)
     lexicographic order.  Out-of-range q gives the empty list."""
-    levels = _levels(X, max(q, 0))[1]
-    level = levels[q] if 0 <= q < len(levels) else ()
-    return [ElementaryCube(X.sorted_points[i], ext) for i, ext in level]
+    return [ElementaryCube(X.sorted_points[i], ext) for i, ext in _level(X, q)[1]]
 
 
 def c1_faces(Q, i):
@@ -192,14 +196,13 @@ def build_c1_complex(X, max_dim=None):
     """The c1-cubical complex of X through degree min(max_dim, dimension(X)).
 
     Degrees above the top are zero; homology_through pads them as zero groups.
-    As in cube_boundary, cube (i, ext) has the faces (i, rest) and
-    (i + e_j, rest), j = ext[p-1], with the signs (-1)^p and -(-1)^p.
+    The basis labels are keys: ElementaryCube(X.sorted_points[i], ext) is
+    the cube of key (i, ext).  As in cube_boundary, it has the faces (i, rest)
+    and (i + e_j, rest), j = ext[p-1], with the signs (-1)^p and -(-1)^p.
     """
     if max_dim is not None and max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     tr, levels = _levels(X, max_dim)
-    pts = X.sorted_points
-    bases = [tuple(ElementaryCube(pts[i], ext) for i, ext in level) for level in levels]
     mats = []
     for q in range(1, len(levels)):
         rows = levels[q - 1]
@@ -211,8 +214,8 @@ def build_c1_complex(X, max_dim=None):
                 col[rows[(i, rest)]] = (-1) ** p
                 col[rows[(tr[j - 1][i], rest)]] = -(-1) ** p
             cols.append(col)
-        mats.append(SparseIntMatrix(len(bases[q - 1]), len(bases[q]), cols))
-    return C1Complex(X, ChainComplex(bases, mats))
+        mats.append(SparseIntMatrix(len(rows), len(levels[q]), cols))
+    return C1Complex(X, ChainComplex(levels, mats))
 
 
 def relative_c1_complex(X, A, max_dim=None):
@@ -225,8 +228,11 @@ def relative_c1_complex(X, A, max_dim=None):
     for p in apts:
         if p not in X.points:
             raise PointNotInImage(f"{p} is not a point of the ambient image")
+    # A's points keep their order in X, so at maps their indices in A to X
+    at = [i for i, p in enumerate(X.sorted_points) if p in apts]
     sub = build_c1_complex(DigitalImage(X.ambient_dim, apts), max_dim).complex.bases
-    return quotient_complex(build_c1_complex(X, max_dim).complex, dict(enumerate(sub)))
+    sub = {q: [(at[i], ext) for i, ext in b] for q, b in enumerate(sub)}
+    return quotient_complex(build_c1_complex(X, max_dim).complex, sub)
 
 
 def induced_map(f, q):
@@ -234,20 +240,20 @@ def induced_map(f, q):
     elementary bases of its domain and codomain.
 
     A cube on which f is injective goes to the signed cube spanned by the
-    image vertices; any other cube maps to zero.  The sign is the orientation
-    of f precomposed with the cube's canonical embedding.
+    image vertices; any other cube maps to zero: beta of f composed with the
+    cube's canonical embedding, whose corner c has bit b set iff it bumps ext[b].
     """
     if not is_continuous(f):
         raise NotContinuous("map is not continuous")
-    xcubes = enumerate_elementary_cubes(f.domain, q)
-    ycubes = enumerate_elementary_cubes(f.codomain, q)
-    yindex = {Q: r for r, Q in enumerate(ycubes)}
+    tr, xlevel = _level(f.domain, q)
+    ylevel = _level(f.codomain, q)[1]
+    xpts, ypts = f.domain.sorted_points, f.codomain.sorted_points
+    at = {p: i for i, p in enumerate(ypts)}
     cols = []
-    for Q in xcubes:
-        tau = tuple(f(v) for v in Q.vertices())
-        if len(set(tau)) != len(tau):
-            cols.append({})
-            continue
-        o = orientation(SingularCube(q, tau)).o
-        cols.append({yindex[ElementaryCube.from_vertices(tau)]: o})
-    return SparseIntMatrix(len(ycubes), len(xcubes), cols)
+    for i, ext in xlevel:
+        corners = [i]
+        for j in ext:
+            corners += [tr[j - 1][a] for a in corners]
+        b = _beta_key(tuple(at[f(xpts[a])] for a in corners), ypts)
+        cols.append({} if b is None else {ylevel[b[1]]: b[0]})
+    return SparseIntMatrix(len(ylevel), len(xlevel), cols)

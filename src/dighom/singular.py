@@ -29,6 +29,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 from operator import itemgetter
 
 from .chain import (
@@ -173,19 +175,10 @@ def boundary(sigma):
     The coefficient of the front face in direction i is (-1)^i, of the back
     face -(-1)^i.  Coinciding faces merge, possibly to zero.
     """
-    acc = {}
-    for i in range(1, sigma.q + 1):
-        s = (-1) ** i
-        for side, sgn in (("front", s), ("back", -s)):
-            f = face(sigma, side, i)
-            if is_degenerate(f):
-                continue
-            v = acc.get(f, 0) + sgn
-            if v:
-                acc[f] = v
-            else:
-                del acc[f]
-    return Chain(sigma.q - 1, acc)
+    fmaps = _signed_face_maps(sigma.q)
+    faces = [SingularCube(sigma.q - 1, get(sigma.corners)) for get, _ in fmaps]
+    rows = {f.corners: f for f in faces if not is_degenerate(f)}
+    return Chain(sigma.q - 1, _boundary_column(sigma.corners, fmaps, rows))
 
 
 # --- coordinate operators ---------------------------------------------------
@@ -279,11 +272,9 @@ def compatible(sigma, gamma):
 
 def append(sigma, gamma):
     """The (q+1)-cube running from sigma (t_{q+1}=0) to gamma (t_{q+1}=1)."""
-    if sigma.q != gamma.q or sigma.ambient_dim != gamma.ambient_dim:
-        raise NotCompatible("cubes differ in degree or ambient dimension")
-    for x, y in zip(sigma.corners, gamma.corners):
-        if x != y and not adjacent(x, y):
-            raise NotCompatible(f"corners {x} and {y} are neither equal nor adjacent")
+    if not compatible(sigma, gamma):
+        raise NotCompatible(f"{sigma} and {gamma} differ in degree or ambient "
+                            "dimension, or in corners neither equal nor adjacent")
     return SingularCube(sigma.q + 1, sigma.corners + gamma.corners)
 
 
@@ -405,31 +396,38 @@ class OrientationData:
     o: int
 
 
+def _orientation(key, pts):
+    """(k, edge_signs, o) of OrientationData for the cube whose corner c is
+    pts[key[c]]: the one copy of the sign rule."""
+    base = pts[key[0]]
+    steps = []
+    for b in range(len(key).bit_length() - 1):
+        tip = pts[key[1 << b]]
+        moved = [(pos + 1, t - u) for pos, (t, u) in enumerate(zip(tip, base)) if t != u]
+        if len(moved) != 1 or moved[0][1] not in (-1, 1):
+            raise RuntimeError(f"edge {b + 1} from {base} to {tip} is not a unit step")
+        steps += moved
+    ks = tuple(k for k, _ in steps)
+    if len(set(ks)) != len(ks):
+        raise RuntimeError(f"repeated edge direction in {ks}")
+    signs = tuple(s for _, s in steps)
+    return ks, signs, prod(signs, start=(-1) ** sum(a > b for a, b in combinations(ks, 2)))
+
+
 def orientation(sigma):
     if not is_injective(sigma):
         raise NotInjective(f"{sigma} is not injective")
-    corners = sigma.corners
-    base = corners[0]
-    ks = []
-    signs = []
-    for i in range(1, sigma.q + 1):
-        tip = corners[1 << (i - 1)]
-        moved = [(pos, tip[pos] - base[pos]) for pos in range(len(base)) if tip[pos] != base[pos]]
-        if len(moved) != 1 or moved[0][1] not in (-1, 1):
-            raise RuntimeError(f"edge {i} of {sigma} is not a unit step")
-        ks.append(moved[0][0] + 1)
-        signs.append(moved[0][1])
-    if len(set(ks)) != len(ks):
-        raise RuntimeError(f"repeated edge direction in injective cube {sigma}")
-    inv = 0
-    for a in range(len(ks)):
-        for b in range(a + 1, len(ks)):
-            if ks[a] > ks[b]:
-                inv += 1
-    o = (-1) ** inv
-    for s in signs:
-        o *= s
-    return OrientationData(k=tuple(ks), edge_signs=tuple(signs), o=o)
+    return OrientationData(*_orientation(range(len(sigma.corners)), sigma.corners))
+
+
+def _beta_key(key, pts):
+    """beta on a singular key over the points pts: None if the key is not
+    injective, else (sign, c1 key (min(key), extent)), as the smallest index
+    is the minimal corner of the image cube."""
+    if len(set(key)) != len(key):
+        return None
+    k, _, o = _orientation(key, pts)
+    return o, (min(key), tuple(sorted(k)))
 
 
 # --- enumeration ------------------------------------------------------------
@@ -572,8 +570,9 @@ def _enumerate_interleaved(X, q, budget):
 def _signed_face_maps(q):
     """(face-key getter, sign) for each of the 2q faces of a q-cube.
 
-    The getter maps a q-cube key to the key of the face.  An itemgetter of one
-    index returns a scalar, so the faces of a 1-cube slice out a 1-tuple.
+    The getter maps a q-cube key, or corner table, to that of the face.  An
+    itemgetter of one index returns a scalar, so the faces of a 1-cube slice
+    out a 1-tuple.
     """
     out = []
     for i in range(1, q + 1):
@@ -629,22 +628,21 @@ def _materialize(X, top, budget):
     return keys, mats, None
 
 
-def _cubes(X, q, keys):
-    pts = X.sorted_points
-    return [SingularCube(q, tuple(pts[a] for a in k)) for k in keys]
-
-
 def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
     """All nondegenerate singular q-cubes on X, lexicographic in corner tables."""
     if q < 0:
         raise ValueError("q must be nonnegative")
-    return _cubes(X, q, _enumerate_nondegenerate(X, q, budget))
+    pts = X.sorted_points
+    return [SingularCube(q, tuple(pts[a] for a in k))
+            for k in _enumerate_nondegenerate(X, q, budget)]
 
 
 def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     """The normalized singular chain complex of X through degree max_q + 1.
 
     One extra degree is materialized so homology through max_q is exact.
+    The basis labels are keys, the indices in pts = X.sorted_points of the
+    corners: SingularCube(q, tuple(pts[a] for a in key)) is the cube.
     Degrees 0..max_q are in lex order, as enumerate_singular_cubes lists
     them; degree max_q + 1 is round-robin by front face (the order of
     _enumerate_interleaved), so its boundary saturates early.
@@ -654,7 +652,7 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     keys, mats, err = _materialize(X, max_q + 1, budget)
     if err is not None:
         raise err
-    return ChainComplex([_cubes(X, q, kq) for q, kq in enumerate(keys)], mats)
+    return ChainComplex(keys, mats)
 
 
 def singular_homology(X, max_q, budget=DEFAULT_BUDGET):

@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
-from dighom import DigitalImage, SingularCube, is_continuous, is_degenerate
+from dighom import DigitalImage, ElementaryCube, SingularCube, is_continuous, is_degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +310,16 @@ def continuous_maps_brute(domain, codomain):
             yield f
 
 
-def chain_groups(complex_, q):
-    """Basis labels of a complex as a list, for readable assertions."""
-    return list(complex_.basis(q))
+def decode(X, q, key):
+    """The cube of a basis key of build_singular_complex (a tuple of point
+    indices, one per corner) or of build_c1_complex ((i, extent))."""
+    pts = X.sorted_points
+    if len(key) == 2 and type(key[1]) is tuple:
+        return ElementaryCube(pts[key[0]], key[1])
+    return SingularCube(q, tuple(pts[a] for a in key))
+
+
+def chain_groups(X, complex_, q):
+    """Basis labels of a complex built on X, decoded to cubes, as a list for
+    readable assertions."""
+    return [decode(X, q, key) for key in complex_.basis(q)]

@@ -5,11 +5,15 @@ agree on every image, homology_through (which clears columns from the top
 degree down) must agree with a reduction of every full boundary matrix.  The
 c1 complex must have the cubes of a brute-force vertex test as its bases,
 cube_boundary as its columns, dimension() as its top degree, and the
-quotient by the cubes inside a subimage as its relative complex.  The search
+quotient by the cubes inside a subimage as its relative complex.  beta on
+singular keys must be public beta on the decoded cubes, and its sign the
+determinant of the edge vectors.  The search
 for singular cubes must yield those of a brute-force filter of every corner
 table, in the same order, and its interleaved stream a permutation of them.
 The coordinate operators must precompose with the maps that an oracle
-evaluates point by point.
+evaluates point by point.  Images written as JSON and as text files must
+parse back equal, and each class of malformed image file must end the CLI
+with exit code 2 and a one-line error.
 The column reducer's pivots must have the invariant factors that sympy's
 Smith normal form finds, all ones whenever every pivot entry is 1; on
 streams that repeat their own span, the interreduction of the reducer's
@@ -17,6 +21,11 @@ unit pivots must leave the result, the pivot rows and the pivot entries as
 they are.
 """
 
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from unittest.mock import patch
 
@@ -30,6 +39,7 @@ from dighom import (
     FGAbelianGroup,
     SingularCube,
     apply_operator,
+    beta,
     build_c1_complex,
     build_singular_complex,
     cube_boundary,
@@ -37,14 +47,20 @@ from dighom import (
     enumerate_elementary_cubes,
     enumerate_singular_cubes,
     homology_through,
+    load_image,
     quotient_complex,
     rank_and_invariant_factors,
     relative_c1_complex,
     singular_homology,
 )
-from dighom import chain
+from dighom import chain, cli
 from dighom.chain import _ColumnReducer, _invariant_factors_of_columns
-from dighom.singular import DEFAULT_BUDGET, _enumerate_interleaved, _enumerate_nondegenerate
+from dighom.singular import (
+    DEFAULT_BUDGET,
+    _beta_key,
+    _enumerate_interleaved,
+    _enumerate_nondegenerate,
+)
 
 import helpers
 
@@ -103,7 +119,7 @@ def test_c1_bases_are_the_vertex_test_cubes(X):
     for q in range(X.ambient_dim + 2):
         cubes = helpers.elementary_cubes_by_vertex_test(X, q)
         assert enumerate_elementary_cubes(X, q) == cubes
-        assert list(C.basis(q)) == cubes
+        assert helpers.chain_groups(X, C, q) == cubes
     for k in range(C.max_degree + 1):
         assert build_c1_complex(X, k).complex == ChainComplex(C.bases[:k + 1], C.boundaries[:k])
 
@@ -113,8 +129,8 @@ def test_c1_bases_are_the_vertex_test_cubes(X):
 def test_c1_columns_are_cube_boundaries(X):
     C = build_c1_complex(X).complex
     for q in range(1, C.max_degree + 1):
-        rows = C.basis(q - 1)
-        for Q, col in zip(C.basis(q), C.boundary_matrix(q).columns):
+        rows = helpers.chain_groups(X, C, q - 1)
+        for Q, col in zip(helpers.chain_groups(X, C, q), C.boundary_matrix(q).columns):
             assert {rows[r]: v for r, v in col.items()} == cube_boundary(Q).coeffs
 
 
@@ -123,9 +139,33 @@ def test_c1_columns_are_cube_boundaries(X):
 def test_relative_c1_complex_is_the_quotient_by_cubes_in_A(X, data):
     A = data.draw(st.sets(st.sampled_from(X.sorted_points)))
     C = build_c1_complex(X).complex
-    sub = {q: [Q for Q in C.basis(q) if all(v in A for v in Q.vertices())]
+    sub = {q: [key for key in C.basis(q)
+               if all(v in A for v in helpers.decode(X, q, key).vertices())]
            for q in range(C.max_degree + 1)}
     assert relative_c1_complex(X, A) == quotient_complex(C, sub)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(images((3, 3)), images((4, 4)), images((2, 2, 2))))
+def test_beta_on_keys_is_beta_on_cubes(X):
+    # beta of a singular key is public beta of its cube, with the image cube
+    # written as the key (index of its minimal corner, extent); the sign is
+    # also the determinant of the edge vectors in the extent coordinates
+    pts = X.sorted_points
+    at = {p: i for i, p in enumerate(pts)}
+    for q in range(3):
+        for key in _enumerate_nondegenerate(X, q, DEFAULT_BUDGET):
+            sigma = helpers.decode(X, q, key)
+            b = beta(sigma)
+            if b is None:
+                assert _beta_key(key, pts) is None
+                continue
+            sign, Q = b
+            assert _beta_key(key, pts) == (sign, (at[Q.min_corner], Q.extent))
+            base = sigma.corners[0]
+            edges = [sigma.corners[1 << j] for j in range(q)]
+            assert helpers.bareiss_det([[e[k - 1] - base[k - 1] for e in edges]
+                                        for k in Q.extent]) == sign
 
 
 def check_corner_search(X, q):
@@ -254,3 +294,77 @@ def test_interreduction_keeps_the_reduction(case):
     assert red.interreduced == len(unit)
     for r in unit:
         assert not any(k in unit for k in red.pivots[r] if k != r)
+
+
+# random images of 1 to 12 points anywhere in [-50, 50]^n, n = 1..4
+FILE_IMAGES = st.integers(1, 4).flatmap(lambda n: st.sets(
+    st.tuples(*[st.integers(-50, 50)] * n), min_size=1, max_size=12).map(
+    lambda pts: DigitalImage(n, pts)))
+
+
+def write_file(d, text):
+    path = os.path.join(d, "image")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def text_file(rows):
+    return "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+@settings(derandomize=True, deadline=None)
+@given(FILE_IMAGES, st.data())
+def test_images_parse_back_from_their_files(X, data):
+    rows = data.draw(st.permutations(X.sorted_points))
+    doc = {"ambient_dim": X.ambient_dim, "points": [list(p) for p in rows]}
+    with tempfile.TemporaryDirectory() as d:
+        assert load_image(write_file(d, json.dumps(doc))) == X
+        assert load_image(write_file(d, text_file(rows))) == X
+
+
+@st.composite
+def malformed_image_files(draw):
+    """The text of an image file that is malformed in one way: a bool or a
+    float coordinate, a "points" that is not a list, a duplicate point, text
+    lines of different lengths, or an "ambient_dim" that is not an int."""
+    X = draw(FILE_IMAGES)
+    rows = [list(p) for p in draw(st.permutations(X.sorted_points))]
+    doc = {"ambient_dim": X.ambient_dim, "points": rows}
+    row = draw(st.sampled_from(rows))
+    k = draw(st.integers(0, X.ambient_dim - 1))
+    kind = draw(st.sampled_from(
+        ["bool", "float", "points", "duplicate", "ragged", "ambient_dim"]))
+    as_text = False
+    if kind == "bool":
+        row[k] = draw(st.booleans())
+    elif kind == "float":
+        row[k] += draw(st.sampled_from([0.0, 0.5, -0.25]))
+        as_text = draw(st.booleans())
+    elif kind == "points":
+        doc["points"] = draw(st.one_of(
+            st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+            st.dictionaries(st.text(max_size=3), st.just(row), max_size=2)))
+    elif kind == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), list(row))
+        as_text = draw(st.booleans())
+    elif kind == "ragged":
+        n = X.ambient_dim + draw(st.sampled_from([-1, 1] if X.ambient_dim > 1 else [1]))
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+        as_text = True
+    else:
+        doc["ambient_dim"] = draw(st.one_of(
+            st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+            st.text(max_size=3), st.just([X.ambient_dim])))
+    return text_file(rows) if as_text else json.dumps(doc)
+
+
+@settings(derandomize=True, deadline=None)
+@given(malformed_image_files(), st.sampled_from(["homology", "singular", "compare", "classify"]))
+def test_malformed_image_files_exit_2(text, command):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d, redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([command, write_file(d, text)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
