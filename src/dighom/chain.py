@@ -10,13 +10,14 @@ Two reduction routines coexist on purpose:
 * ``smith_normal_form`` is a dense, fully certified Smith normal form with
   unimodular transforms; it recomputes U*M*V at the end and refuses to return
   an uncertified answer.  It is the ground truth, used directly on small
-  matrices and on the residual blocks of large ones.
+  matrices and on the k x k residual blocks of large ones.
 * ``rank_and_invariant_factors`` is the workhorse for big boundary matrices:
   an incremental integer column echelonization (unimodular column operations
-  only, so invariant factors are preserved) followed by unit-pivot
-  elimination, handing only the small non-unit residue to the dense routine.
-  When every pivot entry is 1 the invariant factors are all ones and the
-  elimination is skipped.
+  only, so invariant factors are preserved).  When every pivot entry is 1
+  the invariant factors are all ones.  Otherwise the unit pivots are
+  interreduced and cleared from the k nonunit ones, and the transpose of
+  these k columns goes through the same column reducer, which leaves a
+  k x k block for the dense routine whatever the number of rows.
 
 Homology reduces the boundaries of a complex from the top degree down and
 clears as it goes (the "twist" of Chen and Kerber): d_q skips the columns at
@@ -102,8 +103,8 @@ class SparseIntMatrix:
     __slots__ = ("nrows", "ncols", "columns")
 
     def __init__(self, nrows, ncols, columns=None):
-        if nrows < 0 or ncols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        if not all(type(d) is int and d >= 0 for d in (nrows, ncols)):
+            raise ValueError(f"matrix dimensions {nrows!r}x{ncols!r} must be nonnegative ints")
         if columns is None:
             columns = [{} for _ in range(ncols)]
         else:
@@ -253,8 +254,8 @@ class FGAbelianGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
+        if type(self.rank) is not int or self.rank < 0:
+            raise ValueError(f"rank {self.rank!r} must be a nonnegative int")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         prev = None
         for t in self.torsion:
@@ -299,8 +300,8 @@ class SNFResult:
 def smith_normal_form(M, ncols=None):
     """Certified Smith normal form of a dense or sparse integer matrix.
 
-    Accepts a SparseIntMatrix or a list of dense rows (then ncols is needed
-    when there are zero rows... callers pass it to disambiguate 0xN).
+    Accepts a SparseIntMatrix or a list of dense rows of equal length; ncols
+    is the column count of a dense matrix with no rows, 0 if not given.
     Returns SNFResult with U*M*V == S rechecked against the original input;
     a failed recheck raises RuntimeError rather than returning silently.
     """
@@ -309,12 +310,14 @@ def smith_normal_form(M, ncols=None):
         m, n = M.nrows, M.ncols
     else:
         orig = [list(r) for r in M]
+        m = len(orig)
+        n = len(orig[0]) if orig else (0 if ncols is None else ncols)
         for row in orig:
+            if len(row) != n:
+                raise ValueError("ragged rows")
             for v in row:
                 if type(v) is not int:
                     raise ValueError(f"matrix entry {v!r} is not an int")
-        m = len(orig)
-        n = len(orig[0]) if orig else (0 if ncols is None else ncols)
     S = [row[:] for row in orig]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -552,82 +555,35 @@ class _ColumnReducer:
         self.slow = 0
 
 
-def _invariant_factors_of_columns(pivot_cols):
-    """Invariant factors (with 1s) of a full-column-rank set of sparse columns.
-
-    Unit pivots are eliminated sparsely first; whatever residue has no unit
-    pivot left is densified and sent through the certified SNF.
-    """
-    cols = [dict(c) for c in pivot_cols if c]
-    ones = 0
-    rows_at = {}  # row -> set of column ids holding a nonzero there
-    live = {}
-    for cid, col in enumerate(cols):
-        live[cid] = col
-        for r in col:
-            rows_at.setdefault(r, set()).add(cid)
-
-    def set_entry(cid, r, v):
-        col = live[cid]
-        if v:
-            if r not in col:
-                rows_at.setdefault(r, set()).add(cid)
-            col[r] = v
-        elif r in col:
-            del col[r]
-            rows_at[r].discard(cid)
-
-    stack = [cid for cid, col in live.items() if any(abs(v) == 1 for v in col.values())]
-    in_stack = set(stack)
-    while stack:
-        cid = stack.pop()
-        in_stack.discard(cid)
-        col = live.get(cid)
-        if col is None or not any(abs(v) == 1 for v in col.values()):
-            continue
-        r = min(k for k, v in col.items() if abs(v) == 1)
-        s = col[r]
-        # clear row r from every other live column, then retire this column
-        for other in list(rows_at.get(r, ())):
-            if other == cid:
-                continue
-            ocol = live[other]
-            c = ocol[r] * s  # s in {1,-1} so this is ocol[r]/col[r]
-            for k, v in list(col.items()):
-                set_entry(other, k, ocol.get(k, 0) - c * v)
-            if other not in in_stack and any(abs(v) == 1 for v in live[other].values()):
-                stack.append(other)
-                in_stack.add(other)
-        for k in list(col):
-            rows_at[k].discard(cid)
-        del live[cid]
-        ones += 1
-
-    if not live:
-        return (1,) * ones
-    # densify whatever is left (tiny in practice: no unit entries anywhere)
-    rows = sorted({r for col in live.values() for r in col})
-    rindex = {r: i for i, r in enumerate(rows)}
-    dense = [[0] * len(live) for _ in rows]
-    for j, col in enumerate(live.values()):
-        for r, v in col.items():
-            dense[rindex[r]][j] = v
-    res = smith_normal_form(dense, ncols=len(live))
-    if res.rank != len(live):
-        raise RuntimeError("residual block lost rank during elimination")
-    return (1,) * ones + res.invariant_factors
-
-
 def _pivot_invariant_factors(red):
     """Invariant factors (with 1s) of the pivot columns of a _ColumnReducer.
 
     When every pivot entry is 1, the pivot rows carry a unitriangular minor,
-    which is unimodular, so every invariant factor is 1 and no elimination
-    is needed.
+    which is unimodular, so every invariant factor is 1.  Otherwise the unit
+    pivots are interreduced and each nonunit pivot n becomes n - sum n[k] p_k
+    over the unit rows k.  These column operations are unimodular, and after
+    them each unit row is a unit vector, which splits off one factor 1 per
+    unit pivot.  The k cleared columns carry the other factors; their
+    transpose, one k-entry column per row they touch, is reduced until its
+    pivots span Z^k, or to its end, and the k x k block of its at most k
+    pivots goes through the certified dense SNF.
     """
     if not red.nonunit:
         return (1,) * red.rank
-    factors = _invariant_factors_of_columns(red.pivots.values())
+    if red.interreduced < red.rank - red.nonunit:
+        red._interreduce()
+    pivots = red.pivots
+    unit = {r for r, p in pivots.items() if p[r] == 1}
+    cleared = [_apply(pivots, {r: 1, **{i: -v for i, v in n.items() if i in unit}})
+               for r, n in pivots.items() if r not in unit]
+    k = len(cleared)
+    rows = {}  # row -> {j: entry of cleared[j]}
+    for j, col in enumerate(cleared):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    block = list(_reduce(rows.values(), k, k).pivots.values())
+    res = smith_normal_form([[p.get(i, 0) for p in block] for i in range(k)])
+    factors = (1,) * len(unit) + res.invariant_factors
     if len(factors) != red.rank:
         raise RuntimeError("rank mismatch between reduction and invariant factors")
     return factors

@@ -14,7 +14,7 @@ construction and parse time.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 
 from .errors import DimensionMismatch, ParseError, PointNotInImage
 
@@ -414,6 +414,14 @@ def parse_image(text):
     return _parse_image_text(text)
 
 
+def _refuse_duplicates(pts):
+    """ParseError naming the first point, in file order, that occurs twice."""
+    counts = Counter(pts)
+    dup = next((p for p in pts if counts[p] > 1), None)
+    if dup is not None:
+        raise ParseError(f"duplicate point {dup}")
+
+
 def _parse_image_json(text):
     try:
         doc = json.loads(text)
@@ -432,9 +440,7 @@ def _parse_image_json(text):
         if not isinstance(item, list):
             raise ParseError(f"point {item!r} must be a list of integers")
         pts.append(_as_point(item))
-    if len(set(pts)) != len(pts):
-        dup = next(p for p in pts if pts.count(p) > 1)
-        raise ParseError(f"duplicate point {dup}")
+    _refuse_duplicates(pts)
     try:
         return DigitalImage(n, pts)
     except DimensionMismatch as e:
@@ -459,9 +465,7 @@ def _parse_image_text(text):
     for p in pts:
         if len(p) != n:
             raise ParseError(f"point {p} has {len(p)} coordinates, expected {n}")
-    if len(set(pts)) != len(pts):
-        dup = next(p for p in pts if pts.count(p) > 1)
-        raise ParseError(f"duplicate point {dup}")
+    _refuse_duplicates(pts)
     return DigitalImage(n, pts)
 
 

@@ -80,6 +80,10 @@ def test_sparse_matrix_rejects_bad_entries():
         SparseIntMatrix(2, 2, [{}])  # wrong column count
     with pytest.raises(ValueError):
         SparseIntMatrix(-1, 2)
+    for dims in [(2.0, 1), (1, 1.0), (True, 1), (1, True)]:
+        # a float dimension broke to_dense() later with a TypeError
+        with pytest.raises(ValueError, match="must be nonnegative ints"):
+            SparseIntMatrix(*dims, [{0: 1}])
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, True])
@@ -163,6 +167,9 @@ def test_group_str_forms():
 def test_group_validation():
     with pytest.raises(ValueError):
         FGAbelianGroup(-1)
+    for rank in (1.5, 1.0, True):  # 1.5 printed as Z^1.5
+        with pytest.raises(ValueError, match="must be a nonnegative int"):
+            FGAbelianGroup(rank)
     with pytest.raises(ValueError):
         FGAbelianGroup(0, (1,))
     with pytest.raises(ValueError):
@@ -190,6 +197,13 @@ def test_snf_zero_and_empty():
     assert smith_normal_form([]).rank == 0
     assert smith_normal_form([], ncols=3).rank == 0
     assert smith_normal_form([[], []], ncols=0).rank == 0
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [3, 4]]])
+def test_snf_refuses_ragged_rows(rows):
+    # these raised IndexError and a false certification failure
+    with pytest.raises(ValueError, match="ragged rows"):
+        smith_normal_form(rows)
 
 
 def test_snf_matches_minors_oracle_small():
@@ -238,6 +252,32 @@ def test_reduction_leaves_the_callers_columns_unchanged():
     before = [dict(c) for c in cols]
     assert rank_and_invariant_factors(cols, 3) == (3, (1, 1, 1))
     assert cols == before
+
+
+def test_nonunit_columns_over_many_rows_leave_a_small_dense_block(monkeypatch):
+    # no entry is a unit, so no unit pivot splits anything off; the residue
+    # spans 3,000 rows, yet the dense SNF sees only the 2 x 2 block of the
+    # transposed reduction
+    blocks = []
+    snf = chain.smith_normal_form
+
+    def recording(M, ncols=None):
+        res = snf(M, ncols)
+        blocks.append((len(res.U), len(res.V)))
+        return res
+
+    monkeypatch.setattr(chain, "smith_normal_form", recording)
+    cols = [{i: 2 for i in range(3000)}, {i: 2 * (i % 3) for i in range(3000) if i % 3}]
+    assert rank_and_invariant_factors(cols, 3000) == (2, (2, 2))
+    assert blocks and all(m <= 2 and n <= 2 for m, n in blocks)
+
+
+def test_unit_pivots_are_interreduced_before_they_clear_the_others():
+    # the unit pivot e1 + e2 is not zero at the unit row 2; clearing the
+    # pivot 2e0 + e1 + e2 with it and with e2 as they stand would leave
+    # 2e0 - e2, whose factor is 1, instead of 2e0
+    cols = [{0: 2, 1: 1, 2: 1}, {1: 1, 2: 1}, {2: 1}]
+    assert rank_and_invariant_factors(cols, 3) == (3, (1, 1, 2))
 
 
 def test_rank_and_invariant_factors_rejects_bad_rows():

@@ -130,6 +130,22 @@ def test_homology_bad_file(run, tmp_path):
     assert run(["homology", str(dup)])[0] == 2
 
 
+@pytest.mark.parametrize("as_text", [False, True], ids=["json", "text"])
+def test_duplicate_at_the_end_of_a_large_file_exits_2_quickly(run, tmp_path, as_text):
+    # the duplicate check is linear in the number of points; a check that
+    # counts each point's occurrences in the list is quadratic
+    pts = [(i, j) for i in range(250) for j in range(200)] + [(249, 199)]
+    p = tmp_path / "big.txt"
+    if as_text:
+        p.write_text("".join(f"{i} {j}\n" for i, j in pts))
+    else:
+        p.write_text(json.dumps({"ambient_dim": 2, "points": [list(q) for q in pts]}))
+    start = time.perf_counter()
+    rc, out, err = run(["homology", str(p)])
+    assert time.perf_counter() - start < 10.0
+    assert (rc, out, err) == (2, "", "error: duplicate point (249, 199)\n")
+
+
 # --- singular -------------------------------------------------------------------
 
 def test_singular_edge(run, tmp_path):

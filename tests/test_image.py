@@ -339,6 +339,15 @@ def test_parse_errors():
             parse_image(bad)
 
 
+def test_duplicate_error_names_the_first_repeated_point_in_file_order():
+    # a occurs twice but b repeats first; the report names a, which comes
+    # first in the file
+    for doc in ('{"ambient_dim": 2, "points": [[0, 0], [1, 0], [1, 0], [0, 0]]}',
+                "0 0\n1 0\n1 0\n0 0\n"):
+        with pytest.raises(ParseError, match=r"^duplicate point \(0, 0\)$"):
+            parse_image(doc)
+
+
 def test_load_image_roundtrip(tmp_path):
     p = tmp_path / "ring.json"
     X = helpers.ring()

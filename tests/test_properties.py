@@ -15,7 +15,8 @@ evaluates point by point.  Images written as JSON and as text files must
 parse back equal, and each class of malformed image file must end the CLI
 with exit code 2 and a one-line error.
 The column reducer's pivots must have the invariant factors that sympy's
-Smith normal form finds, all ones whenever every pivot entry is 1; on
+Smith normal form finds, all ones whenever every pivot entry is 1, also on
+matrices with mostly nonunit entries; on
 streams that repeat their own span, the interreduction of the reducer's
 unit pivots must leave the result, the pivot rows and the pivot entries as
 they are.
@@ -54,7 +55,7 @@ from dighom import (
     singular_homology,
 )
 from dighom import chain, cli
-from dighom.chain import _ColumnReducer, _invariant_factors_of_columns
+from dighom.chain import _ColumnReducer
 from dighom.singular import (
     DEFAULT_BUDGET,
     _beta_key,
@@ -225,7 +226,7 @@ def test_unit_pivots_give_unit_invariant_factors(cols):
     red = _ColumnReducer()
     for col in cols:
         red.add({r: v for r, v in enumerate(col) if v})
-    factors = _invariant_factors_of_columns(red.pivots.values())
+    factors = chain._pivot_invariant_factors(red)
     snf = smith_normal_form(
         Matrix(len(cols[0]), len(cols), lambda i, j: cols[j][i]), domain=ZZ)
     diagonal = [abs(snf[i, i]) for i in range(min(snf.shape))]
@@ -233,6 +234,27 @@ def test_unit_pivots_give_unit_invariant_factors(cols):
     assert red.rank == len(factors)
     if red.nonunit == 0:
         assert all(f == 1 for f in factors)
+
+
+# nonunit-heavy matrices of up to 8x8, as lists of dense columns: most
+# entries are multiples of 2, 3 or 6 and a few are -1 or 1, so that two or
+# more pivots are nonunit and unit rows run through them
+NONUNIT_MATRICES = st.integers(1, 8).flatmap(lambda rows: st.lists(
+    st.lists(st.one_of(st.sampled_from([0, 0, -1, 1]),
+                       st.sampled_from([2, 3, 6]).flatmap(
+                           lambda m: st.integers(-3, 3).map(lambda c: m * c))),
+             min_size=rows, max_size=rows), min_size=1, max_size=8))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(NONUNIT_MATRICES)
+def test_invariant_factors_match_sympy_on_nonunit_matrices(cols):
+    rank, factors = rank_and_invariant_factors(
+        [{r: v for r, v in enumerate(col) if v} for col in cols], len(cols[0]))
+    snf = smith_normal_form(
+        Matrix(len(cols[0]), len(cols), lambda i, j: cols[j][i]), domain=ZZ)
+    diagonal = sorted(abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i])
+    assert (rank, factors) == (len(diagonal), tuple(diagonal))
 
 
 @st.composite
@@ -286,7 +308,6 @@ def test_interreduction_keeps_the_reduction(case):
     snf = smith_normal_form(
         Matrix(nrows, len(stream), lambda i, j: stream[j].get(i, 0)), domain=ZZ)
     diagonal = [abs(snf[i, i]) for i in range(min(snf.shape))]
-    assert sorted(chain._pivot_invariant_factors(red)) == sorted(d for d in diagonal if d)
     assert red.rank == sum(1 for d in diagonal if d)
     with patch.object(_ColumnReducer, "_interreduce", lambda red: None):
         plain = chain._reduce(stream, nrows)
@@ -294,6 +315,8 @@ def test_interreduction_keeps_the_reduction(case):
     assert red.interreduced == len(unit)
     for r in unit:
         assert not any(k in unit for k in red.pivots[r] if k != r)
+    # last: the invariant factors finish the interreduction of the stream
+    assert sorted(chain._pivot_invariant_factors(red)) == sorted(d for d in diagonal if d)
 
 
 # random images of 1 to 12 points anywhere in [-50, 50]^n, n = 1..4
