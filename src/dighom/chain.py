@@ -19,11 +19,14 @@ Two reduction routines coexist on purpose:
   these k columns goes through the same column reducer, which leaves a
   k x k block for the dense routine whatever the number of rows.
 
-Homology reduces the boundaries of a complex from the top degree down and
-clears as it goes (the "twist" of Chen and Kerber): d_q skips the columns at
-the unit pivot rows of d_{q+1}, which would only reduce to zero.  The top
-boundary d_{top+1}, reduced after d_top, stops once it saturates ker d_top,
-so its columns may come from a lazy stream that is never stored.
+Homology of the degrees lo..top is one pass from the top degree down, with
+nothing kept between calls: homology(C, q) is the window [q, q] and
+homology_through(C, top) the window [0, top].  d_top is reduced first, in
+full.  The top boundary d_{top+1} then stops once it saturates ker d_top, so
+its columns may come from a lazy stream that is never stored.  Each d_q
+below is cleared by the one above (the "twist" of Chen and Kerber): it skips
+the columns at the unit pivot rows of d_{q+1}, which would only reduce to
+zero.
 
 A stream that cannot saturate (H_top != 0) is read to the end, and most of
 its columns only reduce to zero, each through a cascade of pivot steps.
@@ -133,6 +136,9 @@ class SparseIntMatrix:
 
     @classmethod
     def from_dense(cls, rows, nrows=None, ncols=None):
+        """The matrix with these dense rows, zero rows below them up to nrows.
+        Every row has ncols entries, by default as many as the first row (0
+        with no rows), and every entry is an int, zeros included."""
         rows = [list(r) for r in rows]
         if nrows is None:
             nrows = len(rows)
@@ -143,6 +149,8 @@ class SparseIntMatrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
+                if type(v) is not int:
+                    raise ValueError(f"matrix entry {v!r} is not an int")
                 if v:
                     cols[j][i] = v
         return cls(nrows, ncols, cols)
@@ -300,24 +308,16 @@ class SNFResult:
 def smith_normal_form(M, ncols=None):
     """Certified Smith normal form of a dense or sparse integer matrix.
 
-    Accepts a SparseIntMatrix or a list of dense rows of equal length; ncols
-    is the column count of a dense matrix with no rows, 0 if not given.
+    Accepts a SparseIntMatrix or dense rows, read by
+    SparseIntMatrix.from_dense(M, ncols=ncols): ncols, if given, is the
+    length of every row and the column count of a matrix with no rows.
     Returns SNFResult with U*M*V == S rechecked against the original input;
     a failed recheck raises RuntimeError rather than returning silently.
     """
-    if isinstance(M, SparseIntMatrix):
-        orig = M.to_dense()
-        m, n = M.nrows, M.ncols
-    else:
-        orig = [list(r) for r in M]
-        m = len(orig)
-        n = len(orig[0]) if orig else (0 if ncols is None else ncols)
-        for row in orig:
-            if len(row) != n:
-                raise ValueError("ragged rows")
-            for v in row:
-                if type(v) is not int:
-                    raise ValueError(f"matrix entry {v!r} is not an int")
+    if not isinstance(M, SparseIntMatrix):
+        M = SparseIntMatrix.from_dense(M, ncols=ncols)
+    orig = M.to_dense()
+    m, n = M.nrows, M.ncols
     S = [row[:] for row in orig]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -626,7 +626,7 @@ class ChainComplex:
     zero, as are their boundary maps.
     """
 
-    __slots__ = ("bases", "boundaries", "_indexes", "_hom_cache", "_is_complex")
+    __slots__ = ("bases", "boundaries", "_indexes", "_is_complex")
 
     def __init__(self, bases, boundaries):
         bases = tuple(tuple(b) for b in bases)
@@ -647,7 +647,6 @@ class ChainComplex:
             for q, M in enumerate(boundaries, start=1)
         )
         self._indexes = {}
-        self._hom_cache = {}
         self._is_complex = None
 
     @property
@@ -704,39 +703,6 @@ class ChainComplex:
         sizes = ", ".join(str(len(b)) for b in self.bases)
         return f"ChainComplex(sizes=[{sizes}])"
 
-    def _reduction(self, q, columns=None):
-        """(rank, invariant_factors, unit_rows) of d_q, cached.
-
-        unit_rows are the pivot rows with pivot entry 1.  Given columns are
-        those of a d_q beyond the complex, possibly lazy: a sample is checked
-        to be cycles, and the result is not cached.  Once is_complex() holds,
-        two shortcuts keep the rank and the invariant factors.  Clearing: if
-        d_{q+1} is already reduced, d_q skips the columns at its unit rows;
-        such a pivot column p lies in im d_{q+1}, has entry 1 at its minimal
-        row j and d_q p = 0, so column j is a combination of later columns.
-        Saturation: if d_{q-1} is already reduced, the reduction stops once
-        its rank is dim ker d_{q-1} with unit pivots, as a direct summand of
-        full rank in ker d_{q-1} is all of it and no column can change it.
-        """
-        if q in self._hom_cache:
-            return self._hom_cache[q]
-        nrows = len(self.basis(q - 1))
-        if columns is not None:
-            columns = _sampled_cycles(columns, self.boundary_matrix(q - 1).columns)
-        else:
-            columns = self.boundary_matrix(q).columns
-            above = self._hom_cache.get(q + 1)
-            if above and self._is_complex:
-                columns = [c for j, c in enumerate(columns) if j not in above[2]]
-        below = self._hom_cache.get(q - 1)
-        kernel_dim = nrows - below[0] if below and self._is_complex else None
-        red = _reduce(columns, nrows, kernel_dim)
-        unit_rows = {r for r, p in red.pivots.items() if p[r] == 1}
-        out = (red.rank, _pivot_invariant_factors(red), unit_rows)
-        if q <= self.max_degree:
-            self._hom_cache[q] = out
-        return out
-
 
 def _sampled_cycles(columns, d):
     """The columns, passed through; the first 64 and every 1024th after must
@@ -747,44 +713,59 @@ def _sampled_cycles(columns, d):
         yield col
 
 
-def _homology(C, q, columns_in=None):
-    """homology(C, q), with the columns of d_{q+1} read from columns_in if
-    given: a lazy stream of a degree beyond C, rows as in C.basis(q)."""
-    if q < 0:
+def _homology(C, lo, top, columns_in=None):
+    """[H_lo, ..., H_top] of C in one pass from the top degree down, with the
+    columns of d_{top+1} read from columns_in if given: a lazy stream of a
+    degree beyond C, rows as in C.basis(top), sampled to be cycles.
+
+    Once is_complex() holds, d_top is reduced in full, and d_{top+1} stops
+    once its rank is dim ker d_top with unit pivots, as a direct summand of
+    full rank in ker d_top is all of it.  Each d_q below skips the columns at
+    the unit pivot rows of d_{q+1}: such a pivot column p lies in im d_{q+1},
+    has entry 1 at its minimal row j and d_q p = 0, so column j of d_q is a
+    combination of later columns.
+    """
+    if lo < 0:
         raise ValueError("degree must be nonnegative")
     if not C.is_complex():
         raise NotAComplex("boundary composed with boundary is nonzero")
-    n_q = len(C.basis(q))
-    if n_q == 0:
-        return ZERO_GROUP
-    rank_out, _, _ = C._reduction(q)
-    rank_in, factors_in, _ = C._reduction(q + 1, columns_in)
-    free = n_q - rank_out - rank_in
-    if free < 0:
-        raise RuntimeError("negative free rank: broken reduction")
-    torsion = tuple(t for t in factors_in if t > 1)
-    return FGAbelianGroup(free, torsion)
+    d, n = C.boundary_matrix(top).columns, len(C.basis(top))
+    below = _reduce(d, len(C.basis(top - 1)))
+    columns = (C.boundary_matrix(top + 1).columns if columns_in is None
+               else _sampled_cycles(columns_in, d))
+    above = _reduce(columns, n, n - below.rank)
+    groups = []
+    for q in range(top, lo - 1, -1):
+        if q < top:  # clear d_q by the unit pivots of d_{q+1}
+            above = below
+            unit = {r for r, p in above.pivots.items() if p[r] == 1}
+            columns = [c for j, c in enumerate(C.boundary_matrix(q).columns) if j not in unit]
+            below = _reduce(columns, len(C.basis(q - 1)))
+        free = len(C.basis(q)) - below.rank - above.rank
+        if free < 0:
+            raise RuntimeError("negative free rank: broken reduction")
+        torsion = tuple(t for t in _pivot_invariant_factors(above) if t > 1)
+        groups.append(FGAbelianGroup(free, torsion))
+    return groups[::-1]
 
 
 def homology(C, q):
     """H_q of the complex as an FGAbelianGroup.
 
     rank H_q = dim C_q - rank d_q - rank d_{q+1}; torsion comes from the
-    invariant factors of d_{q+1} that exceed 1.  The reductions are cached
-    on C.  d_q is reduced first, so d_{q+1} stops once it saturates ker d_q.
+    invariant factors of d_{q+1} that exceed 1.  d_q is reduced first, so
+    d_{q+1} stops once it saturates ker d_q.
     """
-    return _homology(C, q)
+    return _homology(C, q, q)[0]
 
 
 def homology_through(C, top):
     """[H_0, ..., H_top]; degrees beyond the complex are zero groups.
 
-    The groups are computed from the top degree down, so d_{top+1} stops at
-    saturation and every boundary below it is cleared by the one above.
+    One pass from the top degree down: d_{top+1} stops at saturation and
+    every boundary below d_top is cleared by the one above.
     """
-    groups = [homology(C, q) for q in range(top, -1, -1)]
-    groups.reverse()
-    return groups
+    return _homology(C, 0, top)
 
 
 def quotient_complex(C, sub_labels):
@@ -858,7 +839,11 @@ def _as_matrix(M, nrows, ncols, what):
     """M as a SparseIntMatrix, read from dense rows if need be, checked to be
     nrows x ncols; what names M in the ShapeMismatch."""
     if not isinstance(M, SparseIntMatrix):
-        M = SparseIntMatrix.from_dense(M, nrows=nrows, ncols=ncols)
-    if M.nrows != nrows or M.ncols != ncols:
+        rows = [list(r) for r in M]
+        if len(rows) != nrows or any(len(r) != ncols for r in rows):
+            raise ShapeMismatch(f"{what} has {len(rows)} rows of lengths "
+                                f"{sorted({len(r) for r in rows})}, expected {nrows}x{ncols}")
+        M = SparseIntMatrix.from_dense(rows, ncols=ncols)
+    elif M.nrows != nrows or M.ncols != ncols:
         raise ShapeMismatch(f"{what} is {M.nrows}x{M.ncols}, expected {nrows}x{ncols}")
     return M

@@ -156,15 +156,10 @@ def closed_neighborhood(X, xs):
 
 
 def open_neighborhood(X, xs):
-    """Like closed_neighborhood but with the points themselves excluded."""
+    """Like closed_neighborhood but with the points themselves excluded: y
+    lies in every N[p] and equals no p exactly when it lies in every N(p)."""
     pts = _require_in(X, xs)
-    if not pts:
-        raise ValueError("xs must be nonempty")
-    common = None
-    for p in pts:
-        nb = set(X.neighbors(p))
-        common = nb if common is None else common & nb
-    return common
+    return closed_neighborhood(X, pts) - set(pts)
 
 
 def components(X):

@@ -658,13 +658,14 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
 def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     """[H_0, ..., H_max_q] of the normalized singular complex.
 
-    Degrees 0..max_q are materialized.  The boundary columns of degree
-    max_q+1 are streamed, round-robin over the front faces of their cubes
-    (see _enumerate_interleaved), into the top-boundary reduction of
-    chain.py, which stops reading them once their span saturates the cycles
-    of degree max_q; those cubes are never stored.
+    Degrees 0..max_q are materialized, and one top-down pass of chain.py
+    computes every group.  The boundary columns of degree max_q+1 are
+    streamed into it, round-robin over the front faces of their cubes (see
+    _enumerate_interleaved), and it stops reading them once their span
+    saturates the cycles of degree max_q; those cubes are never stored.
     If the enumeration budget is exhausted at degree j, every group needing
-    that degree (q >= j-1) comes back as None instead of a group.
+    that degree (q >= j-1) comes back as None instead of a group, and the
+    groups below come from a pass through degree j-2.
     """
     if max_q < 0:
         raise ValueError("max_q must be nonnegative")
@@ -683,8 +684,7 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     if m:
         mats[m - 1].columns = [mats[m - 1].columns[r] for r in order]
     trunc = ChainComplex(keys, mats)
-    top = None  # H_m needs degree m+1, which may be over budget
-    if err is None:
+    if err is None:  # H_m needs degree m+1, which may be over budget
         columns = ()
         if keys[m]:  # else degree m+1 is empty too: build no 2^(m+1) tables
             fmaps = _signed_face_maps(m + 1)
@@ -692,7 +692,7 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
             columns = (_boundary_column(k, fmaps, rowindex)
                        for k in _enumerate_interleaved(X, m + 1, budget))
         try:
-            top = _homology(trunc, m, columns)
+            return _homology(trunc, 0, m, columns) + [None] * (max_q - m)
         except BudgetExceeded:
             pass
-    return homology_through(trunc, m - 1) + [top] + [None] * (max_q - m)
+    return homology_through(trunc, m - 1) + [None] * (max_q - m + 1)

@@ -86,15 +86,17 @@ def test_sparse_matrix_rejects_bad_entries():
             SparseIntMatrix(*dims, [{0: 1}])
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, 0.0])
 @pytest.mark.parametrize("entry_point", [
     lambda v: SparseIntMatrix(1, 1, [{0: v}]),
     lambda v: smith_normal_form([[v, 2]]),
     lambda v: rank_and_invariant_factors([{0: v}], 2),
-], ids=["SparseIntMatrix", "smith_normal_form", "rank_and_invariant_factors"])
+    lambda v: SparseIntMatrix.from_dense([[v, 2]]),
+], ids=["SparseIntMatrix", "smith_normal_form", "rank_and_invariant_factors", "from_dense"])
 def test_non_integer_entries_are_refused(entry_point, bad):
     # a float or a bool would pass through the arithmetic and come back as
-    # a factor such as 1.5 or True
+    # a factor such as 1.5 or True; a zero-valued one such as 0.0 was
+    # dropped silently by from_dense
     with pytest.raises(ValueError, match="not an int"):
         entry_point(bad)
 
@@ -199,11 +201,16 @@ def test_snf_zero_and_empty():
     assert smith_normal_form([[], []], ncols=0).rank == 0
 
 
-@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [3, 4]]])
-def test_snf_refuses_ragged_rows(rows):
-    # these raised IndexError and a false certification failure
+@pytest.mark.parametrize("rows, ncols", [
+    pytest.param([[1, 2], [3]], None, id="rows0"),
+    pytest.param([[1], [3, 4]], None, id="rows1"),
+    pytest.param([[1, 2]], 3, id="short_of_ncols"),
+])
+def test_snf_refuses_ragged_rows(rows, ncols):
+    # the first two raised IndexError and a false certification failure; a
+    # row shorter than ncols gave a 1x2 result for a 1x3 matrix
     with pytest.raises(ValueError, match="ragged rows"):
-        smith_normal_form(rows)
+        smith_normal_form(rows, ncols=ncols)
 
 
 def test_snf_matches_minors_oracle_small():
@@ -330,6 +337,14 @@ def test_complex_validation():
             bases=[("a",), ("e",)],
             boundaries=[SparseIntMatrix.zeros(2, 1)],
         )
+    # dense boundaries with too few rows (once padded with zero rows), too
+    # many rows, rows of the wrong length, and ragged rows
+    for rows in [[[1]], [[1], [1], [1]], [[1, 1], [1, 1]], [[1], [1, 1]]]:
+        with pytest.raises(ShapeMismatch, match="expected 2x1"):
+            ChainComplex(bases=[("a", "b"), ("e",)], boundaries=[rows])
+    assert ChainComplex(bases=[(), ("e",)], boundaries=[[]]).boundaries[0].ncols == 1
+    M = ChainComplex(bases=[("a", "b"), ()], boundaries=[[[], []]]).boundaries[0]
+    assert (M.nrows, M.ncols) == (2, 0)
 
 
 def test_boundary_of_chain():
@@ -472,7 +487,7 @@ def test_interreduction_keeps_the_torsion_of_a_stream(monkeypatch):
     padding = [{0: 1, 3: 1}, {0: 1, 3: -1}, {0: 2, 3: 2}, {0: -1, 3: 1}, {0: 3, 3: 1},
                {1: 1, 3: -1}]
     interreductions = recording_interreductions(monkeypatch)
-    assert chain._homology(C, 1, iter(path + padding)) == FGAbelianGroup(1, (2,))
+    assert chain._homology(C, 1, 1, iter(path + padding)) == [FGAbelianGroup(1, (2,))]
     assert interreductions == [(4, 1)]
 
 
@@ -521,10 +536,10 @@ def test_streamed_columns_are_checked_to_be_cycles():
     # every 1024th are multiplied out, and e alone has boundary b - a
     C = circle_complex()
     with pytest.raises(NotAComplex):
-        chain._homology(C, 1, iter([{0: 1}]))
+        chain._homology(C, 1, 1, iter([{0: 1}]))
     with pytest.raises(NotAComplex):
-        chain._homology(C, 1, iter([{}] * 1023 + [{0: 1}]))
-    assert chain._homology(C, 1, iter([{}] * 1023 + [{0: 1, 1: 1}])) == ZERO_GROUP
+        chain._homology(C, 1, 1, iter([{}] * 1023 + [{0: 1}]))
+    assert chain._homology(C, 1, 1, iter([{}] * 1023 + [{0: 1, 1: 1}])) == [ZERO_GROUP]
 
 
 def test_homology_point():
@@ -636,3 +651,9 @@ def test_verify_chain_map_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         verify_chain_map([SparseIntMatrix.identity(3),
                           SparseIntMatrix.identity(2)], C, C)
+    # dense maps of the wrong row count or row length; [[[1]]] raised
+    # ValueError("ragged rows")
+    for rows in [[[1]], [[1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0]]]:
+        with pytest.raises(ShapeMismatch, match=r"phi\[0\].*expected 2x2"):
+            verify_chain_map([rows], C, C)
+    assert verify_chain_map([[[1, 0], [0, 1]], [[1, 0], [0, 1]]], C, C)

@@ -113,6 +113,8 @@ def test_neighborhood_of_several_points_is_intersection():
     # closed neighborhoods: N*[(0,0)] = {00,01,10}, N*[(1,1)] = {11,01,10}
     assert closed_neighborhood(X, [(0, 0), (1, 1)]) == {(0, 1), (1, 0)}
     assert open_neighborhood(X, [(0, 0), (1, 1)]) == {(0, 1), (1, 0)}
+    # an iterator of points is read once
+    assert open_neighborhood(X, iter([(0, 0), (1, 1)])) == {(0, 1), (1, 0)}
 
 
 def test_neighborhood_errors():
@@ -121,6 +123,8 @@ def test_neighborhood_errors():
         closed_neighborhood(X, [])
     with pytest.raises(PointNotInImage):
         open_neighborhood(X, [(9, 9)])
+    with pytest.raises(ValueError, match="xs must be nonempty"):
+        open_neighborhood(X, [])
 
 
 # --- components --------------------------------------------------------------

@@ -47,6 +47,7 @@ from dighom import (
     dimension,
     enumerate_elementary_cubes,
     enumerate_singular_cubes,
+    homology,
     homology_through,
     load_image,
     quotient_complex,
@@ -98,7 +99,10 @@ def reference_homology(C):
 @given(IMAGES)
 def test_clearing_keeps_the_groups(X):
     for C in (build_c1_complex(X).complex, build_singular_complex(X, 1)):
-        assert homology_through(C, C.max_degree) == reference_homology(C)
+        reference = reference_homology(C)
+        assert homology_through(C, C.max_degree) == reference
+        # one degree at a time: d_q in full, d_{q+1} up to saturation
+        assert [homology(C, q) for q in range(C.max_degree + 1)] == reference
 
 
 # random images in 1D, 2D (3x3), 3D (2x2x2) and 4D (2x2x2x2) boxes
