@@ -136,12 +136,13 @@ class SparseIntMatrix:
 
     @classmethod
     def from_dense(cls, rows, nrows=None, ncols=None):
-        """The matrix with these dense rows, zero rows below them up to nrows.
-        Every row has ncols entries, by default as many as the first row (0
-        with no rows), and every entry is an int, zeros included."""
+        """The matrix with these dense rows, zero rows below them up to nrows
+        (no fewer).  Every row has ncols entries, by default as many as the
+        first row (0 with no rows), and every entry is an int, zeros included."""
         rows = [list(r) for r in rows]
-        if nrows is None:
-            nrows = len(rows)
+        nrows = len(rows) if nrows is None else nrows
+        if type(nrows) is int and len(rows) > nrows:  # other nrows fail in __init__
+            raise ValueError(f"{len(rows)} rows exceed nrows={nrows}")
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         cols = [{} for _ in range(ncols)]
@@ -442,7 +443,7 @@ class _ColumnReducer:
     """Incremental integer column echelonization.
 
     Each incoming column is reduced against the stored pivot columns (keyed by
-    their minimal nonzero row).  Only unimodular 2-column operations are used,
+    their maximal nonzero row).  Only unimodular 2-column operations are used,
     so the column span over Z, hence rank and invariant factors, is preserved.
     add() returns True when the column extended the span.
 
@@ -463,9 +464,9 @@ class _ColumnReducer:
     interreduction, and some unit pivot is not yet interreduced, the unit
     pivots are interreduced.  That costs about as much as reducing rank
     columns, paid after at least rank slow ones; columns that reduce without
-    cascades never pay it.  Interreduction only subtracts multiples of later
-    unit pivots, so it is unimodular and leaves the span, the pivot rows and
-    the pivot entries as they were.
+    cascades never pay it.  Interreduction only subtracts multiples of
+    earlier unit pivots, so it is unimodular and leaves the span, the pivot
+    rows and the pivot entries as they were.
     """
 
     __slots__ = ("pivots", "nonunit", "interreduced", "slow")
@@ -486,7 +487,7 @@ class _ColumnReducer:
         pivots = self.pivots
         steps = -len(col)  # pivot steps beyond the entries: > 0 when slow
         while col:
-            r = min(col)
+            r = max(col)
             p = pivots.get(r)
             if p is None:
                 if col[r] < 0:
@@ -535,14 +536,14 @@ class _ColumnReducer:
     def _interreduce(self):
         """Make every unit pivot zero at every other unit pivot row.
 
-        From the highest row down: the entries of p_r at unit rows k > r are
+        From the lowest index up: the entries of p_r at unit rows k < r are
         taken out with the already interreduced p_k, which adds none at the
         other unit rows.  Unit pivots never change in add(), so they stay
         interreduced; nonunit pivots are left alone.
         """
         pivots = self.pivots
         unit = {r for r, p in pivots.items() if p[r] == 1}
-        for r in sorted(unit, reverse=True):
+        for r in sorted(unit):
             col = pivots[r]
             for k, m in [(k, v) for k, v in col.items() if k in unit and k != r]:
                 for i, v in pivots[k].items():
@@ -722,8 +723,8 @@ def _homology(C, lo, top, columns_in=None):
     once its rank is dim ker d_top with unit pivots, as a direct summand of
     full rank in ker d_top is all of it.  Each d_q below skips the columns at
     the unit pivot rows of d_{q+1}: such a pivot column p lies in im d_{q+1},
-    has entry 1 at its minimal row j and d_q p = 0, so column j of d_q is a
-    combination of later columns.
+    has entry 1 at its maximal row j and d_q p = 0, so column j of d_q is a
+    combination of earlier columns.
     """
     if lo < 0:
         raise ValueError("degree must be nonnegative")

@@ -490,7 +490,8 @@ def load_point_map(path, domain, codomain):
                 and all(isinstance(p, list) for p in item)):
             raise ParseError(f"pair {item!r} must be [[x...],[y...]]")
         x, y = _as_point(item[0]), _as_point(item[1])
-        if x in table and table[x] != y:
-            raise ParseError(f"conflicting images for {x}")
+        if x in table:
+            raise ParseError(f"conflicting images for {x}" if table[x] != y
+                             else f"duplicate pair for {x}")
         table[x] = y
     return PointMap(domain, codomain, table)

@@ -15,13 +15,13 @@ Enumeration of all nondegenerate q-cubes is a depth-first search over corner
 tables in lexicographic order, pruned by the common closed neighborhood of the
 already-assigned one-bit predecessors of each corner.  A budget caps the
 number of nondegenerate cubes produced.  Bases are listed in that lex order,
-with two exceptions.  The top degree of a materialized complex comes
+with one exception: the top degree of a materialized complex comes
 round-robin from the search subtrees of its front faces t_q = 0, so that the
-reduction of its boundary saturates the cycles below early.  The top degree
-of singular_homology is in descending colex order; the degree above it is
-streamed in that round-robin order without materializing cubes, and its
-boundary columns go lazily to the top-boundary reduction of chain.py, which
-stops once their span saturates the cycles below.
+reduction of its boundary saturates the cycles below early.  The degree above
+the top of singular_homology is streamed in that same round-robin order
+without materializing cubes, and its boundary columns go lazily to the
+top-boundary reduction of chain.py, which stops once their span saturates
+the cycles below.
 """
 
 from __future__ import annotations
@@ -175,10 +175,10 @@ def boundary(sigma):
     The coefficient of the front face in direction i is (-1)^i, of the back
     face -(-1)^i.  Coinciding faces merge, possibly to zero.
     """
-    fmaps = _signed_face_maps(sigma.q)
-    faces = [SingularCube(sigma.q - 1, get(sigma.corners)) for get, _ in fmaps]
-    rows = {f.corners: f for f in faces if not is_degenerate(f)}
-    return Chain(sigma.q - 1, _boundary_column(sigma.corners, fmaps, rows))
+    faces = (get(sigma.corners) for get, _ in _signed_face_maps(sigma.q))
+    rows = [f for f in faces if not is_degenerate(SingularCube(sigma.q - 1, f))]
+    (col,) = _boundary_columns([sigma.corners], rows)
+    return Chain(sigma.q - 1, {SingularCube(sigma.q - 1, rows[r]): v for r, v in col.items()})
 
 
 # --- coordinate operators ---------------------------------------------------
@@ -583,22 +583,26 @@ def _signed_face_maps(q):
     return tuple(out)
 
 
-def _boundary_column(key, fmaps, rowindex):
-    """Sparse boundary column of the cube with this key over rowindex.
-
-    Faces missing from rowindex are degenerate, dropped by normalization.
-    """
-    col = {}
-    for get, sgn in fmaps:
-        r = rowindex.get(get(key))
-        if r is None:
-            continue
-        v = col.get(r, 0) + sgn
-        if v:
-            col[r] = v
-        else:
-            del col[r]
-    return col
+def _boundary_columns(keys, rows):
+    """The boundary column of each cube key in keys, lazily, row r being the
+    face key rows[r]; faces not in rows are degenerate and dropped.  The face
+    maps, tables of 2^q corners, are looked up only once a key arrives."""
+    rowindex = {k: r for r, k in enumerate(rows)}
+    fmaps = None
+    for key in keys:
+        if fmaps is None:
+            fmaps = _signed_face_maps(len(key).bit_length() - 1)
+        col = {}
+        for get, sgn in fmaps:
+            r = rowindex.get(get(key))
+            if r is None:
+                continue
+            v = col.get(r, 0) + sgn
+            if v:
+                col[r] = v
+            else:
+                del col[r]
+        yield col
 
 
 def _materialize(X, top, budget):
@@ -607,9 +611,10 @@ def _materialize(X, top, budget):
 
     keys[q] lists the q-cube keys in lex order, but those of degree top >= 1
     round-robin by front face (see _enumerate_interleaved), so a reduction of
-    its boundary saturates early; mats[q-1] is the boundary of degree q over
-    them, and err is the BudgetExceeded that cut keys short, or None when
-    every degree fit.
+    its boundary saturates early, as columns here and as rows of the degree
+    singular_homology streams above it.  mats[q-1] is the boundary of degree
+    q over them, and err is the BudgetExceeded that cut keys short, or None
+    when every degree fit.
     """
     keys = []
     mats = []
@@ -620,10 +625,8 @@ def _materialize(X, top, budget):
         except BudgetExceeded as e:
             return keys, mats, e
         if q:
-            fmaps = _signed_face_maps(q) if kq else ()
-            rowindex = {k: r for r, k in enumerate(keys[-1])}
-            cols = [_boundary_column(k, fmaps, rowindex) for k in kq]
-            mats.append(SparseIntMatrix(len(keys[-1]), len(kq), cols))
+            mats.append(SparseIntMatrix(len(keys[-1]), len(kq),
+                                        _boundary_columns(kq, keys[-1])))
         keys.append(kq)
     return keys, mats, None
 
@@ -673,24 +676,9 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     m = len(keys) - 1  # top materialized degree
     if m < 0:
         return [None] * (max_q + 1)
-    # degree m is listed in descending colex order (keys compared from their
-    # last corner), so the reducer pivots on the colex-greatest face of a
-    # streamed column; on the interleaved stream this keeps the reductions
-    # short (measured against lex row order: the 2,651 columns of square to
-    # q=3 reduce about 100 times faster, the first 8,000 of shell to q=3
-    # about 500 times faster)
-    order = sorted(range(len(keys[m])), key=lambda r: keys[m][r][::-1], reverse=True)
-    keys[m] = [keys[m][r] for r in order]
-    if m:
-        mats[m - 1].columns = [mats[m - 1].columns[r] for r in order]
     trunc = ChainComplex(keys, mats)
     if err is None:  # H_m needs degree m+1, which may be over budget
-        columns = ()
-        if keys[m]:  # else degree m+1 is empty too: build no 2^(m+1) tables
-            fmaps = _signed_face_maps(m + 1)
-            rowindex = {k: r for r, k in enumerate(keys[m])}
-            columns = (_boundary_column(k, fmaps, rowindex)
-                       for k in _enumerate_interleaved(X, m + 1, budget))
+        columns = _boundary_columns(_enumerate_interleaved(X, m + 1, budget), keys[m])
         try:
             return _homology(trunc, 0, m, columns) + [None] * (max_q - m)
         except BudgetExceeded:

@@ -69,6 +69,11 @@ def test_sparse_matrix_from_dense_empty_shapes():
     M = SparseIntMatrix.from_dense([[], []], nrows=2, ncols=0)
     assert (M.nrows, M.ncols) == (2, 0)
     assert M.is_zero()
+    # rows beyond nrows are refused, zero or not; missing rows are zero rows
+    for rows in ([[0], [0]], [[1], [1]]):
+        with pytest.raises(ValueError, match="2 rows exceed nrows=1"):
+            SparseIntMatrix.from_dense(rows, nrows=1)
+    assert SparseIntMatrix.from_dense([[1]], nrows=3).to_dense() == [[1], [0], [0]]
 
 
 def test_sparse_matrix_rejects_bad_entries():
@@ -279,11 +284,17 @@ def test_nonunit_columns_over_many_rows_leave_a_small_dense_block(monkeypatch):
     assert blocks and all(m <= 2 and n <= 2 for m, n in blocks)
 
 
+def test_reducer_pivots_on_the_lowest_row():
+    # each pivot is keyed by the largest row of its column: the second
+    # column meets the first at row 2 and keeps its new pivot at row 1
+    assert chain._reduce([{0: 1, 2: 1}, {1: 1, 2: 1}], 3).pivots.keys() == {1, 2}
+
+
 def test_unit_pivots_are_interreduced_before_they_clear_the_others():
-    # the unit pivot e1 + e2 is not zero at the unit row 2; clearing the
-    # pivot 2e0 + e1 + e2 with it and with e2 as they stand would leave
-    # 2e0 - e2, whose factor is 1, instead of 2e0
-    cols = [{0: 2, 1: 1, 2: 1}, {1: 1, 2: 1}, {2: 1}]
+    # the unit pivot e1 + e0 is not zero at the unit row 0; clearing the
+    # pivot 2e2 + e1 + e0 with it and with e0 as they stand would leave
+    # 2e2 - e0, whose factor is 1, instead of 2e2
+    cols = [{2: 2, 1: 1, 0: 1}, {1: 1, 0: 1}, {0: 1}]
     assert rank_and_invariant_factors(cols, 3) == (3, (1, 1, 2))
 
 
@@ -390,8 +401,8 @@ def test_homology_through_checks_the_complex_once(monkeypatch):
 
 
 def test_nonunit_pivot_clears_nothing():
-    # d2 reduces to one pivot of entry 3 at row a; clearing column a of d1
-    # on it would leave d1 = [[3]] and give H_0 = Z/3
+    # d2 reduces to one pivot of entry 2 at row b; clearing column b of d1
+    # on it would leave d1 = [[2]] and give H_0 = Z/2
     C = ChainComplex(
         bases=[("v",), ("a", "b"), ("f",)],
         boundaries=[
@@ -450,7 +461,8 @@ def recording_interreductions(monkeypatch):
 def test_unsaturating_stream_is_interreduced_and_read_to_the_end(monkeypatch):
     # H_2 = Z, so the streamed degree 3 never spans ker d_2: after its last
     # pivot, at rank 1128, its columns only reduce to zero; the materialized
-    # d_2 (rank 71) and the stream each interreduce once
+    # d_2 (rank 71) interreduces once, before its last pivot, and the stream
+    # once
     read = []
     reduce = chain._reduce
 
@@ -472,15 +484,15 @@ def test_unsaturating_stream_is_interreduced_and_read_to_the_end(monkeypatch):
     assert singular_homology(helpers.shell(), 2) == [
         FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
     assert 77616 in read
-    assert interreductions == [(71, 0), (1128, 0)]
+    assert interreductions == [(70, 0), (1128, 0)]
 
 
 def test_interreduction_keeps_the_torsion_of_a_stream(monkeypatch):
-    # five loops at one vertex; the stream spans the path p0, p1, p2 (unit
-    # pivots at rows 0, 1, 2) and the pivot 2 at row 3, so H_1 = Z + Z/2.
-    # Each padding column has two entries but telescopes down the path in
+    # five loops at one vertex; the stream spans the path p1, p2, p3 (unit
+    # pivots at rows 1, 2, 3) and the pivot 2 at row 0, so H_1 = Z + Z/2.
+    # Each padding column has two entries but telescopes up the path in
     # three or four pivot steps; after five of them the unit pivots are
-    # interreduced, and the last column then takes one step.
+    # interreduced, and the last column then takes one step per entry.
     C = ChainComplex(bases=[("v",), ("e0", "e1", "e2", "e3", "e4")],
                      boundaries=[SparseIntMatrix.zeros(1, 5)])
     path = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {3: 2}]

@@ -329,6 +329,7 @@ def test_induced_malformed_map(run, tmp_path):
     {"pairs": 5},
     {"pairs": [[0, 1]]},
     {"pairs": [[[0], 1]]},
+    {"pairs": [[[0], [0]], [[0], [0]], [[1], [1]]]},  # a domain point given twice
 ])
 def test_induced_map_of_the_wrong_shape(run, tmp_path, doc):
     edge = write_image(tmp_path, "edge.json", helpers.edge())

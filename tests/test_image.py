@@ -385,6 +385,17 @@ def test_load_point_map_conflicting_pairs(tmp_path):
         load_point_map(str(p), X, Y)
 
 
+def test_load_point_map_repeated_pair(tmp_path):
+    # a domain point given twice is refused even with the same image; the
+    # message tells the two cases apart
+    X, Y = helpers.edge(), helpers.path3()
+    p = tmp_path / "map.json"
+    for second, message in (([0], "duplicate pair for"), ([1], "conflicting images for")):
+        p.write_text(json.dumps({"pairs": [[[0], [0]], [[0], second], [[1], [1]]]}))
+        with pytest.raises(ParseError, match=message + r" \(0,\)"):
+            load_point_map(str(p), X, Y)
+
+
 def test_load_point_map_bad_payload(tmp_path):
     X, Y = helpers.edge(), helpers.path3()
     p = tmp_path / "map.json"
