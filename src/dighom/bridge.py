@@ -66,7 +66,7 @@ def beta_matrices(X, max_q, budget=DEFAULT_BUDGET):
         for key in sing.basis(q):
             b = _beta_key(key, pts)
             cols.append({} if b is None else {yindex[b[1]]: b[0]})
-        mats.append(SparseIntMatrix(len(yindex), len(cols), cols))
+        mats.append(SparseIntMatrix._trusted(len(yindex), len(cols), cols))
     return BetaMatrix(tuple(mats), sing, elem)
 
 

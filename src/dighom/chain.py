@@ -38,6 +38,22 @@ step per entry.  These are unimodular column operations that keep every
 pivot row and pivot entry, so the result stays exact and clearing and
 saturation keep their meaning.
 
+Once the pivots of d_{top+1} are all units and interreduced, with span S of
+rank r, a cheaper test replaces most of that reduction.  Let t = dim ker
+d_top - r and N the nonpivot rows; the witness rows J are the t indices k in
+N whose column d_top[k] depends on those at earlier indices in N.  A later
+cycle c lies in S exactly when its residual c - sum c[r] p_r, over its
+entries at pivot rows r, is zero at J, which costs t lookups per entry of c
+instead of a cascade.  The test is exact: the residual is a cycle that is
+zero at every pivot row, the cycles supported on N have dimension t, and
+the columns of d_top at N minus J are independent, so such a cycle that is
+zero at J is zero; and S, with unit pivots, is saturated, so a column in S
+over Q is in S over Z.  Saturation is the case t = 0, J empty.  A column
+with a nonzero residual becomes a new pivot, and J waits for the next
+interreduction.  Like saturation, the test takes the streamed columns to be
+cycles; a pivot that is not one can leave more than t witness rows, which
+raises RuntimeError.
+
 Composites (``is_complex``, ``verify_chain_map``) are checked column by
 column with ``_apply``, the one matrix-times-column product, up to the first
 nonzero or unequal column; no product matrix is built.
@@ -96,6 +112,11 @@ def _apply(columns, col):
     return acc
 
 
+def _check_shape(nrows, ncols):
+    if not all(type(d) is int and d >= 0 for d in (nrows, ncols)):
+        raise ValueError(f"matrix dimensions {nrows!r}x{ncols!r} must be nonnegative ints")
+
+
 class SparseIntMatrix:
     """An integer matrix stored as one dict per column (row -> coefficient).
 
@@ -106,8 +127,7 @@ class SparseIntMatrix:
     __slots__ = ("nrows", "ncols", "columns")
 
     def __init__(self, nrows, ncols, columns=None):
-        if not all(type(d) is int and d >= 0 for d in (nrows, ncols)):
-            raise ValueError(f"matrix dimensions {nrows!r}x{ncols!r} must be nonnegative ints")
+        _check_shape(nrows, ncols)
         if columns is None:
             columns = [{} for _ in range(ncols)]
         else:
@@ -125,6 +145,15 @@ class SparseIntMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.columns = columns
+
+    @classmethod
+    def _trusted(cls, nrows, ncols, columns):
+        """The matrix with this list of columns, taken over unchecked and
+        uncopied: the caller has just built them, ncols dicts of nonzero int
+        entries at rows 0..nrows-1, and keeps no reference to them."""
+        M = object.__new__(cls)
+        M.nrows, M.ncols, M.columns = nrows, ncols, columns
+        return M
 
     @classmethod
     def zeros(cls, nrows, ncols):
@@ -154,7 +183,8 @@ class SparseIntMatrix:
                     raise ValueError(f"matrix entry {v!r} is not an int")
                 if v:
                     cols[j][i] = v
-        return cls(nrows, ncols, cols)
+        _check_shape(nrows, ncols)
+        return cls._trusted(nrows, ncols, cols)
 
     def to_dense(self):
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -164,12 +194,12 @@ class SparseIntMatrix:
         return out
 
     def column(self, j):
-        if not 0 <= j < self.ncols:
+        if type(j) is not int or not 0 <= j < self.ncols:
             raise IndexError(j)
         return dict(self.columns[j])
 
     def entry(self, i, j):
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+        if not (type(i) is int and 0 <= i < self.nrows and type(j) is int and 0 <= j < self.ncols):
             raise IndexError((i, j))
         return self.columns[j].get(i, 0)
 
@@ -184,7 +214,7 @@ class SparseIntMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         cols = [_apply(self.columns, c) for c in other.columns]
-        return SparseIntMatrix(self.nrows, other.ncols, cols)
+        return SparseIntMatrix._trusted(self.nrows, other.ncols, cols)
 
     def __eq__(self, other):
         if not isinstance(other, SparseIntMatrix):
@@ -467,15 +497,23 @@ class _ColumnReducer:
     cascades never pay it.  Interreduction only subtracts multiples of
     earlier unit pivots, so it is unimodular and leaves the span, the pivot
     rows and the pivot entries as they were.
+
+    Given the columns d of d_top and saturation = dim ker d_top, a reducer
+    of cycles of d_top chooses witness rows (see the module docstring) at
+    each interreduction that leaves only unit pivots; until the next new
+    pivot, spans(col) tells from them alone whether col is in the span.
     """
 
-    __slots__ = ("pivots", "nonunit", "interreduced", "slow")
+    __slots__ = ("pivots", "nonunit", "interreduced", "slow", "d", "saturation", "witness")
 
-    def __init__(self):
+    def __init__(self, d=None, saturation=None):
         self.pivots = {}  # pivot row -> column dict
         self.nonunit = 0
         self.interreduced = 0  # unit pivots at the last interreduction
         self.slow = 0  # slow zero columns since the last pivot or interreduction
+        self.d = d  # columns of d_top, when every added column is a cycle of it
+        self.saturation = saturation  # dim ker d_top
+        self.witness = None  # witness rows J while the pivots are as when chosen
 
     @property
     def rank(self):
@@ -496,6 +534,7 @@ class _ColumnReducer:
                 if col[r] != 1:
                     self.nonunit += 1
                 self.slow = 0
+                self.witness = None
                 return True
             steps += 1
             a, b = p[r], col[r]
@@ -554,6 +593,28 @@ class _ColumnReducer:
                         col.pop(i, None)
         self.interreduced = len(unit)
         self.slow = 0
+        if self.d is not None and not self.nonunit:
+            self._choose_witness()
+
+    def _choose_witness(self):
+        """The t = saturation - rank nonpivot rows j whose column d[j]
+        depends on those at earlier nonpivot rows, each with its residual as
+        a row; a pivot that is not a cycle can leave more than t of them."""
+        pivots, d = self.pivots, self.d
+        red = _ColumnReducer()
+        J = [k for k in range(len(d)) if k not in pivots and not red.add(d[k])]
+        if len(J) != self.saturation - len(pivots):
+            raise RuntimeError("witness rows do not match ker d_top: a pivot is not a cycle")
+        # j -> the residual at j as a row: c[j] - sum of c[r] * p_r[j]
+        self.witness = {j: {j: 1, **{r: -p[j] for r, p in pivots.items() if j in p}} for j in J}
+
+    def spans(self, col):
+        """True when witness rows are chosen and col, a cycle, has a zero
+        residual at each of them, which puts it in the span."""
+        if self.witness is None:
+            return False
+        return not any(sum(v * w[i] for i, v in col.items() if i in w)
+                       for w in self.witness.values())
 
 
 def _pivot_invariant_factors(red):
@@ -590,17 +651,21 @@ def _pivot_invariant_factors(red):
     return factors
 
 
-def _reduce(columns, nrows, saturation=None):
+def _reduce(columns, nrows, saturation=None, d=None):
     """A _ColumnReducer fed the columns, with row indices and int entries
     checked; it stops, leaving the rest unread, once its rank is saturation
-    with unit pivots."""
-    red = _ColumnReducer()
+    with unit pivots.  Given d, the columns of d_top whose cycles the columns
+    are and saturation = dim ker d_top, a column that the witness rows show
+    to lie in the span skips add()."""
+    red = _ColumnReducer(d, saturation)
     for col in columns:
         for r, v in col.items():
             if not 0 <= r < nrows:
                 raise ValueError(f"row index {r} outside 0..{nrows - 1}")
             if type(v) is not int:
                 raise ValueError(f"matrix entry {v!r} is not an int")
+        if red.spans(col):
+            continue
         red.add(col)
         if red.rank == saturation and not red.nonunit:
             break
@@ -734,7 +799,7 @@ def _homology(C, lo, top, columns_in=None):
     below = _reduce(d, len(C.basis(top - 1)))
     columns = (C.boundary_matrix(top + 1).columns if columns_in is None
                else _sampled_cycles(columns_in, d))
-    above = _reduce(columns, n, n - below.rank)
+    above = _reduce(columns, n, n - below.rank, d)
     groups = []
     for q in range(top, lo - 1, -1):
         if q < top:  # clear d_q by the unit pivots of d_{q+1}
@@ -814,7 +879,7 @@ def quotient_complex(C, sub_labels):
                 continue
             col = M.columns[i]
             cols.append({rmap[r]: v for r, v in col.items() if r in rmap})
-        new_mats.append(SparseIntMatrix(len(new_bases[q - 1]), len(new_bases[q]), cols))
+        new_mats.append(SparseIntMatrix._trusted(len(new_bases[q - 1]), len(new_bases[q]), cols))
     return ChainComplex(new_bases, new_mats)
 
 

@@ -214,7 +214,7 @@ def build_c1_complex(X, max_dim=None):
                 col[rows[(i, rest)]] = (-1) ** p
                 col[rows[(tr[j - 1][i], rest)]] = -(-1) ** p
             cols.append(col)
-        mats.append(SparseIntMatrix(len(rows), len(levels[q]), cols))
+        mats.append(SparseIntMatrix._trusted(len(rows), len(levels[q]), cols))
     return C1Complex(X, ChainComplex(levels, mats))
 
 
@@ -256,4 +256,4 @@ def induced_map(f, q):
             corners += [tr[j - 1][a] for a in corners]
         b = _beta_key(tuple(at[f(xpts[a])] for a in corners), ypts)
         cols.append({} if b is None else {ylevel[b[1]]: b[0]})
-    return SparseIntMatrix(len(ylevel), len(xlevel), cols)
+    return SparseIntMatrix._trusted(len(ylevel), len(xlevel), cols)

@@ -625,8 +625,8 @@ def _materialize(X, top, budget):
         except BudgetExceeded as e:
             return keys, mats, e
         if q:
-            mats.append(SparseIntMatrix(len(keys[-1]), len(kq),
-                                        _boundary_columns(kq, keys[-1])))
+            mats.append(SparseIntMatrix._trusted(len(keys[-1]), len(kq),
+                                                 list(_boundary_columns(kq, keys[-1]))))
         keys.append(kq)
     return keys, mats, None
 

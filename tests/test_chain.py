@@ -64,6 +64,18 @@ def test_sparse_matrix_roundtrip_and_accessors():
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def test_sparse_matrix_indices_must_be_ints():
+    # entry(1.0, 1) read row 1, entry(0, True) column 1, and column(1.0)
+    # ended in a TypeError from the list of columns
+    M = SparseIntMatrix.from_dense([[0, 2, 0], [-1, 0, 3]])
+    for i, j in [(1.0, 1), (0, True), (True, 0), (0, 1.0), ("0", 0), (None, 0)]:
+        with pytest.raises(IndexError):
+            M.entry(i, j)
+    for j in [1.0, True, "1", None, -1, 3]:
+        with pytest.raises(IndexError):
+            M.column(j)
+
+
 def test_sparse_matrix_from_dense_empty_shapes():
     assert SparseIntMatrix.from_dense([], nrows=0, ncols=4).ncols == 4
     M = SparseIntMatrix.from_dense([[], []], nrows=2, ncols=0)
@@ -419,9 +431,9 @@ def test_clearing_skips_the_unit_pivot_columns(monkeypatch):
     reduced = []
     reduce = chain._reduce
 
-    def recording(columns, nrows, saturation=None):
+    def recording(columns, nrows, saturation=None, d=None):
         reduced.append((nrows, len(columns)))
-        return reduce(columns, nrows, saturation)
+        return reduce(columns, nrows, saturation, d)
 
     monkeypatch.setattr(chain, "_reduce", recording)
     X = DigitalImage(3, list(itertools.product(range(3), repeat=3)))
@@ -466,7 +478,7 @@ def test_unsaturating_stream_is_interreduced_and_read_to_the_end(monkeypatch):
     read = []
     reduce = chain._reduce
 
-    def counting(columns, nrows, saturation=None):
+    def counting(columns, nrows, saturation=None, d=None):
         n = 0
 
         def tally():
@@ -475,7 +487,7 @@ def test_unsaturating_stream_is_interreduced_and_read_to_the_end(monkeypatch):
                 n += 1
                 yield col
 
-        red = reduce(tally(), nrows, saturation)
+        red = reduce(tally(), nrows, saturation, d)
         read.append(n)
         return red
 
@@ -485,6 +497,55 @@ def test_unsaturating_stream_is_interreduced_and_read_to_the_end(monkeypatch):
         FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
     assert 77616 in read
     assert interreductions == [(70, 0), (1128, 0)]
+
+
+def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
+    # once the shell's stream has interreduced its unit pivots, the columns
+    # that the witness row shows to be in the span skip add(): it still
+    # reads all 77,616, but add() sees few of them
+    reads = []
+    adds = 0
+    reduce, add = chain._reduce, chain._ColumnReducer.add
+
+    def counting_adds(red, col):
+        nonlocal adds
+        adds += 1
+        return add(red, col)
+
+    def counting(columns, nrows, saturation=None, d=None):
+        nonlocal adds
+        n, adds = 0, 0
+
+        def tally():
+            nonlocal n
+            for col in columns:
+                n += 1
+                yield col
+
+        red = reduce(tally(), nrows, saturation, d)
+        reads.append((n, adds))
+        return red
+
+    monkeypatch.setattr(chain, "_reduce", counting)
+    monkeypatch.setattr(chain._ColumnReducer, "add", counting_adds)
+    assert singular_homology(helpers.shell(), 2) == [
+        FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
+    [added] = [a for n, a in reads if n == 77616]
+    assert added < 3000
+
+
+def test_a_noncycle_pivot_leaves_too_many_witness_rows():
+    # d_top maps e0 to the one row below and e1, e2, e3 to 0, so ker d_top
+    # has dimension 3.  The noncycle pivots at rows 0 and 2 are interreduced
+    # after three slow zero columns; then the free rows 1 and 3 both have
+    # zero columns in d_top, two witness rows where ker d_top leaves room for
+    # one cycle beyond the span, and the reduction refuses to go on
+    d = [{0: 1}, {}, {}, {}]
+    stream = [{0: 1}, {0: 1, 2: 1}, {2: 1}, {2: -1}, {2: 2}, {1: 1}]
+    with pytest.raises(RuntimeError, match="not a cycle"):
+        chain._reduce(iter(stream), 4, 3, d)
+    # without d nothing tells, and the noncycles count toward saturation
+    assert chain._reduce(iter(stream), 4, 3).rank == 3
 
 
 def test_interreduction_keeps_the_torsion_of_a_stream(monkeypatch):
@@ -524,10 +585,10 @@ def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncol
     read = {}
     reduce = chain._reduce
 
-    def counting(columns, nrows, saturation=None):
+    def counting(columns, nrows, saturation=None, d=None):
         columns = list(columns)
         rest = iter(columns)
-        red = reduce(rest, nrows, saturation)
+        red = reduce(rest, nrows, saturation, d)
         read[len(columns)] = len(columns) - len(list(rest))
         return red
 

@@ -19,7 +19,10 @@ Smith normal form finds, all ones whenever every pivot entry is 1, also on
 matrices with mostly nonunit entries; on
 streams that repeat their own span, the interreduction of the reducer's
 unit pivots must leave the result, the pivot rows and the pivot entries as
-they are.
+they are.  On streams of boundaries of random singular complexes, the
+reduction with d_top, which tests later columns on witness rows, must have
+the rank, pivot rows, pivot entries and invariant factors of the one
+without it, and each witness test must agree with a reduction.
 """
 
 import io
@@ -30,7 +33,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from unittest.mock import patch
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -67,9 +70,9 @@ from dighom.singular import (
 import helpers
 
 
-def images(box, max_size=None):
+def images(box, max_size=None, min_size=1):
     cells = list(product(*(range(k) for k in box)))
-    return st.sets(st.sampled_from(cells), min_size=1, max_size=max_size).map(
+    return st.sets(st.sampled_from(cells), min_size=min_size, max_size=max_size).map(
         lambda pts: DigitalImage(len(box), sorted(pts)))
 
 
@@ -321,6 +324,86 @@ def test_interreduction_keeps_the_reduction(case):
         assert not any(k in unit for k in red.pivots[r] if k != r)
     # last: the invariant factors finish the interreduction of the stream
     assert sorted(chain._pivot_invariant_factors(red)) == sorted(d for d in diagonal if d)
+
+
+def plus(a, b):
+    return {r: a.get(r, 0) + b.get(r, 0) for r in a.keys() | b.keys() if a.get(r, 0) + b.get(r, 0)}
+
+
+@st.composite
+def boundary_streams(draw):
+    """(d, n, saturation, stream): d the columns of d_top of the singular
+    complex of a random image, top 0 or 1, n = dim C_top, saturation =
+    dim ker d_top, and a stream of boundaries of degree top + 1.
+
+    The boundary columns are shuffled, and a prefix of them, up to a drawn
+    rank below saturation, is reduced to pivots p_1, ..., p_m, lowest row
+    first.  The stream starts with p_1 and each p_i + p_{i-1}, which span
+    what the prefix spans.  Then come 2m + 2 multiples of p_i that have
+    fewer than i entries: each telescopes down through the sums in i pivot
+    steps, so the reducer interreduces and may choose witness rows.  The
+    rest of the boundary columns then test them.
+    """
+    X = draw(st.one_of(images((3, 3), min_size=4), images((2, 2, 2), min_size=4)))
+    top = draw(st.integers(0, 1))
+    C = build_singular_complex(X, top)
+    d, n = C.boundary_matrix(top).columns, len(C.basis(top))
+    saturation = n - rank_and_invariant_factors(d, len(C.basis(top - 1)))[0]
+    rng = draw(st.randoms(use_true_random=False))
+    cols = list(C.boundary_matrix(top + 1).columns)
+    rng.shuffle(cols)
+    goal, k = rng.randint(0, max(saturation - 1, 0)), 0
+    prefix = _ColumnReducer()
+    while prefix.rank < goal and k < len(cols):
+        prefix.add(cols[k])
+        k += 1
+    p = [prefix.pivots[r] for r in sorted(prefix.pivots)]
+    sums = p[:1] + [plus(a, b) for a, b in zip(p[1:], p)]
+    short = [q for i, q in enumerate(p, 1) if len(q) < i]
+    slow = [{r: m * v for r, v in rng.choice(short).items()}
+            for m in rng.choices([-2, -1, 1, 2], k=2 * len(p) + 2 if short else 0)]
+    return d, n, saturation, sums + slow + cols[k:]
+
+
+@settings(derandomize=True, deadline=None)
+@given(boundary_streams())
+def test_witness_rows_keep_the_reduction(case):
+    # the reduction with d_top must match the one without it; each time
+    # witness rows J are chosen, the columns of d_top at the other free rows
+    # must be independent, and until the next pivot each witness test must
+    # say what reducing the column against the pivots says
+    d, n, saturation, stream = case
+    chosen = failed = 0
+    oracle = None
+    choose, spans = _ColumnReducer._choose_witness, _ColumnReducer.spans
+
+    def choosing(red):
+        nonlocal chosen, oracle
+        choose(red)
+        chosen += 1
+        rest = [k for k in range(n) if k not in red.pivots and k not in red.witness]
+        rows = max((max(d[k]) + 1 for k in rest if d[k]), default=0)
+        assert helpers.rank_oracle([[d[k].get(i, 0) for i in range(rows)] for k in rest]) == len(rest)
+        oracle = _ColumnReducer()
+        oracle.pivots = {r: dict(p) for r, p in red.pivots.items()}
+
+    def testing(red, col):
+        nonlocal failed
+        found = spans(red, col)
+        if red.witness is not None:
+            assert found == (not oracle.add(col))
+            failed += not found
+        return found
+
+    with patch.object(_ColumnReducer, "_choose_witness", choosing), \
+            patch.object(_ColumnReducer, "spans", testing):
+        red = chain._reduce(stream, n, saturation, d)
+    plain = chain._reduce(stream, n, saturation)
+    event(f"witness rows chosen: {min(chosen, 1)}")
+    event(f"columns failing the witness test: {min(failed, 1)}")
+    assert red.rank == plain.rank
+    assert {r: p[r] for r, p in red.pivots.items()} == {r: p[r] for r, p in plain.pivots.items()}
+    assert chain._pivot_invariant_factors(red) == chain._pivot_invariant_factors(plain)
 
 
 # random images of 1 to 12 points anywhere in [-50, 50]^n, n = 1..4
