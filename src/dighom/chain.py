@@ -57,6 +57,10 @@ raises RuntimeError.
 Composites (``is_complex``, ``verify_chain_map``) are checked column by
 column with ``_apply``, the one matrix-times-column product, up to the first
 nonzero or unequal column; no product matrix is built.
+
+Matrix entries are checked once, where they enter, by ``_check_column``: a
+row index is an int in 0..nrows-1 and an entry an int.  The reducer reads
+only such columns or those the library built, and checks none again.
 """
 
 from __future__ import annotations
@@ -117,11 +121,21 @@ def _check_shape(nrows, ncols):
         raise ValueError(f"matrix dimensions {nrows!r}x{ncols!r} must be nonnegative ints")
 
 
+def _check_column(col, nrows):
+    """col, checked: its rows are ints in 0..nrows-1, its entries ints."""
+    for r, v in col.items():
+        if type(r) is not int or not 0 <= r < nrows:
+            raise ValueError(f"row index {r!r} is not an int in 0..{nrows - 1}")
+        if type(v) is not int:
+            raise ValueError(f"matrix entry {v!r} is not an int")
+    return col
+
+
 class SparseIntMatrix:
     """An integer matrix stored as one dict per column (row -> coefficient).
 
-    Zero entries are never stored.  Columns may be mutated while a matrix is
-    being assembled; all consumers treat instances as frozen afterwards.
+    Zero entries are never stored, and the columns are frozen once the
+    matrix is built.
     """
 
     __slots__ = ("nrows", "ncols", "columns")
@@ -135,13 +149,8 @@ class SparseIntMatrix:
             if len(columns) != ncols:
                 raise ValueError(f"expected {ncols} columns, got {len(columns)}")
             for col in columns:
-                for r, v in col.items():
-                    if not 0 <= r < nrows:
-                        raise ValueError(f"row index {r} outside 0..{nrows - 1}")
-                    if type(v) is not int:
-                        raise ValueError(f"matrix entry {v!r} is not an int")
-                    if v == 0:
-                        raise ValueError("explicit zero entry")
+                if 0 in _check_column(col, nrows).values():
+                    raise ValueError("explicit zero entry")
         self.nrows = nrows
         self.ncols = ncols
         self.columns = columns
@@ -170,21 +179,15 @@ class SparseIntMatrix:
         first row (0 with no rows), and every entry is an int, zeros included."""
         rows = [list(r) for r in rows]
         nrows = len(rows) if nrows is None else nrows
-        if type(nrows) is int and len(rows) > nrows:  # other nrows fail in __init__
+        if type(nrows) is int and len(rows) > nrows:  # other nrows fail in _check_shape
             raise ValueError(f"{len(rows)} rows exceed nrows={nrows}")
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        cols = [{} for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if type(v) is not int:
-                    raise ValueError(f"matrix entry {v!r} is not an int")
-                if v:
-                    cols[j][i] = v
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
         _check_shape(nrows, ncols)
-        return cls._trusted(nrows, ncols, cols)
+        cols = [_check_column({i: r[j] for i, r in enumerate(rows)}, nrows) for j in range(ncols)]
+        return cls._trusted(nrows, ncols, [{i: v for i, v in c.items() if v} for c in cols])
 
     def to_dense(self):
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -239,6 +242,9 @@ class Chain:
 
     def __init__(self, degree, coeffs=()):
         d = dict(coeffs)
+        for v in d.values():
+            if type(v) is not int:
+                raise ValueError(f"coefficient {v!r} is not an int")
         self.degree = degree
         self.coeffs = {k: v for k, v in d.items() if v}
 
@@ -643,7 +649,7 @@ def _pivot_invariant_factors(red):
     for j, col in enumerate(cleared):
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
-    block = list(_reduce(rows.values(), k, k).pivots.values())
+    block = list(_reduce(rows.values(), k).pivots.values())
     res = smith_normal_form([[p.get(i, 0) for p in block] for i in range(k)])
     factors = (1,) * len(unit) + res.invariant_factors
     if len(factors) != red.rank:
@@ -651,19 +657,14 @@ def _pivot_invariant_factors(red):
     return factors
 
 
-def _reduce(columns, nrows, saturation=None, d=None):
-    """A _ColumnReducer fed the columns, with row indices and int entries
-    checked; it stops, leaving the rest unread, once its rank is saturation
-    with unit pivots.  Given d, the columns of d_top whose cycles the columns
-    are and saturation = dim ker d_top, a column that the witness rows show
-    to lie in the span skips add()."""
+def _reduce(columns, saturation=None, d=None):
+    """A _ColumnReducer fed the columns, checked or built by the library and
+    read as they are; it stops, leaving the rest unread, once its rank is
+    saturation with unit pivots.  Given d, the columns of d_top whose cycles
+    the columns are and saturation = dim ker d_top, a column that the witness
+    rows show to lie in the span skips add()."""
     red = _ColumnReducer(d, saturation)
     for col in columns:
-        for r, v in col.items():
-            if not 0 <= r < nrows:
-                raise ValueError(f"row index {r} outside 0..{nrows - 1}")
-            if type(v) is not int:
-                raise ValueError(f"matrix entry {v!r} is not an int")
         if red.spans(col):
             continue
         red.add(col)
@@ -675,10 +676,10 @@ def _reduce(columns, nrows, saturation=None, d=None):
 def rank_and_invariant_factors(columns, nrows):
     """(rank, invariant_factors) of the matrix whose columns are given.
 
-    columns: iterable of sparse dicts (may be consumed lazily; suitable for
-    streaming).  nrows is only used for sanity checks.
+    columns: iterable of sparse dicts, zeros allowed, consumed lazily (suitable
+    for streaming); each is checked as it is read, its rows against nrows.
     """
-    red = _reduce(columns, nrows)
+    red = _reduce(_check_column(col, nrows) for col in columns)
     return red.rank, _pivot_invariant_factors(red)
 
 
@@ -791,22 +792,22 @@ def _homology(C, lo, top, columns_in=None):
     has entry 1 at its maximal row j and d_q p = 0, so column j of d_q is a
     combination of earlier columns.
     """
-    if lo < 0:
-        raise ValueError("degree must be nonnegative")
+    if type(lo) is not int or type(top) is not int or lo < 0:
+        raise ValueError("degree must be a nonnegative int")
     if not C.is_complex():
         raise NotAComplex("boundary composed with boundary is nonzero")
     d, n = C.boundary_matrix(top).columns, len(C.basis(top))
-    below = _reduce(d, len(C.basis(top - 1)))
+    below = _reduce(d)
     columns = (C.boundary_matrix(top + 1).columns if columns_in is None
                else _sampled_cycles(columns_in, d))
-    above = _reduce(columns, n, n - below.rank, d)
+    above = _reduce(columns, n - below.rank, d)
     groups = []
     for q in range(top, lo - 1, -1):
         if q < top:  # clear d_q by the unit pivots of d_{q+1}
             above = below
             unit = {r for r, p in above.pivots.items() if p[r] == 1}
             columns = [c for j, c in enumerate(C.boundary_matrix(q).columns) if j not in unit]
-            below = _reduce(columns, len(C.basis(q - 1)))
+            below = _reduce(columns)
         free = len(C.basis(q)) - below.rank - above.rank
         if free < 0:
             raise RuntimeError("negative free rank: broken reduction")

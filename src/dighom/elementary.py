@@ -200,8 +200,8 @@ def build_c1_complex(X, max_dim=None):
     the cube of key (i, ext).  As in cube_boundary, it has the faces (i, rest)
     and (i + e_j, rest), j = ext[p-1], with the signs (-1)^p and -(-1)^p.
     """
-    if max_dim is not None and max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
+    if max_dim is not None and (type(max_dim) is not int or max_dim < 0):
+        raise ValueError("max_dim must be a nonnegative int")
     tr, levels = _levels(X, max_dim)
     mats = []
     for q in range(1, len(levels)):

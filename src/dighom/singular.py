@@ -633,8 +633,8 @@ def _materialize(X, top, budget):
 
 def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
     """All nondegenerate singular q-cubes on X, lexicographic in corner tables."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    if type(q) is not int or q < 0:
+        raise ValueError("q must be a nonnegative int")
     pts = X.sorted_points
     return [SingularCube(q, tuple(pts[a] for a in k))
             for k in _enumerate_nondegenerate(X, q, budget)]
@@ -650,8 +650,8 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     them; degree max_q + 1 is round-robin by front face (the order of
     _enumerate_interleaved), so its boundary saturates early.
     """
-    if max_q < 0:
-        raise ValueError("max_q must be nonnegative")
+    if type(max_q) is not int or max_q < 0:
+        raise ValueError("max_q must be a nonnegative int")
     keys, mats, err = _materialize(X, max_q + 1, budget)
     if err is not None:
         raise err
@@ -670,8 +670,8 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     that degree (q >= j-1) comes back as None instead of a group, and the
     groups below come from a pass through degree j-2.
     """
-    if max_q < 0:
-        raise ValueError("max_q must be nonnegative")
+    if type(max_q) is not int or max_q < 0:
+        raise ValueError("max_q must be a nonnegative int")
     keys, mats, err = _materialize(X, max_q, budget)
     m = len(keys) - 1  # top materialized degree
     if m < 0:

@@ -17,6 +17,7 @@ from dighom import (
     beta_matrices,
     build_c1_complex,
     build_singular_complex,
+    enumerate_singular_cubes,
     groups_isomorphic,
     homology,
     homology_through,
@@ -91,6 +92,9 @@ def test_sparse_matrix_from_dense_empty_shapes():
 def test_sparse_matrix_rejects_bad_entries():
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 2, [{5: 1}, {}])  # row out of range
+    for row in (1.0, True, "a"):  # 1.0 and True were taken as row 1
+        with pytest.raises(ValueError, match=f"row index {row!r}"):
+            SparseIntMatrix(2, 1, [{row: 1}])
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 2, [{0: 0}, {}])  # explicit zero
     with pytest.raises(ValueError):
@@ -170,6 +174,13 @@ def test_chain_degree_mismatch():
 def test_chain_drops_zero_coefficients_on_construction():
     c = Chain(0, {"v": 0, "w": 3})
     assert c.coeffs == {"w": 3}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_chain_coefficients_must_be_ints(bad):
+    # a chain over Q slipped through, and boundary_of answered with halves
+    with pytest.raises(ValueError, match=f"coefficient {bad!r} is not an int"):
+        Chain(0, {"a": bad})
 
 
 # --- FGAbelianGroup -------------------------------------------------------------
@@ -299,7 +310,7 @@ def test_nonunit_columns_over_many_rows_leave_a_small_dense_block(monkeypatch):
 def test_reducer_pivots_on_the_lowest_row():
     # each pivot is keyed by the largest row of its column: the second
     # column meets the first at row 2 and keeps its new pivot at row 1
-    assert chain._reduce([{0: 1, 2: 1}, {1: 1, 2: 1}], 3).pivots.keys() == {1, 2}
+    assert chain._reduce([{0: 1, 2: 1}, {1: 1, 2: 1}]).pivots.keys() == {1, 2}
 
 
 def test_unit_pivots_are_interreduced_before_they_clear_the_others():
@@ -313,6 +324,9 @@ def test_unit_pivots_are_interreduced_before_they_clear_the_others():
 def test_rank_and_invariant_factors_rejects_bad_rows():
     with pytest.raises(ValueError):
         rank_and_invariant_factors([{5: 1}], 3)
+    for row in (1.0, True, "a"):  # 1.0 gave (1, (1,))
+        with pytest.raises(ValueError, match=f"row index {row!r}"):
+            rank_and_invariant_factors([{row: 1}], 2)
 
 
 # --- ChainComplex ----------------------------------------------------------------
@@ -431,17 +445,18 @@ def test_clearing_skips_the_unit_pivot_columns(monkeypatch):
     reduced = []
     reduce = chain._reduce
 
-    def recording(columns, nrows, saturation=None, d=None):
-        reduced.append((nrows, len(columns)))
-        return reduce(columns, nrows, saturation, d)
+    def recording(columns, saturation=None, d=None):
+        reduced.append(list(columns))
+        return reduce(reduced[-1], saturation, d)
 
     monkeypatch.setattr(chain, "_reduce", recording)
     X = DigitalImage(3, list(itertools.product(range(3), repeat=3)))
     C = build_c1_complex(X).complex
     assert homology_through(C, 3) == [FGAbelianGroup(1)] + [ZERO_GROUP] * 3
-    n_0, n_1 = len(C.basis(0)), len(C.basis(1))
+    n_1 = len(C.basis(1))
     rank_2, _ = rank_and_invariant_factors(C.boundary_matrix(2).columns, n_1)
-    assert [ncols for nrows, ncols in reduced if nrows == n_0] == [n_1 - rank_2]
+    d_1 = C.boundary_matrix(1).columns
+    assert [len(cols) for cols in reduced if cols and cols[0] in d_1] == [n_1 - rank_2]
 
 
 def test_saturation_waits_for_unit_pivots():
@@ -478,7 +493,7 @@ def test_unsaturating_stream_is_interreduced_and_read_to_the_end(monkeypatch):
     read = []
     reduce = chain._reduce
 
-    def counting(columns, nrows, saturation=None, d=None):
+    def counting(columns, saturation=None, d=None):
         n = 0
 
         def tally():
@@ -487,7 +502,7 @@ def test_unsaturating_stream_is_interreduced_and_read_to_the_end(monkeypatch):
                 n += 1
                 yield col
 
-        red = reduce(tally(), nrows, saturation, d)
+        red = reduce(tally(), saturation, d)
         read.append(n)
         return red
 
@@ -512,7 +527,7 @@ def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
         adds += 1
         return add(red, col)
 
-    def counting(columns, nrows, saturation=None, d=None):
+    def counting(columns, saturation=None, d=None):
         nonlocal adds
         n, adds = 0, 0
 
@@ -522,7 +537,7 @@ def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
                 n += 1
                 yield col
 
-        red = reduce(tally(), nrows, saturation, d)
+        red = reduce(tally(), saturation, d)
         reads.append((n, adds))
         return red
 
@@ -543,9 +558,9 @@ def test_a_noncycle_pivot_leaves_too_many_witness_rows():
     d = [{0: 1}, {}, {}, {}]
     stream = [{0: 1}, {0: 1, 2: 1}, {2: 1}, {2: -1}, {2: 2}, {1: 1}]
     with pytest.raises(RuntimeError, match="not a cycle"):
-        chain._reduce(iter(stream), 4, 3, d)
+        chain._reduce(iter(stream), 3, d)
     # without d nothing tells, and the noncycles count toward saturation
-    assert chain._reduce(iter(stream), 4, 3).rank == 3
+    assert chain._reduce(iter(stream), 3).rank == 3
 
 
 def test_interreduction_keeps_the_torsion_of_a_stream(monkeypatch):
@@ -585,10 +600,10 @@ def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncol
     read = {}
     reduce = chain._reduce
 
-    def counting(columns, nrows, saturation=None, d=None):
+    def counting(columns, saturation=None, d=None):
         columns = list(columns)
         rest = iter(columns)
-        red = reduce(rest, nrows, saturation, d)
+        red = reduce(rest, saturation, d)
         read[len(columns)] = len(columns) - len(list(rest))
         return red
 
@@ -621,6 +636,23 @@ def test_homology_point():
     assert homology(C, 3) == ZERO_GROUP
     with pytest.raises(ValueError):
         homology(C, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: homology(circle_complex(), 1.5),
+    lambda: homology(circle_complex(), True),
+    lambda: homology_through(circle_complex(), 1.0),
+    lambda: singular_homology(helpers.ring(), 1.0),
+    lambda: build_singular_complex(helpers.ring(), 1.0),
+    lambda: enumerate_singular_cubes(helpers.ring(), 1.0),
+    lambda: build_c1_complex(helpers.ring(), 1.5),
+], ids=["homology", "homology-bool", "homology_through", "singular_homology",
+        "build_singular_complex", "enumerate_singular_cubes", "build_c1_complex"])
+def test_non_integer_degrees_are_refused(call):
+    # build_c1_complex took 1.5 and homology took True as degree 1; the
+    # others ended in a TypeError traceback
+    with pytest.raises(ValueError, match="must be a nonnegative int"):
+        call()
 
 
 def test_homology_circle():

@@ -14,6 +14,8 @@ The coordinate operators must precompose with the maps that an oracle
 evaluates point by point.  Images written as JSON and as text files must
 parse back equal, and each class of malformed image file must end the CLI
 with exit code 2 and a one-line error.
+rank_and_invariant_factors and SparseIntMatrix must refuse the same bad row
+indices and entries.
 The column reducer's pivots must have the invariant factors that sympy's
 Smith normal form finds, all ones whenever every pivot entry is 1, also on
 matrices with mostly nonunit entries; on
@@ -42,6 +44,7 @@ from dighom import (
     DigitalImage,
     FGAbelianGroup,
     SingularCube,
+    SparseIntMatrix,
     apply_operator,
     beta,
     build_c1_complex,
@@ -264,6 +267,37 @@ def test_invariant_factors_match_sympy_on_nonunit_matrices(cols):
     assert (rank, factors) == (len(diagonal), tuple(diagonal))
 
 
+# (nrows, columns) whose row keys are ints in range, ints out of range,
+# floats or bools, and whose entries are ints (zeros too), floats or bools
+ENTRY_COLUMNS = st.integers(1, 4).flatmap(lambda nrows: st.tuples(st.just(nrows), st.lists(
+    st.dictionaries(st.one_of(st.integers(0, nrows - 1), st.integers(-2, nrows + 2),
+                              st.floats(0, nrows), st.booleans()),
+                    st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.booleans()),
+                    max_size=3),
+    max_size=4)))
+
+
+def refuses(call):
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+@settings(derandomize=True, deadline=None)
+@given(ENTRY_COLUMNS)
+def test_reducer_and_matrix_refuse_the_same_entries(case):
+    # the reducer takes explicit int zeros, which a matrix refuses; with
+    # each made a 1 (dropping it would drop a bad row too), both must refuse
+    # exactly the columns with a bad row or entry
+    nrows, cols = case
+    nonzero = [{r: 1 if type(v) is int and v == 0 else v for r, v in c.items()} for c in cols]
+    refused = refuses(lambda: rank_and_invariant_factors(iter(cols), nrows))
+    event(f"refused: {refused}")
+    assert refused == refuses(lambda: SparseIntMatrix(nrows, len(cols), nonzero))
+
+
 @st.composite
 def redundant_streams(draw):
     """(nrows, columns) with 4 to 9 rows: one or two blocks, each a path
@@ -311,13 +345,13 @@ def test_interreduction_keeps_the_reduction(case):
         unit.update(r for r, p in red.pivots.items() if p[r] == 1)
 
     with patch.object(_ColumnReducer, "_interreduce", recording):
-        red = chain._reduce(stream, nrows)
+        red = chain._reduce(stream)
     snf = smith_normal_form(
         Matrix(nrows, len(stream), lambda i, j: stream[j].get(i, 0)), domain=ZZ)
     diagonal = [abs(snf[i, i]) for i in range(min(snf.shape))]
     assert red.rank == sum(1 for d in diagonal if d)
     with patch.object(_ColumnReducer, "_interreduce", lambda red: None):
-        plain = chain._reduce(stream, nrows)
+        plain = chain._reduce(stream)
     assert {r: p[r] for r, p in red.pivots.items()} == {r: p[r] for r, p in plain.pivots.items()}
     assert red.interreduced == len(unit)
     for r in unit:
@@ -397,8 +431,8 @@ def test_witness_rows_keep_the_reduction(case):
 
     with patch.object(_ColumnReducer, "_choose_witness", choosing), \
             patch.object(_ColumnReducer, "spans", testing):
-        red = chain._reduce(stream, n, saturation, d)
-    plain = chain._reduce(stream, n, saturation)
+        red = chain._reduce(stream, saturation, d)
+    plain = chain._reduce(stream, saturation)
     event(f"witness rows chosen: {min(chosen, 1)}")
     event(f"columns failing the witness test: {min(failed, 1)}")
     assert red.rank == plain.rank
