@@ -28,10 +28,10 @@ below is cleared by the one above (the "twist" of Chen and Kerber): it skips
 the columns at the unit pivot rows of d_{q+1}, which would only reduce to
 zero.
 
-A stream that cannot saturate (H_top != 0) is read to the end, and most of
-its columns only reduce to zero, each through a cascade of pivot steps.
-Once more columns than the rank have reduced to zero since the last new
-pivot, each in more steps than it had entries, the column reducer
+A stream that cannot saturate (H_top != 0) reduces most of its columns to
+zero, each through a cascade of pivot steps, until the coface finish below
+ends it.  Once more columns than the rank have reduced to zero since the
+last new pivot, each in more steps than it had entries, the column reducer
 interreduces its unit pivots, the exhaustive reduction of PHAT (Bauer,
 Kerber, Reininghaus and Wagner); a column in their span then reduces in one
 step per entry.  These are unimodular column operations that keep every
@@ -53,6 +53,16 @@ with a nonzero residual becomes a new pivot, and J waits for the next
 interreduction.  Like saturation, the test takes the streamed columns to be
 cycles; a pivot that is not one can leave more than t witness rows, which
 raises RuntimeError.
+
+The witness rows also finish a stream that cannot saturate, after the
+implicit coboundary of Ripser (Bauer).  Once J is first chosen, let R be
+the rows of the residuals: J and every pivot row r with p_r[j] != 0 for
+some j in J.  A cycle outside S has a nonzero residual at some j in J, so
+an entry at j or at some such r: it has an entry in R.  S only grows, so a
+later column outside the final span has an entry in R too.  The rest of the
+stream is left unread, and the caller's cofaces(R), every column of that
+degree with an entry in R, is reduced instead: the span, and so the result,
+is that of the whole stream.
 
 Composites (``is_complex``, ``verify_chain_map``) are checked column by
 column with ``_apply``, the one matrix-times-column product, up to the first
@@ -186,8 +196,10 @@ class SparseIntMatrix:
         if any(len(row) != ncols for row in rows):
             raise ValueError("ragged rows")
         _check_shape(nrows, ncols)
-        cols = [_check_column({i: r[j] for i, r in enumerate(rows)}, nrows) for j in range(ncols)]
-        return cls._trusted(nrows, ncols, [{i: v for i, v in c.items() if v} for c in cols])
+        # int zeros are dropped; any other entry, 0.0 or None too, is checked
+        cols = [_check_column({i: v for i, r in enumerate(rows) if type(v := r[j]) is not int or v},
+                              nrows) for j in range(ncols)]
+        return cls._trusted(nrows, ncols, cols)
 
     def to_dense(self):
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -657,19 +669,26 @@ def _pivot_invariant_factors(red):
     return factors
 
 
-def _reduce(columns, saturation=None, d=None):
+def _reduce(columns, saturation=None, d=None, cofaces=None):
     """A _ColumnReducer fed the columns, checked or built by the library and
     read as they are; it stops, leaving the rest unread, once its rank is
     saturation with unit pivots.  Given d, the columns of d_top whose cycles
     the columns are and saturation = dim ker d_top, a column that the witness
-    rows show to lie in the span skips add()."""
+    rows show to lie in the span skips add().  Given also cofaces, the first
+    time witness rows are chosen the rest of the columns is left unread and
+    cofaces(R) is read instead, R the rows of the residuals: it must give
+    every later column with an entry at a row in R, and may give more (see
+    the module docstring)."""
     red = _ColumnReducer(d, saturation)
-    for col in columns:
+    columns = iter(columns)
+    while (col := next(columns, None)) is not None:
         if red.spans(col):
             continue
         red.add(col)
         if red.rank == saturation and not red.nonunit:
             break
+        if red.witness and cofaces is not None:
+            columns, cofaces = iter(cofaces(set().union(*red.witness.values()))), None
     return red
 
 
@@ -780,10 +799,13 @@ def _sampled_cycles(columns, d):
         yield col
 
 
-def _homology(C, lo, top, columns_in=None):
+def _homology(C, lo, top, columns_in=None, cofaces=None):
     """[H_lo, ..., H_top] of C in one pass from the top degree down, with the
     columns of d_{top+1} read from columns_in if given: a lazy stream of a
-    degree beyond C, rows as in C.basis(top), sampled to be cycles.
+    degree beyond C, rows as in C.basis(top), sampled to be cycles.  If
+    given, cofaces(R) gives the columns of that degree with an entry at a
+    row in R, sampled in the same way, to finish a stream that does not
+    saturate.
 
     Once is_complex() holds, d_top is reduced in full, and d_{top+1} stops
     once its rank is dim ker d_top with unit pivots, as a direct summand of
@@ -800,7 +822,8 @@ def _homology(C, lo, top, columns_in=None):
     below = _reduce(d)
     columns = (C.boundary_matrix(top + 1).columns if columns_in is None
                else _sampled_cycles(columns_in, d))
-    above = _reduce(columns, n - below.rank, d)
+    finish = cofaces and (lambda rows: _sampled_cycles(cofaces(rows), d))
+    above = _reduce(columns, n - below.rank, d, finish)
     groups = []
     for q in range(top, lo - 1, -1):
         if q < top:  # clear d_q by the unit pivots of d_{q+1}

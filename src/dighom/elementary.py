@@ -147,7 +147,10 @@ def _level(X, q):
 
 def enumerate_elementary_cubes(X, q):
     """All elementary q-cubes whose vertices lie in X, in (min_corner, extent)
-    lexicographic order.  Out-of-range q gives the empty list."""
+    lexicographic order.  Out-of-range q gives the empty list; a q that is
+    not an int raises ValueError."""
+    if type(q) is not int:
+        raise ValueError(f"q {q!r} must be an int")
     return [ElementaryCube(X.sorted_points[i], ext) for i, ext in _level(X, q)[1]]
 
 

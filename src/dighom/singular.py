@@ -21,7 +21,10 @@ reduction of its boundary saturates the cycles below early.  The degree above
 the top of singular_homology is streamed in that same round-robin order
 without materializing cubes, and its boundary columns go lazily to the
 top-boundary reduction of chain.py, which stops once their span saturates
-the cycles below.
+the cycles below.  A stream that cannot saturate stops once the reduction
+has chosen its witness rows: only a cube with a face at one of the few rows
+of their residuals can then grow the span, and a search of the corner
+tables with that face in front, moved to each face position, finds them.
 """
 
 from __future__ import annotations
@@ -510,9 +513,10 @@ def _corner_search(X, q):
     return search
 
 
-def _within_budget(keys, q, budget):
-    """Pass keys through; raise BudgetExceeded once more than budget went by."""
-    for count, key in enumerate(keys, 1):
+def _within_budget(keys, q, budget, spent=0):
+    """Pass keys through; raise BudgetExceeded once more than budget went by,
+    counting spent keys that went by before these."""
+    for count, key in enumerate(keys, spent + 1):
         if count > budget:
             raise BudgetExceeded(q, budget)
         yield key
@@ -605,6 +609,25 @@ def _boundary_columns(keys, rows):
         yield col
 
 
+def _coface_keys(X, q, rows, R):
+    """The nondegenerate q-cubes on X with a face rows[r] for some r in R, as
+    keys, each once, q >= 1.  A q-cube has face f at t_i = side exactly when
+    it is a cube with front face f (t_q = 0) precomposed to move t_q to t_i,
+    reflected if side.  The corner tables are built at the first key."""
+    total = 1 << q
+    half = total >> 1
+    search = _corner_search(X, q)
+    moves = [_precomposition(q, (*range(i - 1), *range(i, q), i - 1), side << (q - 1))
+             for i in range(1, q + 1) for side in (0, 1)]
+    seen = set()
+    for r in R:
+        for a in search(list(rows[r]) + [0] * half, half, total):
+            for move in moves:
+                if (key := move(a)) not in seen:
+                    seen.add(key)
+                    yield key
+
+
 def _materialize(X, top, budget):
     """(keys, mats, err) for degrees 0..top, stopping short of the first
     degree over budget.
@@ -666,9 +689,15 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     streamed into it, round-robin over the front faces of their cubes (see
     _enumerate_interleaved), and it stops reading them once their span
     saturates the cycles of degree max_q; those cubes are never stored.
-    If the enumeration budget is exhausted at degree j, every group needing
-    that degree (q >= j-1) comes back as None instead of a group, and the
-    groups below come from a pass through degree j-2.
+    When H_max_q is not zero the span cannot saturate, and the stream stops
+    once witness rows are chosen instead: the columns of the cubes with a
+    face at a row of their residuals (_coface_keys) finish the reduction,
+    exactly, as every later column outside the span has an entry at such a
+    row (see the chain module).  These cofaces count toward the budget of
+    degree max_q+1 after the streamed cubes read.  If the enumeration budget
+    is exhausted at degree j, every group needing that degree (q >= j-1)
+    comes back as None instead of a group, and the groups below come from a
+    pass through degree j-2.
     """
     if type(max_q) is not int or max_q < 0:
         raise ValueError("max_q must be a nonnegative int")
@@ -678,9 +707,21 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
         return [None] * (max_q + 1)
     trunc = ChainComplex(keys, mats)
     if err is None:  # H_m needs degree m+1, which may be over budget
-        columns = _boundary_columns(_enumerate_interleaved(X, m + 1, budget), keys[m])
+        read = 0  # stream cubes read; coface cubes count toward the budget after them
+
+        def stream():
+            nonlocal read
+            for key in _enumerate_interleaved(X, m + 1, budget):
+                read += 1
+                yield key
+
+        def cofaces(R):
+            found = _within_budget(_coface_keys(X, m + 1, keys[m], R), m + 1, budget, read)
+            return _boundary_columns(found, keys[m])
+
         try:
-            return _homology(trunc, 0, m, columns) + [None] * (max_q - m)
+            return (_homology(trunc, 0, m, _boundary_columns(stream(), keys[m]), cofaces)
+                    + [None] * (max_q - m))
         except BudgetExceeded:
             pass
     return homology_through(trunc, m - 1) + [None] * (max_q - m + 1)

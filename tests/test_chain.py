@@ -445,9 +445,9 @@ def test_clearing_skips_the_unit_pivot_columns(monkeypatch):
     reduced = []
     reduce = chain._reduce
 
-    def recording(columns, saturation=None, d=None):
+    def recording(columns, saturation=None, d=None, cofaces=None):
         reduced.append(list(columns))
-        return reduce(reduced[-1], saturation, d)
+        return reduce(reduced[-1], saturation, d, cofaces)
 
     monkeypatch.setattr(chain, "_reduce", recording)
     X = DigitalImage(3, list(itertools.product(range(3), repeat=3)))
@@ -485,39 +485,55 @@ def recording_interreductions(monkeypatch):
     return calls
 
 
-def test_unsaturating_stream_is_interreduced_and_read_to_the_end(monkeypatch):
-    # H_2 = Z, so the streamed degree 3 never spans ker d_2: after its last
-    # pivot, at rank 1128, its columns only reduce to zero; the materialized
-    # d_2 (rank 71) interreduces once, before its last pivot, and the stream
-    # once
+def tallied(columns):
+    """(columns passed through, [the number read so far])."""
+    n = [0]
+
+    def tally():
+        for col in columns:
+            n[0] += 1
+            yield col
+
+    return tally(), n
+
+
+def test_unsaturating_stream_is_interreduced_and_finished_by_its_cofaces(monkeypatch):
+    # H_2 = Z, so the streamed degree 3 never spans ker d_2: at rank 1128
+    # its columns only reduce to zero; the materialized d_2 (rank 71)
+    # interreduces once, before its last pivot, and the stream once, which
+    # chooses its witness row.  The stream of 77,616 columns then stops, and
+    # the cofaces of the rows of the residuals, about 1,080, finish it
     read = []
     reduce = chain._reduce
 
-    def counting(columns, saturation=None, d=None):
-        n = 0
+    def counting(columns, saturation=None, d=None, cofaces=None):
+        columns, n = tallied(columns)
+        faces = []
 
-        def tally():
-            nonlocal n
-            for col in columns:
-                n += 1
-                yield col
+        def counted_cofaces(rows):
+            cols, m = tallied(cofaces(rows))
+            faces.append(m)
+            return cols
 
-        red = reduce(tally(), saturation, d)
-        read.append(n)
+        red = reduce(columns, saturation, d, cofaces and counted_cofaces)
+        read.append((n[0], sum(m[0] for m in faces)))
         return red
 
     monkeypatch.setattr(chain, "_reduce", counting)
     interreductions = recording_interreductions(monkeypatch)
     assert singular_homology(helpers.shell(), 2) == [
         FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
-    assert 77616 in read
+    [(streamed, finished)] = [(n, m) for n, m in read if m]
+    assert streamed < 3000
+    assert 1000 < finished < 1200
     assert interreductions == [(70, 0), (1128, 0)]
 
 
 def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
     # once the shell's stream has interreduced its unit pivots, the columns
-    # that the witness row shows to be in the span skip add(): it still
-    # reads all 77,616, but add() sees few of them
+    # that the witness row shows to be in the span skip add().  The stream
+    # reads under 3,000 columns; its span is then already that of all
+    # 77,616, so none of the cofaces that finish it reaches add()
     reads = []
     adds = 0
     reduce, add = chain._reduce, chain._ColumnReducer.add
@@ -527,26 +543,28 @@ def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
         adds += 1
         return add(red, col)
 
-    def counting(columns, saturation=None, d=None):
+    def counting(columns, saturation=None, d=None, cofaces=None):
         nonlocal adds
-        n, adds = 0, 0
+        adds = 0
+        columns, n = tallied(columns)
+        before = []
 
-        def tally():
-            nonlocal n
-            for col in columns:
-                n += 1
-                yield col
+        def counted_cofaces(rows):
+            before.append(adds)
+            return cofaces(rows)
 
-        red = reduce(tally(), saturation, d)
-        reads.append((n, adds))
+        red = reduce(columns, saturation, d, cofaces and counted_cofaces)
+        reads.append((n[0], adds, before))
         return red
 
     monkeypatch.setattr(chain, "_reduce", counting)
     monkeypatch.setattr(chain._ColumnReducer, "add", counting_adds)
     assert singular_homology(helpers.shell(), 2) == [
         FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
-    [added] = [a for n, a in reads if n == 77616]
+    [(streamed, added, [before])] = [r for r in reads if r[2]]
+    assert streamed < 3000
     assert added < 3000
+    assert added == before
 
 
 def test_a_noncycle_pivot_leaves_too_many_witness_rows():
@@ -600,10 +618,10 @@ def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncol
     read = {}
     reduce = chain._reduce
 
-    def counting(columns, saturation=None, d=None):
+    def counting(columns, saturation=None, d=None, cofaces=None):
         columns = list(columns)
         rest = iter(columns)
-        red = reduce(rest, saturation, d)
+        red = reduce(rest, saturation, d, cofaces)
         read[len(columns)] = len(columns) - len(list(rest))
         return red
 

@@ -114,6 +114,13 @@ def test_enumerate_unit_square():
     assert enumerate_elementary_cubes(X, -1) == []
 
 
+@pytest.mark.parametrize("q", [1.5, True, "1"])
+def test_enumerate_refuses_a_degree_that_is_not_an_int(q):
+    # 1.5 ended in a TypeError from a list index, and True was taken as 1
+    with pytest.raises(ValueError, match="must be an int"):
+        enumerate_elementary_cubes(helpers.ring(), q)
+
+
 def test_enumerate_ring_has_no_squares():
     X = helpers.ring()
     assert len(enumerate_elementary_cubes(X, 1)) == 8

@@ -24,7 +24,10 @@ unit pivots must leave the result, the pivot rows and the pivot entries as
 they are.  On streams of boundaries of random singular complexes, the
 reduction with d_top, which tests later columns on witness rows, must have
 the rank, pivot rows, pivot entries and invariant factors of the one
-without it, and each witness test must agree with a reduction.
+without it, and each witness test must agree with a reduction.  The
+reduction that leaves its stream unread once witness rows are chosen, and
+reads the cofaces of the rows of their residuals instead, must find every
+other column in its span and match the reduction of the whole stream.
 """
 
 import io
@@ -66,6 +69,8 @@ from dighom.chain import _ColumnReducer
 from dighom.singular import (
     DEFAULT_BUDGET,
     _beta_key,
+    _boundary_columns,
+    _coface_keys,
     _enumerate_interleaved,
     _enumerate_nondegenerate,
 )
@@ -364,11 +369,10 @@ def plus(a, b):
     return {r: a.get(r, 0) + b.get(r, 0) for r in a.keys() | b.keys() if a.get(r, 0) + b.get(r, 0)}
 
 
-@st.composite
-def boundary_streams(draw):
-    """(d, n, saturation, stream): d the columns of d_top of the singular
-    complex of a random image, top 0 or 1, n = dim C_top, saturation =
-    dim ker d_top, and a stream of boundaries of degree top + 1.
+def stream_of(draw, X, top):
+    """(C, saturation, stream): the singular complex C of X through degree
+    top + 1, saturation = dim ker d_top, and a stream of boundaries of
+    degree top + 1.
 
     The boundary columns are shuffled, and a prefix of them, up to a drawn
     rank below saturation, is reduced to pivots p_1, ..., p_m, lowest row
@@ -378,8 +382,6 @@ def boundary_streams(draw):
     steps, so the reducer interreduces and may choose witness rows.  The
     rest of the boundary columns then test them.
     """
-    X = draw(st.one_of(images((3, 3), min_size=4), images((2, 2, 2), min_size=4)))
-    top = draw(st.integers(0, 1))
     C = build_singular_complex(X, top)
     d, n = C.boundary_matrix(top).columns, len(C.basis(top))
     saturation = n - rank_and_invariant_factors(d, len(C.basis(top - 1)))[0]
@@ -396,7 +398,26 @@ def boundary_streams(draw):
     short = [q for i, q in enumerate(p, 1) if len(q) < i]
     slow = [{r: m * v for r, v in rng.choice(short).items()}
             for m in rng.choices([-2, -1, 1, 2], k=2 * len(p) + 2 if short else 0)]
-    return d, n, saturation, sums + slow + cols[k:]
+    return C, saturation, sums + slow + cols[k:]
+
+
+@st.composite
+def boundary_streams(draw):
+    """(d, n, saturation, stream) of stream_of for a random image of at
+    least 4 points, top 0 or 1: d the columns of d_top, n = dim C_top."""
+    X = draw(st.one_of(images((3, 3), min_size=4), images((2, 2, 2), min_size=4)))
+    top = draw(st.integers(0, 1))
+    C, saturation, stream = stream_of(draw, X, top)
+    return C.boundary_matrix(top).columns, len(C.basis(top)), saturation, stream
+
+
+@st.composite
+def singular_streams(draw):
+    """(X, top, C, saturation, stream): stream_of for a random image of 4 to
+    6 points, top 0, 1 or 2."""
+    X = draw(st.one_of(images((3, 3), 6, 4), images((2, 2, 2), 6, 4)))
+    top = draw(st.integers(0, 2))
+    return (X, top) + stream_of(draw, X, top)
 
 
 @settings(derandomize=True, deadline=None)
@@ -438,6 +459,40 @@ def test_witness_rows_keep_the_reduction(case):
     assert red.rank == plain.rank
     assert {r: p[r] for r, p in red.pivots.items()} == {r: p[r] for r, p in plain.pivots.items()}
     assert chain._pivot_invariant_factors(red) == chain._pivot_invariant_factors(plain)
+
+
+@settings(derandomize=True, deadline=None)
+@given(singular_streams())
+def test_coface_finish_keeps_the_reduction(case):
+    # given the cofaces of the singular search, the reduction leaves the
+    # stream unread once witness rows are chosen and reads the boundaries
+    # of the cubes with a face at a row R of the residuals instead.  Every
+    # boundary column without an entry in R must then lie in the span, and
+    # the result must match the reduction of the whole stream
+    X, top, C, saturation, stream = case
+    d, rows = C.boundary_matrix(top).columns, C.basis(top)
+    reducers, fired = [], []
+    choose = _ColumnReducer._choose_witness
+
+    def choosing(red):
+        choose(red)
+        reducers.append(red)
+
+    def cofaces(R):
+        fired.append(R)
+        oracle = _ColumnReducer()
+        oracle.pivots = {r: dict(p) for r, p in reducers[-1].pivots.items()}
+        for col in C.boundary_matrix(top + 1).columns:
+            assert not R.isdisjoint(col) or not oracle.add(col)
+        return _boundary_columns(_coface_keys(X, top + 1, rows, R), rows)
+
+    with patch.object(_ColumnReducer, "_choose_witness", choosing):
+        red = chain._reduce(stream, saturation, d, cofaces)
+    full = chain._reduce(stream, saturation, d)
+    event(f"finish fired: {bool(fired)}")
+    assert red.rank == full.rank
+    assert {r: p[r] for r, p in red.pivots.items()} == {r: p[r] for r, p in full.pivots.items()}
+    assert chain._pivot_invariant_factors(red) == chain._pivot_invariant_factors(full)
 
 
 # random images of 1 to 12 points anywhere in [-50, 50]^n, n = 1..4

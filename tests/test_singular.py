@@ -38,7 +38,13 @@ from dighom import (
     singular_homology,
     swap,
 )
-from dighom.singular import DEFAULT_BUDGET, _enumerate_interleaved, _enumerate_nondegenerate
+from dighom.singular import (
+    DEFAULT_BUDGET,
+    _coface_keys,
+    _enumerate_interleaved,
+    _enumerate_nondegenerate,
+    _signed_face_maps,
+)
 
 import helpers
 
@@ -545,6 +551,18 @@ def test_interleaved_stream_counts_the_budget():
     assert len(list(_enumerate_interleaved(helpers.square(), 3, 2432))) == 2432
 
 
+@pytest.mark.parametrize("name, q", [("ring", 1), ("ring", 2), ("block", 2), ("square", 3)])
+def test_coface_keys_are_the_cubes_with_a_face_in_the_rows(name, q):
+    X = getattr(helpers, name)()
+    rows = list(_enumerate_nondegenerate(X, q - 1, DEFAULT_BUDGET))
+    R = set(random.Random(q).sample(range(len(rows)), 3))
+    faces = {rows[r] for r in R}
+    found = list(_coface_keys(X, q, rows, R))
+    assert len(found) == len(set(found))
+    assert set(found) == {key for key in _enumerate_nondegenerate(X, q, DEFAULT_BUDGET)
+                          if any(get(key) in faces for get, _ in _signed_face_maps(q))}
+
+
 # --- complexes and homology --------------------------------------------------------------
 
 @pytest.mark.parametrize("name, m", [("ring", 0), ("ring", 1), ("path3", 2), ("square", 2)])
@@ -614,6 +632,11 @@ def test_singular_homology_budget_partial_results():
     assert singular_homology(X, 2, budget=20) == [FGAbelianGroup(1), None, None]
     assert singular_homology(X, 1, budget=20) == [FGAbelianGroup(1), None]
     assert singular_homology(X, 1, budget=112) == [
+        FGAbelianGroup(1), FGAbelianGroup(1)]
+    # H_1 = Z, so the streamed degree 2 cannot saturate: it reads 85 cubes,
+    # then 18 cofaces finish it, and all 103 count toward the budget
+    assert singular_homology(X, 1, budget=102) == [FGAbelianGroup(1), None]
+    assert singular_homology(X, 1, budget=103) == [
         FGAbelianGroup(1), FGAbelianGroup(1)]
 
 
