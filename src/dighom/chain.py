@@ -21,12 +21,15 @@ Two reduction routines coexist on purpose:
 
 Homology of the degrees lo..top is one pass from the top degree down, with
 nothing kept between calls: homology(C, q) is the window [q, q] and
-homology_through(C, top) the window [0, top].  d_top is reduced first, in
-full.  The top boundary d_{top+1} then stops once it saturates ker d_top, so
-its columns may come from a lazy stream that is never stored.  Each d_q
-below is cleared by the one above (the "twist" of Chen and Kerber): it skips
-the columns at the unit pivot rows of d_{q+1}, which would only reduce to
-zero.
+homology_through(C, top) the window [0, top].  The top boundary d_{top+1}
+stops once it saturates ker d_top, so its columns may come from a lazy
+stream that is never stored.  d_top is reduced before it, in full when it
+has no more columns than d_{top-1}, as in a c1 complex.  Otherwise, for
+top >= 2, d_{top-1} is reduced in full first and d_top stops in the same way
+once it saturates ker d_{top-1}, which it does when H_{top-1} = 0 (d_1 never
+does, as H_0 != 0 on a nonempty image).  Each d_q below is cleared by the
+one above (the "twist" of Chen and Kerber): it skips the columns at the
+unit pivot rows of d_{q+1}, which would only reduce to zero.
 
 A stream that cannot saturate (H_top != 0) reduces most of its columns to
 zero, each through a cascade of pivot steps, until the coface finish below
@@ -66,7 +69,12 @@ is that of the whole stream.
 
 Composites (``is_complex``, ``verify_chain_map``) are checked column by
 column with ``_apply``, the one matrix-times-column product, up to the first
-nonzero or unequal column; no product matrix is built.
+nonzero or unequal column; no product matrix is built.  Homology calls
+``is_complex`` only on complexes built by the caller.  On one the library
+built (``ChainComplex._trusted``), each stored column of d_q, q >= 2, that a
+reduction reads is checked to have d_{q-1} c = 0 as it is read, and a
+streamed one is sampled; so d∘d != 0 on a column that no reduction reads
+goes unnoticed there.
 
 Matrix entries are checked once, where they enter, by ``_check_column``: a
 row index is an int in 0..nrows-1 and an entry an int.  The reducer reads
@@ -712,7 +720,7 @@ class ChainComplex:
     zero, as are their boundary maps.
     """
 
-    __slots__ = ("bases", "boundaries", "_indexes", "_is_complex")
+    __slots__ = ("bases", "boundaries", "_indexes", "_is_complex", "_library")
 
     def __init__(self, bases, boundaries):
         bases = tuple(tuple(b) for b in bases)
@@ -734,6 +742,18 @@ class ChainComplex:
         )
         self._indexes = {}
         self._is_complex = None
+        self._library = False
+
+    @classmethod
+    def _trusted(cls, bases, boundaries):
+        """The complex of these bases and SparseIntMatrix boundaries, taken
+        over unchecked: the library has just built them, with distinct labels
+        and matching shapes.  Homology checks d∘d = 0 on the columns it reads
+        instead of calling is_complex()."""
+        C = object.__new__(cls)
+        C.bases, C.boundaries = tuple(tuple(b) for b in bases), tuple(boundaries)
+        C._indexes, C._is_complex, C._library = {}, None, True
+        return C
 
     @property
     def max_degree(self):
@@ -790,12 +810,13 @@ class ChainComplex:
         return f"ChainComplex(sizes=[{sizes}])"
 
 
-def _sampled_cycles(columns, d):
-    """The columns, passed through; the first 64 and every 1024th after must
-    have zero image under the matrix with columns d, else NotAComplex."""
+def _cycles(columns, d, sampled=False):
+    """The columns, passed through as they are read; each of them, or if
+    sampled the first 64 and every 1024th after, must have zero image under
+    the matrix with columns d, else NotAComplex."""
     for n, col in enumerate(columns, 1):
-        if (n <= 64 or n % 1024 == 0) and _apply(d, col):
-            raise NotAComplex("streamed boundary column is not a cycle")
+        if (not sampled or n <= 64 or n % 1024 == 0) and _apply(d, col):
+            raise NotAComplex("boundary column is not a cycle")
         yield col
 
 
@@ -807,35 +828,51 @@ def _homology(C, lo, top, columns_in=None, cofaces=None):
     row in R, sampled in the same way, to finish a stream that does not
     saturate.
 
-    Once is_complex() holds, d_top is reduced in full, and d_{top+1} stops
-    once its rank is dim ker d_top with unit pivots, as a direct summand of
-    full rank in ker d_top is all of it.  Each d_q below skips the columns at
-    the unit pivot rows of d_{q+1}: such a pivot column p lies in im d_{q+1},
-    has entry 1 at its maximal row j and d_q p = 0, so column j of d_q is a
+    A complex built by the library is checked to have d_{q-1} c = 0 for
+    each stored column c of d_q, q >= 2, that a reduction reads, as it is
+    read; any other complex must pass is_complex() first.
+
+    d_{top+1} stops once its rank is dim ker d_top with unit pivots, as a
+    direct summand of full rank in ker d_top is all of it.  When top >= 2
+    and d_top has more columns than d_{top-1}, d_{top-1} is reduced in full
+    first and d_top stops in the same way at dim ker d_{top-1}; otherwise
+    d_top is reduced in full.  Each d_q below those skips the columns at the
+    unit pivot rows of d_{q+1}: such a pivot column p lies in im d_{q+1}, has
+    entry 1 at its maximal row j and d_q p = 0, so column j of d_q is a
     combination of earlier columns.
     """
     if type(lo) is not int or type(top) is not int or lo < 0:
         raise ValueError("degree must be a nonnegative int")
-    if not C.is_complex():
+    if not (C._library or C.is_complex()):
         raise NotAComplex("boundary composed with boundary is nonzero")
-    d, n = C.boundary_matrix(top).columns, len(C.basis(top))
-    below = _reduce(d)
-    columns = (C.boundary_matrix(top + 1).columns if columns_in is None
-               else _sampled_cycles(columns_in, d))
-    finish = cofaces and (lambda rows: _sampled_cycles(cofaces(rows), d))
-    above = _reduce(columns, n - below.rank, d, finish)
+
+    def read(q, skip=()):
+        """The columns of d_q but those at skip, checked as they are read
+        when C is a library complex."""
+        cols = C.boundary_matrix(q).columns
+        if skip:
+            cols = [c for j, c in enumerate(cols) if j not in skip]
+        return _cycles(cols, C.boundary_matrix(q - 1).columns) if C._library and q > 1 else cols
+
+    n, m = len(C.basis(top)), len(C.basis(top - 1))
+    if top > 1 and n > m:  # d_{top-1} in full, then d_top to saturation
+        reds = {top - 1: _reduce(read(top - 1))}
+        reds[top] = _reduce(read(top), m - reds[top - 1].rank, C.boundary_matrix(top - 1).columns)
+    else:  # d_top in full
+        reds = {top: _reduce(read(top))}
+    d = C.boundary_matrix(top).columns
+    columns = read(top + 1) if columns_in is None else _cycles(columns_in, d, sampled=True)
+    finish = cofaces and (lambda rows: _cycles(cofaces(rows), d, sampled=True))
+    above = _reduce(columns, n - reds[top].rank, d, finish)
     groups = []
-    for q in range(top, lo - 1, -1):
-        if q < top:  # clear d_q by the unit pivots of d_{q+1}
-            above = below
-            unit = {r for r, p in above.pivots.items() if p[r] == 1}
-            columns = [c for j, c in enumerate(C.boundary_matrix(q).columns) if j not in unit]
-            below = _reduce(columns)
+    for q in range(top, lo - 1, -1):  # degrees not in reds cleared by the one above
+        below = reds.get(q) or _reduce(read(q, {r for r, p in above.pivots.items() if p[r] == 1}))
         free = len(C.basis(q)) - below.rank - above.rank
         if free < 0:
             raise RuntimeError("negative free rank: broken reduction")
         torsion = tuple(t for t in _pivot_invariant_factors(above) if t > 1)
         groups.append(FGAbelianGroup(free, torsion))
+        above = below
     return groups[::-1]
 
 
@@ -844,7 +881,8 @@ def homology(C, q):
 
     rank H_q = dim C_q - rank d_q - rank d_{q+1}; torsion comes from the
     invariant factors of d_{q+1} that exceed 1.  d_q is reduced first, so
-    d_{q+1} stops once it saturates ker d_q.
+    d_{q+1} stops once it saturates ker d_q (and d_q, when it has more
+    columns than d_{q-1}, once it saturates ker d_{q-1}).
     """
     return _homology(C, q, q)[0]
 
@@ -852,8 +890,9 @@ def homology(C, q):
 def homology_through(C, top):
     """[H_0, ..., H_top]; degrees beyond the complex are zero groups.
 
-    One pass from the top degree down: d_{top+1} stops at saturation and
-    every boundary below d_top is cleared by the one above.
+    One pass from the top degree down: d_{top+1} stops at saturation, and
+    so may d_top (see _homology); every boundary below is cleared by the one
+    above.
     """
     return _homology(C, 0, top)
 
@@ -904,7 +943,7 @@ def quotient_complex(C, sub_labels):
             col = M.columns[i]
             cols.append({rmap[r]: v for r, v in col.items() if r in rmap})
         new_mats.append(SparseIntMatrix._trusted(len(new_bases[q - 1]), len(new_bases[q]), cols))
-    return ChainComplex(new_bases, new_mats)
+    return (ChainComplex._trusted if C._library else ChainComplex)(new_bases, new_mats)
 
 
 def verify_chain_map(phi, C, D):

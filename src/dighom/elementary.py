@@ -218,7 +218,7 @@ def build_c1_complex(X, max_dim=None):
                 col[rows[(tr[j - 1][i], rest)]] = -(-1) ** p
             cols.append(col)
         mats.append(SparseIntMatrix._trusted(len(rows), len(levels[q]), cols))
-    return C1Complex(X, ChainComplex(levels, mats))
+    return C1Complex(X, ChainComplex._trusted(levels, mats))
 
 
 def relative_c1_complex(X, A, max_dim=None):

@@ -654,10 +654,18 @@ def _materialize(X, top, budget):
     return keys, mats, None
 
 
+def _check_degree_and_budget(name, q, budget):
+    """Refuse a degree q that is not an int >= 0 and a budget, the most
+    cubes enumerated in one degree, that is not an int >= 1."""
+    if type(q) is not int or q < 0:
+        raise ValueError(f"{name} must be a nonnegative int")
+    if type(budget) is not int or budget < 1:
+        raise ValueError(f"budget {budget!r} must be an int >= 1")
+
+
 def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
     """All nondegenerate singular q-cubes on X, lexicographic in corner tables."""
-    if type(q) is not int or q < 0:
-        raise ValueError("q must be a nonnegative int")
+    _check_degree_and_budget("q", q, budget)
     pts = X.sorted_points
     return [SingularCube(q, tuple(pts[a] for a in k))
             for k in _enumerate_nondegenerate(X, q, budget)]
@@ -673,12 +681,11 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     them; degree max_q + 1 is round-robin by front face (the order of
     _enumerate_interleaved), so its boundary saturates early.
     """
-    if type(max_q) is not int or max_q < 0:
-        raise ValueError("max_q must be a nonnegative int")
+    _check_degree_and_budget("max_q", max_q, budget)
     keys, mats, err = _materialize(X, max_q + 1, budget)
     if err is not None:
         raise err
-    return ChainComplex(keys, mats)
+    return ChainComplex._trusted(keys, mats)
 
 
 def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
@@ -699,13 +706,12 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     comes back as None instead of a group, and the groups below come from a
     pass through degree j-2.
     """
-    if type(max_q) is not int or max_q < 0:
-        raise ValueError("max_q must be a nonnegative int")
+    _check_degree_and_budget("max_q", max_q, budget)
     keys, mats, err = _materialize(X, max_q, budget)
     m = len(keys) - 1  # top materialized degree
     if m < 0:
         return [None] * (max_q + 1)
-    trunc = ChainComplex(keys, mats)
+    trunc = ChainComplex._trusted(keys, mats)
     if err is None:  # H_m needs degree m+1, which may be over budget
         read = 0  # stream cubes read; coface cubes count toward the budget after them
 

@@ -408,19 +408,40 @@ def test_is_complex_detects_failure():
 
 
 def test_homology_through_checks_the_complex_once(monkeypatch):
-    composed = []
-    apply = chain._apply
+    # a library complex is checked on the columns its reductions read: each
+    # read column of d_q, q >= 2, is composed once with d_{q-1} as it is
+    # read (d_0 = 0 needs no check), and nothing else is composed
+    composed, read = [], []
+    apply, reduce = chain._apply, chain._reduce
 
-    def recording(columns, col):
+    def composing(columns, col):
         composed.append((columns, col))
         return apply(columns, col)
 
-    monkeypatch.setattr(chain, "_apply", recording)
+    def reading(columns, saturation=None, d=None, cofaces=None):
+        def tally():
+            for col in columns:
+                read.append(col)
+                yield col
+        return reduce(tally(), saturation, d, cofaces)
+
+    monkeypatch.setattr(chain, "_apply", composing)
+    monkeypatch.setattr(chain, "_reduce", reading)
     C = build_c1_complex(helpers.block()).complex  # degrees 0..3
+    assert homology_through(C, 3) == [FGAbelianGroup(1)] + [ZERO_GROUP] * 3
+    d1, d2, d3 = (M.columns for M in C.boundaries)
+    below = {id(c): lower for lower, upper in ((d1, d2), (d2, d3)) for c in upper}
+    expected = [(below[id(c)], c) for c in read if id(c) in below]
+    assert len(expected) == 6  # d_3's one column and 5 of the 6 of d_2
+    assert len(composed) == len(expected)
+    assert all(a is b and c is d for (a, c), (b, d) in zip(composed, expected))
+
+    # a complex built by the caller passes is_complex() once, in full: each
+    # column of d2 and d3 composed once with the boundary below it
+    composed.clear()
+    C = ChainComplex(C.bases, C.boundaries)
     for _ in range(3):
         assert homology_through(C, 3) == [FGAbelianGroup(1)] + [ZERO_GROUP] * 3
-    # each column of d2 and d3, composed once with the boundary below it
-    d1, d2, d3 = (M.columns for M in C.boundaries)
     expected = [(d1, c) for c in d2] + [(d2, c) for c in d3]
     assert len(composed) == len(expected)
     assert all(a is b and c is d for (a, c), (b, d) in zip(composed, expected))
@@ -497,13 +518,10 @@ def tallied(columns):
     return tally(), n
 
 
-def test_unsaturating_stream_is_interreduced_and_finished_by_its_cofaces(monkeypatch):
-    # H_2 = Z, so the streamed degree 3 never spans ker d_2: at rank 1128
-    # its columns only reduce to zero; the materialized d_2 (rank 71)
-    # interreduces once, before its last pivot, and the stream once, which
-    # chooses its witness row.  The stream of 77,616 columns then stops, and
-    # the cofaces of the rows of the residuals, about 1,080, finish it
-    read = []
+def recording_reads(monkeypatch):
+    """The columns read by each reduction from now on, as a count, or as
+    (stream, cofaces) when cofaces finish it."""
+    reads = []
     reduce = chain._reduce
 
     def counting(columns, saturation=None, d=None, cofaces=None):
@@ -516,14 +534,24 @@ def test_unsaturating_stream_is_interreduced_and_finished_by_its_cofaces(monkeyp
             return cols
 
         red = reduce(columns, saturation, d, cofaces and counted_cofaces)
-        read.append((n[0], sum(m[0] for m in faces)))
+        reads.append((n[0], faces[0][0]) if faces else n[0])
         return red
 
     monkeypatch.setattr(chain, "_reduce", counting)
+    return reads
+
+
+def test_unsaturating_stream_is_interreduced_and_finished_by_its_cofaces(monkeypatch):
+    # H_2 = Z, so the streamed degree 3 never spans ker d_2: at rank 1128
+    # its columns only reduce to zero; the materialized d_2 (rank 71)
+    # interreduces once, before its last pivot, and the stream once, which
+    # chooses its witness row.  The stream of 77,616 columns then stops, and
+    # the cofaces of the rows of the residuals, about 1,080, finish it
+    read = recording_reads(monkeypatch)
     interreductions = recording_interreductions(monkeypatch)
     assert singular_homology(helpers.shell(), 2) == [
         FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
-    [(streamed, finished)] = [(n, m) for n, m in read if m]
+    [(streamed, finished)] = [r for r in read if type(r) is tuple]
     assert streamed < 3000
     assert 1000 < finished < 1200
     assert interreductions == [(70, 0), (1128, 0)]
@@ -635,6 +663,71 @@ def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncol
         assert read[ncols] < 100
     else:
         assert read[ncols] == ncols
+
+
+@pytest.mark.parametrize("X, q, reads", [
+    # d_2 (64) in full, then d_3 to saturation (83 of 2,432), the stream,
+    # and d_1, d_0 cleared
+    (helpers.square(), 3, [64, 83, 2651, 3, 1]),
+    # H_1 = 0: d_2 saturates after 348 of its 1,200 columns
+    (helpers.shell(), 2, [96, 348, (2711, 1080), 1]),
+    # at top 1, d_1 is read in full, as H_0 != 0: 85 stream cubes and 18
+    # cofaces, the 103 of the CI budget check
+    (helpers.ring(), 1, [16, (85, 18), 1]),
+], ids=["square", "shell", "ring"])
+def test_singular_top_boundaries_are_read_to_saturation(monkeypatch, X, q, reads):
+    recorded = recording_reads(monkeypatch)
+    singular_homology(X, q)
+    assert recorded == reads
+
+
+@pytest.mark.parametrize("X, reads", [
+    (helpers.shell(), [[26, 48], [48, 23, 1], [24, 0, 25, 1]]),
+    (helpers.block(), [[8, 12], [12, 5, 1], [6, 1, 7, 1], [1, 0, 5, 7, 1]]),
+    (helpers.ring(), [[8, 8], [8, 0, 1]]),
+], ids=["shell", "block", "ring"])
+def test_c1_top_boundaries_are_read_in_full(monkeypatch, X, reads):
+    # in a c1 complex d_top is the shorter boundary, so it is reduced in
+    # full and clears the one below, at every top
+    C = build_c1_complex(X).complex
+    recorded = recording_reads(monkeypatch)
+    for top, expected in enumerate(reads):
+        homology_through(C, top)
+        assert recorded == expected
+        recorded.clear()
+
+
+def broken_column(C, q, j):
+    """d_q of C with a face of nonzero boundary added to column j, so that
+    d_{q-1} d_q is nonzero there and only there."""
+    lower, upper = C.boundary_matrix(q - 1), C.boundary_matrix(q)
+    cols = list(upper.columns)
+    cols[j] = dict(cols[j])
+    cols[j][next(r for r, c in enumerate(lower.columns) if c and r not in cols[j])] = 1
+    return SparseIntMatrix(upper.nrows, upper.ncols, cols)
+
+
+@pytest.mark.parametrize("q, j", [(2, 0), (3, 0), (3, 82)])
+def test_library_complex_is_checked_on_the_columns_read(q, j):
+    # homology_through(square, 2) reads d_2 from its first column, and the
+    # first 83 columns of d_3
+    C = build_singular_complex(helpers.square(), 2)
+    mats = list(C.boundaries)
+    mats[q - 1] = broken_column(C, q, j)
+    with pytest.raises(NotAComplex):
+        homology_through(ChainComplex._trusted(C.bases, mats), 2)
+
+
+def test_user_complex_is_checked_in_full():
+    # the last column of d_3 is left unread, yet a complex built by the
+    # caller must pass is_complex() in full; a library complex broken only
+    # there goes unnoticed in this call
+    C = build_singular_complex(helpers.square(), 2)
+    mats = C.boundaries[:2] + (broken_column(C, 3, len(C.basis(3)) - 1),)
+    with pytest.raises(NotAComplex):
+        homology_through(ChainComplex(C.bases, mats), 2)
+    groups = [FGAbelianGroup(1), ZERO_GROUP, ZERO_GROUP]
+    assert homology_through(ChainComplex._trusted(C.bases, mats), 2) == groups
 
 
 def test_streamed_columns_are_checked_to_be_cycles():

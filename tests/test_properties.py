@@ -116,6 +116,81 @@ def test_clearing_keeps_the_groups(X):
         assert [homology(C, q) for q in range(C.max_degree + 1)] == reference
 
 
+def saturating_reductions():
+    """(calls, a wrapper of chain._reduce): calls gets True for each
+    reduction of cycles of a boundary given to it, one per homology pass
+    for d_{top+1} and one more when d_top stops at saturation too."""
+    calls = []
+    reduce = chain._reduce
+
+    def recording(columns, saturation=None, d=None, cofaces=None):
+        calls.append(d is not None)
+        return reduce(columns, saturation, d, cofaces)
+
+    return calls, recording
+
+
+# images whose singular complex to degree 3 stays small
+SMALL_IMAGES = st.one_of(images((4,)), images((2, 2)), images((2, 2, 2), max_size=3))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(IMAGES.map(lambda X: (X, 1)), SMALL_IMAGES.map(lambda X: (X, 2))))
+def test_saturating_top_boundary_keeps_the_groups(case):
+    # at top 2, d_2 of the singular complex of an image with an edge has
+    # more columns than d_1, so d_1 is reduced in full and d_2 stops once it
+    # saturates ker d_1; at top 1 d_1 is reduced in full.  Materialized or
+    # streamed above, the groups are those of a reduction of every boundary
+    # in full
+    X, q = case
+    C = build_singular_complex(X, q)
+    reference = reference_homology(C)[:q + 1]
+    calls, recording = saturating_reductions()
+    with patch.object(chain, "_reduce", recording):
+        assert homology_through(C, q) == reference
+        event(f"q={q}, d_top reduced to saturation: {calls.count(True) == 2}")
+        assert singular_homology(X, q) == reference
+
+
+@st.composite
+def nonunit_complexes(draw):
+    """A complex Z <- Z^k <- Z^(a+b) <- Z^c with d_1 = 0 and d_2 = [A | A M]
+    for random A (k x a) and M (a x b) with entries in -2..2, so d_2 has
+    more columns than d_1 and its pivots may be nonunit.  The columns of
+    d_3 are random combinations of the cycles (M e_j, -e_j) of d_2."""
+    entries = st.integers(-2, 2)
+    k, a = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    b = draw(st.integers(max(1, k - a + 1), 3))
+    A = [[draw(entries) for _ in range(a)] for _ in range(k)]
+    M = [[draw(entries) for _ in range(b)] for _ in range(a)]
+    d2 = [row + [sum(row[i] * M[i][j] for i in range(a)) for j in range(b)] for row in A]
+    cycles = [[M[i][j] for i in range(a)] + [-(j == l) for l in range(b)] for j in range(b)]
+    combos = [[draw(entries) for _ in range(b)] for _ in range(draw(st.integers(0, 6)))]
+    d3 = [[sum(w * z[i] for w, z in zip(combo, cycles)) for combo in combos]
+          for i in range(a + b)]
+    return ChainComplex([("v",), range(k), range(a + b), range(len(combos))],
+                        [SparseIntMatrix.zeros(1, k), SparseIntMatrix.from_dense(d2),
+                         SparseIntMatrix.from_dense(d3, ncols=len(combos))])
+
+
+@settings(derandomize=True, deadline=None)
+@given(nonunit_complexes())
+def test_saturating_top_boundary_keeps_torsion(C):
+    # the stop waits for unit pivots: at every top, built by the caller or
+    # by the library, the groups are those of the full reductions
+    reference = reference_homology(C)
+    calls, recording = saturating_reductions()
+    passes = 0
+    with patch.object(chain, "_reduce", recording):
+        for D in (C, ChainComplex._trusted(C.bases, C.boundaries)):
+            for top in range(C.max_degree + 1):
+                assert homology_through(D, top) == reference[:top + 1]
+                assert homology(D, top) == reference[top]
+                passes += 2
+    event(f"d_top reduced to saturation: {calls.count(True) > passes}")
+    event(f"torsion: {any(g.torsion for g in reference)}")
+
+
 # random images in 1D, 2D (3x3), 3D (2x2x2) and 4D (2x2x2x2) boxes
 C1_IMAGES = st.one_of(images((5,)), images((3, 3)), images((2, 2, 2)), images((2, 2, 2, 2)))
 

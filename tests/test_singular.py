@@ -19,6 +19,7 @@ from dighom import (
     SingularCube,
     append,
     apply_operator,
+    beta_matrices,
     boundary,
     build_singular_complex,
     classify,
@@ -37,6 +38,7 @@ from dighom import (
     shift,
     singular_homology,
     swap,
+    verify_isomorphism,
 )
 from dighom.singular import (
     DEFAULT_BUDGET,
@@ -523,6 +525,15 @@ def test_enumeration_budget():
     assert ei.value.count == 5
     # a budget exactly equal to the count is enough
     assert len(enumerate_singular_cubes(helpers.square(), 2, budget=64)) == 64
+
+
+@pytest.mark.parametrize("budget", [None, "5", 1.5, True, 0, -3])
+@pytest.mark.parametrize("call", [enumerate_singular_cubes, build_singular_complex,
+                                  singular_homology, beta_matrices, verify_isomorphism])
+def test_budget_must_be_a_positive_int(call, budget):
+    # a budget of 0 would skip every group, H_0 included
+    with pytest.raises(ValueError, match="budget"):
+        call(helpers.edge(), 1, budget)
 
 
 def test_known_enumeration_counts():
