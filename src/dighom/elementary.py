@@ -140,7 +140,10 @@ def _levels(X, top=None):
 
 
 def _level(X, q):
-    """(tr, keys of degree q) of _levels(X, q); no keys for q out of range."""
+    """(tr, keys of degree q) of _levels(X, q); no keys for q out of range,
+    and ValueError for a q that is not an int."""
+    if type(q) is not int:
+        raise ValueError(f"q {q!r} must be an int")
     tr, levels = _levels(X, max(q, 0))
     return tr, levels[q] if 0 <= q < len(levels) else {}
 
@@ -149,8 +152,6 @@ def enumerate_elementary_cubes(X, q):
     """All elementary q-cubes whose vertices lie in X, in (min_corner, extent)
     lexicographic order.  Out-of-range q gives the empty list; a q that is
     not an int raises ValueError."""
-    if type(q) is not int:
-        raise ValueError(f"q {q!r} must be an int")
     return [ElementaryCube(X.sorted_points[i], ext) for i, ext in _level(X, q)[1]]
 
 

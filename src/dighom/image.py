@@ -336,8 +336,8 @@ def interior(X, A, i=1):
     Int^0(A) = A; Int(A) = points of A whose closed neighborhood in X lies
     inside A; Int^i iterates.
     """
-    if i < 0:
-        raise ValueError("i must be >= 0")
+    if type(i) is not int or i < 0:
+        raise ValueError(f"i {i!r} must be an int >= 0")
     cur = set(_require_in(X, A))
     for _ in range(i):
         cur = {x for x in cur if all(nb in cur for nb in X.neighbors(x))}

@@ -14,17 +14,16 @@ permuting corner indices, so all of their algebra is exact bit manipulation.
 Enumeration of all nondegenerate q-cubes is a depth-first search over corner
 tables in lexicographic order, pruned by the common closed neighborhood of the
 already-assigned one-bit predecessors of each corner.  A budget caps the
-number of nondegenerate cubes produced.  Bases are listed in that lex order,
-with one exception: the top degree of a materialized complex comes
+number of nondegenerate cubes produced.  Every degree q >= 1 is listed
 round-robin from the search subtrees of its front faces t_q = 0, so that the
 reduction of its boundary saturates the cycles below early.  The degree above
-the top of singular_homology is streamed in that same round-robin order
-without materializing cubes, and its boundary columns go lazily to the
-top-boundary reduction of chain.py, which stops once their span saturates
-the cycles below.  A stream that cannot saturate stops once the reduction
-has chosen its witness rows: only a cube with a face at one of the few rows
-of their residuals can then grow the span, and a search of the corner
-tables with that face in front, moved to each face position, finds them.
+the top of singular_homology is streamed in that order without materializing
+cubes, and its boundary columns go lazily to the top-boundary reduction of
+chain.py, which stops once their span saturates the cycles below.  A stream
+that cannot saturate stops once the reduction has chosen its witness rows:
+only a cube with a face at one of the few rows of their residuals can then
+grow the span, and the same search, in the subtrees rooted at those faces,
+with each cube moved to each face position, finds them.
 """
 
 from __future__ import annotations
@@ -513,51 +512,46 @@ def _corner_search(X, q):
     return search
 
 
-def _within_budget(keys, q, budget, spent=0):
-    """Pass keys through; raise BudgetExceeded once more than budget went by,
-    counting spent keys that went by before these."""
-    for count, key in enumerate(keys, spent + 1):
-        if count > budget:
-            raise BudgetExceeded(q, budget)
-        yield key
-
-
-def _enumerate_nondegenerate(X, q, budget):
-    """Every nondegenerate q-cube on X as a key, in lex order.
+def _enumerate(X, q, budget):
+    """(keys, cofaces) of the nondegenerate q-cubes on X, lazily.
 
     A key is a tuple of indices into X.sorted_points, one per corner index.
-    Raises BudgetExceeded as soon as more than budget cubes have been yielded.
-    Without a c1-adjacent pair in X every continuous cube is constant, so
-    there is none in a degree q >= 1, and no table of size 2^q is built.
+    keys lists every key once: degree 0 lists the points, and a degree q >= 1
+    takes one cube in turn from each subtree of the search rooted at a
+    continuous front face t_q = 0 (corners 0..2^(q-1)-1), each searched in
+    lex order.  Consecutive cubes thus have different front faces, so their
+    boundary columns span the cycles of degree q-1 after far fewer columns
+    than in lex order, where long runs of cubes share a front face.
+    cofaces(fronts) lists, each once, the keys with a face in fronts, keys of
+    degree q-1: a q-cube has face f at t_i = side exactly when it is a cube
+    of the subtree rooted at f precomposed to move t_q to t_i, reflected if
+    side.  The keys of both count toward one budget, and BudgetExceeded
+    rises once more than budget went by.  Without a c1-adjacent pair in X
+    every continuous cube is constant, so there is none in a degree q >= 1,
+    and no table of size 2^q is built.  Degree 0 and a degree with no cube
+    have no cofaces (None).
     """
-    if q and not any(X.neighbors(p) for p in X.sorted_points):
-        return iter(())
-    total = 1 << q
-    search = _corner_search(X, q)
-    keys = (tuple(a) for a in search([0] * total, 0, total))
-    return _within_budget(keys, q, budget)
+    spent = 0
 
+    def counted(keys):
+        nonlocal spent
+        for key in keys:
+            spent += 1
+            if spent > budget:
+                raise BudgetExceeded(q, budget)
+            yield key
 
-def _enumerate_interleaved(X, q, budget):
-    """The keys of _enumerate_nondegenerate(X, q, budget), q >= 1, reordered.
-
-    Each continuous front face t_q = 0 (corners 0..2^(q-1)-1) roots a subtree
-    of the search, which is searched in lex order, and each round takes the
-    next cube from every subtree that has one left.  Consecutive cubes thus
-    have different front faces, so their boundary columns span the cycles of
-    degree q-1 after far fewer columns than in lex order, where long runs of
-    cubes share a front face.
-    """
+    if not q:
+        return counted((i,) for i in range(len(X.sorted_points))), None
     if not any(X.neighbors(p) for p in X.sorted_points):
-        return iter(())
+        return iter(()), None
     total = 1 << q
     half = total >> 1
     search = _corner_search(X, q)
 
-    def rounds():
+    def rounds(fronts):
         # the first round starts the subtrees as it goes
-        live = (search(front + [0] * half, half, total)
-                for front in search([0] * half, 0, half))
+        live = (search(list(front) + [0] * half, half, total) for front in fronts)
         while live:
             kept = []
             for sub in live:
@@ -567,7 +561,17 @@ def _enumerate_interleaved(X, q, budget):
                     yield tuple(a)
             live = kept
 
-    return _within_budget(rounds(), q, budget)
+    def cofaces(fronts):
+        moves = [_precomposition(q, (*range(i - 1), *range(i, q), i - 1), side << (q - 1))
+                 for i in range(1, q + 1) for side in (0, 1)]
+        seen = set()
+        for a in rounds(fronts):
+            for move in moves:
+                if (key := move(a)) not in seen:
+                    seen.add(key)
+                    yield key
+
+    return counted(rounds(search([0] * half, 0, half))), lambda fronts: counted(cofaces(fronts))
 
 
 @lru_cache(maxsize=None)
@@ -609,42 +613,19 @@ def _boundary_columns(keys, rows):
         yield col
 
 
-def _coface_keys(X, q, rows, R):
-    """The nondegenerate q-cubes on X with a face rows[r] for some r in R, as
-    keys, each once, q >= 1.  A q-cube has face f at t_i = side exactly when
-    it is a cube with front face f (t_q = 0) precomposed to move t_q to t_i,
-    reflected if side.  The corner tables are built at the first key."""
-    total = 1 << q
-    half = total >> 1
-    search = _corner_search(X, q)
-    moves = [_precomposition(q, (*range(i - 1), *range(i, q), i - 1), side << (q - 1))
-             for i in range(1, q + 1) for side in (0, 1)]
-    seen = set()
-    for r in R:
-        for a in search(list(rows[r]) + [0] * half, half, total):
-            for move in moves:
-                if (key := move(a)) not in seen:
-                    seen.add(key)
-                    yield key
-
-
 def _materialize(X, top, budget):
     """(keys, mats, err) for degrees 0..top, stopping short of the first
     degree over budget.
 
-    keys[q] lists the q-cube keys in lex order, but those of degree top >= 1
-    round-robin by front face (see _enumerate_interleaved), so a reduction of
-    its boundary saturates early, as columns here and as rows of the degree
-    singular_homology streams above it.  mats[q-1] is the boundary of degree
-    q over them, and err is the BudgetExceeded that cut keys short, or None
-    when every degree fit.
+    keys[q] lists the q-cube keys in the order of _enumerate, and mats[q-1]
+    is the boundary of degree q over them; err is the BudgetExceeded that cut
+    keys short, or None when every degree fit.
     """
     keys = []
     mats = []
     for q in range(top + 1):
-        enum = _enumerate_interleaved if 0 < q == top else _enumerate_nondegenerate
         try:
-            kq = list(enum(X, q, budget))
+            kq = list(_enumerate(X, q, budget)[0])
         except BudgetExceeded as e:
             return keys, mats, e
         if q:
@@ -664,11 +645,14 @@ def _check_degree_and_budget(name, q, budget):
 
 
 def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
-    """All nondegenerate singular q-cubes on X, lexicographic in corner tables."""
+    """All nondegenerate singular q-cubes on X, lexicographic in corner tables.
+
+    Point indices follow point order, so the sorted keys are the lex tables.
+    """
     _check_degree_and_budget("q", q, budget)
     pts = X.sorted_points
     return [SingularCube(q, tuple(pts[a] for a in k))
-            for k in _enumerate_nondegenerate(X, q, budget)]
+            for k in sorted(_enumerate(X, q, budget)[0])]
 
 
 def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
@@ -677,9 +661,9 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     One extra degree is materialized so homology through max_q is exact.
     The basis labels are keys, the indices in pts = X.sorted_points of the
     corners: SingularCube(q, tuple(pts[a] for a in key)) is the cube.
-    Degrees 0..max_q are in lex order, as enumerate_singular_cubes lists
-    them; degree max_q + 1 is round-robin by front face (the order of
-    _enumerate_interleaved), so its boundary saturates early.
+    Degree 0 lists the points, and every degree q >= 1 is round-robin by
+    front face (see _enumerate), so its boundary saturates early; the order
+    of a degree does not depend on max_q.
     """
     _check_degree_and_budget("max_q", max_q, budget)
     keys, mats, err = _materialize(X, max_q + 1, budget)
@@ -693,15 +677,14 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
 
     Degrees 0..max_q are materialized, and one top-down pass of chain.py
     computes every group.  The boundary columns of degree max_q+1 are
-    streamed into it, round-robin over the front faces of their cubes (see
-    _enumerate_interleaved), and it stops reading them once their span
-    saturates the cycles of degree max_q; those cubes are never stored.
-    When H_max_q is not zero the span cannot saturate, and the stream stops
-    once witness rows are chosen instead: the columns of the cubes with a
-    face at a row of their residuals (_coface_keys) finish the reduction,
-    exactly, as every later column outside the span has an entry at such a
-    row (see the chain module).  These cofaces count toward the budget of
-    degree max_q+1 after the streamed cubes read.  If the enumeration budget
+    streamed into it in the order of _enumerate, and it stops reading them
+    once their span saturates the cycles of degree max_q; those cubes are
+    never stored.  When H_max_q is not zero the span cannot saturate, and
+    the stream stops once witness rows are chosen instead: the columns of
+    the cofaces of the rows of their residuals finish the reduction, exactly,
+    as every later column outside the span has an entry at such a row (see
+    the chain module).  These cofaces count toward the budget of degree
+    max_q+1 after the streamed cubes read.  If the enumeration budget
     is exhausted at degree j, every group needing that degree (q >= j-1)
     comes back as None instead of a group, and the groups below come from a
     pass through degree j-2.
@@ -713,20 +696,11 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
         return [None] * (max_q + 1)
     trunc = ChainComplex._trusted(keys, mats)
     if err is None:  # H_m needs degree m+1, which may be over budget
-        read = 0  # stream cubes read; coface cubes count toward the budget after them
-
-        def stream():
-            nonlocal read
-            for key in _enumerate_interleaved(X, m + 1, budget):
-                read += 1
-                yield key
-
-        def cofaces(R):
-            found = _within_budget(_coface_keys(X, m + 1, keys[m], R), m + 1, budget, read)
-            return _boundary_columns(found, keys[m])
-
+        rows = keys[m]
+        stream, cofaces = _enumerate(X, m + 1, budget)
         try:
-            return (_homology(trunc, 0, m, _boundary_columns(stream(), keys[m]), cofaces)
+            return (_homology(trunc, 0, m, _boundary_columns(stream, rows),
+                              lambda R: _boundary_columns(cofaces([rows[r] for r in R]), rows))
                     + [None] * (max_q - m))
         except BudgetExceeded:
             pass

@@ -543,10 +543,12 @@ def recording_reads(monkeypatch):
 
 def test_unsaturating_stream_is_interreduced_and_finished_by_its_cofaces(monkeypatch):
     # H_2 = Z, so the streamed degree 3 never spans ker d_2: at rank 1128
-    # its columns only reduce to zero; the materialized d_2 (rank 71)
-    # interreduces once, before its last pivot, and the stream once, which
-    # chooses its witness row.  The stream of 77,616 columns then stops, and
-    # the cofaces of the rows of the residuals, about 1,080, finish it
+    # its columns only reduce to zero; the materialized d_1 (rank 25)
+    # interreduces once, after its last pivot, d_2 (rank 71) once, before
+    # its last pivot, and the stream once, which chooses its witness row.
+    # (Listed in lex order, d_1 did not interreduce.)  The stream of 77,616
+    # columns then stops, and the cofaces of the rows of the residuals,
+    # about 1,080, finish it
     read = recording_reads(monkeypatch)
     interreductions = recording_interreductions(monkeypatch)
     assert singular_homology(helpers.shell(), 2) == [
@@ -554,7 +556,7 @@ def test_unsaturating_stream_is_interreduced_and_finished_by_its_cofaces(monkeyp
     [(streamed, finished)] = [r for r in read if type(r) is tuple]
     assert streamed < 3000
     assert 1000 < finished < 1200
-    assert interreductions == [(70, 0), (1128, 0)]
+    assert interreductions == [(25, 0), (70, 0), (1128, 0)]
 
 
 def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):

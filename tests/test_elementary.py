@@ -114,11 +114,18 @@ def test_enumerate_unit_square():
     assert enumerate_elementary_cubes(X, -1) == []
 
 
-@pytest.mark.parametrize("q", [1.5, True, "1"])
-def test_enumerate_refuses_a_degree_that_is_not_an_int(q):
+def induced_identity(X, q):
+    return induced_map(identity_map(X), q)
+
+
+@pytest.mark.parametrize("call, q", [
+    *[pytest.param(enumerate_elementary_cubes, q, id=str(q)) for q in (1.5, True, "1")],
+    *[pytest.param(induced_identity, q, id=f"induced_map-{q}") for q in (1.5, True, "1")],
+])
+def test_enumerate_refuses_a_degree_that_is_not_an_int(call, q):
     # 1.5 ended in a TypeError from a list index, and True was taken as 1
     with pytest.raises(ValueError, match="must be an int"):
-        enumerate_elementary_cubes(helpers.ring(), q)
+        call(helpers.ring(), q)
 
 
 def test_enumerate_ring_has_no_squares():

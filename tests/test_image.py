@@ -301,8 +301,10 @@ def test_interior_checks_containment():
     X = helpers.edge()
     with pytest.raises(PointNotInImage):
         interior(X, {(9,)}, 1)
-    with pytest.raises(ValueError):
-        interior(X, {(0,)}, -1)
+    # 1.5 ended in a TypeError from range, and True was taken as 1
+    for i in (-1, 1.5, True, "1", None):
+        with pytest.raises(ValueError, match="must be an int"):
+            interior(X, {(0,)}, i)
 
 
 def test_interior_of_whole_image_is_whole_image():

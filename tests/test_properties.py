@@ -9,7 +9,8 @@ quotient by the cubes inside a subimage as its relative complex.  beta on
 singular keys must be public beta on the decoded cubes, and its sign the
 determinant of the edge vectors.  The search
 for singular cubes must yield those of a brute-force filter of every corner
-table, in the same order, and its interleaved stream a permutation of them.
+table, in the same order once sorted, and its round-robin listing a
+permutation of them.
 The coordinate operators must precompose with the maps that an oracle
 evaluates point by point.  Images written as JSON and as text files must
 parse back equal, and each class of malformed image file must end the CLI
@@ -70,9 +71,7 @@ from dighom.singular import (
     DEFAULT_BUDGET,
     _beta_key,
     _boundary_columns,
-    _coface_keys,
-    _enumerate_interleaved,
-    _enumerate_nondegenerate,
+    _enumerate,
 )
 
 import helpers
@@ -245,7 +244,7 @@ def test_beta_on_keys_is_beta_on_cubes(X):
     pts = X.sorted_points
     at = {p: i for i, p in enumerate(pts)}
     for q in range(3):
-        for key in _enumerate_nondegenerate(X, q, DEFAULT_BUDGET):
+        for key in _enumerate(X, q, DEFAULT_BUDGET)[0]:
             sigma = helpers.decode(X, q, key)
             b = beta(sigma)
             if b is None:
@@ -261,11 +260,11 @@ def test_beta_on_keys_is_beta_on_cubes(X):
 
 def check_corner_search(X, q):
     # the same cubes in the same lex order as a filter of every corner table,
-    # and the interleaved stream is a permutation of them
-    assert enumerate_singular_cubes(X, q) == helpers.brute_singular_cubes(X, q)
-    if q:
-        lex = list(_enumerate_nondegenerate(X, q, DEFAULT_BUDGET))
-        assert sorted(_enumerate_interleaved(X, q, DEFAULT_BUDGET)) == lex
+    # and the round-robin listing is a permutation of them
+    brute = helpers.brute_singular_cubes(X, q)
+    assert enumerate_singular_cubes(X, q) == brute
+    listed = [helpers.decode(X, q, key) for key in _enumerate(X, q, DEFAULT_BUDGET)[0]]
+    assert sorted(listed, key=lambda s: s.corners) == brute
 
 
 # random images in 1D, 2D (3x3) and 3D (2x2x2) boxes
@@ -559,7 +558,8 @@ def test_coface_finish_keeps_the_reduction(case):
         oracle.pivots = {r: dict(p) for r, p in reducers[-1].pivots.items()}
         for col in C.boundary_matrix(top + 1).columns:
             assert not R.isdisjoint(col) or not oracle.add(col)
-        return _boundary_columns(_coface_keys(X, top + 1, rows, R), rows)
+        return _boundary_columns(_enumerate(X, top + 1, DEFAULT_BUDGET)[1](
+            [rows[r] for r in R]), rows)
 
     with patch.object(_ColumnReducer, "_choose_witness", choosing):
         red = chain._reduce(stream, saturation, d, cofaces)

@@ -40,13 +40,7 @@ from dighom import (
     swap,
     verify_isomorphism,
 )
-from dighom.singular import (
-    DEFAULT_BUDGET,
-    _coface_keys,
-    _enumerate_interleaved,
-    _enumerate_nondegenerate,
-    _signed_face_maps,
-)
+from dighom.singular import DEFAULT_BUDGET, _enumerate, _signed_face_maps
 
 import helpers
 
@@ -542,35 +536,42 @@ def test_known_enumeration_counts():
     assert len(enumerate_singular_cubes(helpers.square(), 3)) == 2432
 
 
+def keys_of(X, cubes):
+    """The keys of the cubes on X: the index of each corner in X.sorted_points."""
+    at = {p: i for i, p in enumerate(X.sorted_points)}
+    return [tuple(at[p] for p in s.corners) for s in cubes]
+
+
 @pytest.mark.parametrize("name", ["ring", "shell", "square"])
 def test_interleaved_stream_permutes_the_lex_enumeration(name):
+    # the brute-force filter of every corner table lists the cubes in lex
+    # order; degree 3 of the ring and the shell has too many tables for it
     X = getattr(helpers, name)()
-    lex = list(_enumerate_nondegenerate(X, 3, DEFAULT_BUDGET))
-    streamed = list(_enumerate_interleaved(X, 3, DEFAULT_BUDGET))
-    assert len(streamed) == len(lex)
+    q = 3 if name == "square" else 2
+    lex = keys_of(X, helpers.brute_singular_cubes(X, q))
+    streamed = list(_enumerate(X, q, DEFAULT_BUDGET)[0])
     assert len(set(streamed)) == len(streamed)
-    assert set(streamed) == set(lex)
+    assert sorted(streamed) == lex
     assert streamed != lex
-    corners = [s.corners for s in enumerate_singular_cubes(X, 3)]
+    corners = [s.corners for s in enumerate_singular_cubes(X, q)]
     assert corners == sorted(corners)
 
 
 def test_interleaved_stream_counts_the_budget():
     with pytest.raises(BudgetExceeded) as ei:
-        list(_enumerate_interleaved(helpers.square(), 3, 2431))
+        list(_enumerate(helpers.square(), 3, 2431)[0])
     assert (ei.value.degree, ei.value.count) == (3, 2431)
-    assert len(list(_enumerate_interleaved(helpers.square(), 3, 2432))) == 2432
+    assert len(list(_enumerate(helpers.square(), 3, 2432)[0])) == 2432
 
 
 @pytest.mark.parametrize("name, q", [("ring", 1), ("ring", 2), ("block", 2), ("square", 3)])
 def test_coface_keys_are_the_cubes_with_a_face_in_the_rows(name, q):
     X = getattr(helpers, name)()
-    rows = list(_enumerate_nondegenerate(X, q - 1, DEFAULT_BUDGET))
-    R = set(random.Random(q).sample(range(len(rows)), 3))
-    faces = {rows[r] for r in R}
-    found = list(_coface_keys(X, q, rows, R))
+    rows = keys_of(X, enumerate_singular_cubes(X, q - 1))
+    faces = random.Random(q).sample(rows, 3)
+    found = list(_enumerate(X, q, DEFAULT_BUDGET)[1](faces))
     assert len(found) == len(set(found))
-    assert set(found) == {key for key in _enumerate_nondegenerate(X, q, DEFAULT_BUDGET)
+    assert set(found) == {key for key in keys_of(X, enumerate_singular_cubes(X, q))
                           if any(get(key) in faces for get, _ in _signed_face_maps(q))}
 
 
@@ -578,20 +579,27 @@ def test_coface_keys_are_the_cubes_with_a_face_in_the_rows(name, q):
 
 @pytest.mark.parametrize("name, m", [("ring", 0), ("ring", 1), ("path3", 2), ("square", 2)])
 def test_build_singular_complex_basis_order(name, m):
-    # lex below the top, round-robin by front face in the top degree m+1
+    # every degree round-robin by front face, the order of the stream
     X = getattr(helpers, name)()
     C = build_singular_complex(X, m)
-    for q in range(m + 1):
-        assert helpers.chain_groups(X, C, q) == enumerate_singular_cubes(X, q)
-    pts = X.sorted_points
-    top = [SingularCube(m + 1, tuple(pts[a] for a in k))
-           for k in _enumerate_interleaved(X, m + 1, DEFAULT_BUDGET)]
-    assert helpers.chain_groups(X, C, m + 1) == top
-    budget = (len(C.basis(m)) + len(top)) // 2
-    assert len(C.basis(m)) <= budget < len(top)
+    for q in range(m + 2):
+        assert C.basis(q) == tuple(_enumerate(X, q, DEFAULT_BUDGET)[0])
+        assert sorted(helpers.chain_groups(X, C, q), key=lambda s: s.corners) == (
+            enumerate_singular_cubes(X, q))
+    top = len(C.basis(m + 1))
+    budget = (len(C.basis(m)) + top) // 2
+    assert len(C.basis(m)) <= budget < top
     with pytest.raises(BudgetExceeded) as ei:
         build_singular_complex(X, m, budget)
     assert (ei.value.degree, ei.value.count) == (m + 1, budget)
+
+
+@pytest.mark.parametrize("name, q", [("ring", 2), ("square", 2), ("path3", 2), ("block", 2)])
+def test_singular_basis_does_not_depend_on_the_top(name, q):
+    X = getattr(helpers, name)()
+    C = build_singular_complex(X, q)
+    assert C.bases[:q + 1] == build_singular_complex(X, q - 1).bases
+    assert C.basis(0) == tuple((i,) for i in range(len(X.sorted_points)))
 
 
 def test_build_singular_complex_shape():
