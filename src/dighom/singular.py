@@ -11,19 +11,19 @@ are basis elements, and degenerate faces are dropped from boundaries.  The
 coordinate operators (flip, transposition, positional shift, rotation) act by
 permuting corner indices, so all of their algebra is exact bit manipulation.
 
-Enumeration of all nondegenerate q-cubes is a depth-first search over corner
-tables in lexicographic order, pruned by the common closed neighborhood of the
-already-assigned one-bit predecessors of each corner.  A budget caps the
-number of nondegenerate cubes produced.  Every degree q >= 1 is listed
-round-robin from the search subtrees of its front faces t_q = 0, so that the
-reduction of its boundary saturates the cycles below early.  The degree above
-the top of singular_homology is streamed in that order without materializing
-cubes, and its boundary columns go lazily to the top-boundary reduction of
-chain.py, which stops once their span saturates the cycles below.  A stream
-that cannot saturate stops once the reduction has chosen its witness rows:
-only a cube with a face at one of the few rows of their residuals can then
-grow the span, and the same search, in the subtrees rooted at those faces,
-with each cube moved to each face position, finds them.
+Every q-cube is append(x, y) of its faces t_q = 0 and 1, continuous
+(q-1)-tables with corners pairwise equal or adjacent, so the cubes come from
+a ladder of appended tables: level k holds every continuous k-table in lex
+order as a pair of level k-1.  A budget caps the number of nondegenerate
+cubes produced.  Every degree q >= 1 is listed round-robin over its front
+faces, the tables of level q-1, so that the reduction of its boundary
+saturates the cycles below early.  The degree above the top of
+singular_homology is streamed in that order without materializing cubes, and
+its boundary columns go lazily to the top-boundary reduction of chain.py,
+which stops once their span saturates the cycles below.  A stream that cannot
+saturate stops once the reduction has chosen its witness rows: only a cube
+with a face at one of the few rows of their residuals can then grow the span,
+and the cubes with those front faces, moved to each face position, are those.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import prod
 from operator import itemgetter
 
@@ -434,102 +434,117 @@ def _beta_key(key, pts):
 
 # --- enumeration ------------------------------------------------------------
 
-def _neighbor_tables(X):
-    pts = X.sorted_points
-    index = {p: i for i, p in enumerate(pts)}
-    nb_list = []
-    nb_set = []
-    for p in pts:
-        ids = sorted([index[p]] + [index[t] for t in X.neighbors(p)])
-        nb_list.append(ids)
-        nb_set.append(frozenset(ids))
-    return pts, nb_list, nb_set
+class _Ladder:
+    """The continuous corner tables on X, level by level, for one call.
 
-
-def _corner_search(X, q):
-    """Depth-first search over the corner tables of q-cubes on X.
-
-    Returns search(assign, lo, hi), a generator that fills corners lo..hi-1 of
-    the list assign in lex order, given corners 0..lo-1, and yields assign once
-    per continuous filling; a filling of the whole table (hi = 2^q) is yielded
-    only when it is nondegenerate.  The candidates for a corner are the common
-    closed neighborhood of its one-bit predecessors, computed once per tuple
-    of their values and shared by every search from one call.  Each search
-    keeps one candidate iterator per corner but the last on an explicit stack,
-    so its depth is not bounded by the interpreter's recursion, and fills the
-    last corner in a plain loop.
+    Level k is (keys, masks, front, back, start, memo) over its continuous
+    k-tables t, degenerate ones too, in lex order: keys[t] is t as indices
+    into X.sorted_points, bit i-1 of masks[t] is set iff t ignores t_i, t is
+    the pair (front[t], back[t]) of its faces t_k = 0, 1 in level k-1, and
+    start[x] is the first table with front x.  The tables with front x =
+    (x0, x1) are (x, y) for the partners y of x, those with corners equal or
+    adjacent to x's: the (y0, y1) with y0 a partner of x0 and y1 one of both
+    x1 and y0.  memo holds these per (x1, y0), as offsets y - start[y0].  A
+    point a is the pair (0, a), with its closed neighborhood as its chunk.
+    (x, y) ignores t_{k+1} iff x == y, and t_i, i <= k, iff both x and y do.
     """
-    pts, nb_list, nb_set = _neighbor_tables(X)
-    total = 1 << q
 
-    class Common(dict):
-        """Memo from a tuple of point indices to their common closed neighborhood."""
+    def __init__(self, X):
+        pts = X.sorted_points
+        at = {p: i for i, p in enumerate(pts)}
+        n = len(pts)
+        memo = {a * n: tuple(sorted([a] + [at[t] for t in X.neighbors(p)]))
+                for a, p in enumerate(pts)}
+        self.levels = [([(a,) for a in range(n)], [0] * n, [0] * n, range(n), (0, 1), memo)]
 
-        def __missing__(self, vals):
-            rest = [nb_set[v] for v in vals[1:]]
-            cands = self[vals] = [u for u in nb_list[vals[0]] if all(u in s for s in rest)]
-            return cands
+    def _chunk(self, k, x1, y0):
+        """Chunk (x1, y0) of level k: the y = (y0, y1), y1 a partner of x1, as y - start[y0]."""
+        keys, _, _, back, start, memo = self.levels[k]
+        chunk = memo.get(at := x1 * len(keys) + y0)
+        if chunk is None:
+            lo, hi = start[y0], start[y0 + 1]
+            ys = set(back[start[x1]:start[x1 + 1]]).__contains__
+            chunk = memo[at] = tuple(compress(range(hi - lo), map(ys, back[lo:hi])))
+        return chunk
 
-    # (getter of the predecessor values, table from those values to the
-    # candidates) per corner; corner 0 has no predecessor
-    pick = [(lambda assign: 0, (range(len(pts)),))]
-    common = Common()
-    for c in range(1, total):
-        preds = [c ^ (1 << b) for b in range(q) if (c >> b) & 1]
-        pick.append((itemgetter(*preds), nb_list if len(preds) == 1 else common))
-    # a cube is degenerate iff its corners with t_b = 0 equal those with t_b = 1
-    halves = [(itemgetter(*[c for c in range(total) if not c >> b & 1]),
-               itemgetter(*[c for c in range(total) if c >> b & 1])) for b in range(q)]
+    def level(self, k, q, budget):
+        """Level k, building the levels up to it; a level built with more than
+        budget nondegenerate tables raises BudgetExceeded for degree q."""
+        while len(self.levels) <= k:
+            j = len(self.levels) - 1
+            keys, masks, front, back, start, _ = self.levels[j]
+            new = nkeys, nmasks, nfront, nback, nstart, _ = [], [], [], [], [0], {}
+            found = 0
+            for x, key in enumerate(keys):
+                for t in range(start[front[x]], start[front[x] + 1]):
+                    lo = start[back[t]]
+                    for y in self._chunk(j, back[x], back[t]):
+                        y += lo
+                        m = masks[x] & masks[y] | (x == y) << j
+                        nkeys.append(key + keys[y])
+                        nmasks.append(m)
+                        nfront.append(x)
+                        nback.append(y)
+                        if not m and (found := found + 1) > budget:
+                            raise BudgetExceeded(q, budget)
+                nstart.append(len(nkeys))
+            self.levels.append(new)
+        return self.levels[k]
 
-    def nondegenerate(assign):
-        for at0, at1 in halves:
-            if at0(assign) == at1(assign):
-                return False
-        return True
+    def rounds(self, k, fronts):
+        """The keys of the nondegenerate tables (x, y) over the fronts x of
+        level k, round-robin: one in turn from the partners of each x, in lex
+        order, until all are listed.  A live front is the list [x, t, i]: its
+        next partner is at i in the chunk of the partner back[t] of front[x]."""
+        keys, masks, front, back, start, memo = self.levels[k]
+        n = len(keys)
 
-    def search(assign, lo, hi):
-        last = hi - 1
-        whole = hi == total
-        stack = []
-        c = lo
-        while True:
-            get, table = pick[c]
-            if c < last:
-                stack.append(iter(table[get(assign)]))
-            else:
-                for v in table[get(assign)]:
-                    assign[c] = v
-                    if not whole or nondegenerate(assign):
-                        yield assign
-            while stack and (v := next(stack[-1], None)) is None:
-                stack.pop()
-            if not stack:
-                return
-            c = lo + len(stack) - 1
-            assign[c] = v
-            c += 1
+        def step(s):
+            x, t, i = s
+            x1, m = back[x], masks[x]
+            while t < start[front[x] + 1]:
+                y0 = back[t]
+                ys = memo.get(x1 * n + y0) or self._chunk(k, x1, y0)
+                while i < len(ys):
+                    y = start[y0] + ys[i]
+                    i += 1
+                    if y != x and not masks[y] & m:
+                        s[1:] = t, i
+                        return y
+                t, i = t + 1, 0
+            return None
 
-    return search
+        # the first round starts the fronts as it goes
+        live = ([x, start[front[x]], 0] for x in fronts)
+        while live:
+            kept = []
+            for s in live:
+                y = step(s)
+                if y is not None:
+                    kept.append(s)
+                    yield keys[s[0]] + keys[y]
+            live = kept
 
 
-def _enumerate(X, q, budget):
+def _enumerate(X, q, budget, ladder=None):
     """(keys, cofaces) of the nondegenerate q-cubes on X, lazily.
 
     A key is a tuple of indices into X.sorted_points, one per corner index.
     keys lists every key once: degree 0 lists the points, and a degree q >= 1
-    takes one cube in turn from each subtree of the search rooted at a
-    continuous front face t_q = 0 (corners 0..2^(q-1)-1), each searched in
-    lex order.  Consecutive cubes thus have different front faces, so their
-    boundary columns span the cycles of degree q-1 after far fewer columns
-    than in lex order, where long runs of cubes share a front face.
-    cofaces(fronts) lists, each once, the keys with a face in fronts, keys of
-    degree q-1: a q-cube has face f at t_i = side exactly when it is a cube
-    of the subtree rooted at f precomposed to move t_q to t_i, reflected if
-    side.  The keys of both count toward one budget, and BudgetExceeded
-    rises once more than budget went by.  Without a c1-adjacent pair in X
-    every continuous cube is constant, so there is none in a degree q >= 1,
-    and no table of size 2^q is built.  Degree 0 and a degree with no cube
-    have no cofaces (None).
+    takes one cube in turn from each front face t_q = 0, a table of level q-1
+    of the ladder (a fresh one unless given), listing its partners in lex
+    order (see _Ladder.rounds).  Consecutive cubes thus have different front
+    faces, so their boundary columns span the cycles of degree q-1 after far
+    fewer columns than in lex order, where long runs of cubes share a front
+    face.  cofaces(fronts)
+    lists, each once, the keys with a face in fronts, keys of degree q-1: a
+    q-cube has face f at t_i = side exactly when it is a cube with front
+    face f precomposed to move t_q to t_i, reflected if side.  The keys of
+    both count toward one budget, and BudgetExceeded rises once more than
+    budget went by, or when a level of the ladder built for them has more
+    than budget nondegenerate tables.  Without a c1-adjacent pair in X every
+    continuous cube is constant, so there is none in a degree q >= 1, and no
+    level is built.  Degree 0 and a degree with no cube have no cofaces (None).
     """
     spent = 0
 
@@ -545,33 +560,23 @@ def _enumerate(X, q, budget):
         return counted((i,) for i in range(len(X.sorted_points))), None
     if not any(X.neighbors(p) for p in X.sorted_points):
         return iter(()), None
-    total = 1 << q
-    half = total >> 1
-    search = _corner_search(X, q)
+    ladder = ladder or _Ladder(X)
 
-    def rounds(fronts):
-        # the first round starts the subtrees as it goes
-        live = (search(list(front) + [0] * half, half, total) for front in fronts)
-        while live:
-            kept = []
-            for sub in live:
-                a = next(sub, None)
-                if a is not None:
-                    kept.append(sub)
-                    yield tuple(a)
-            live = kept
+    def listing():
+        yield from ladder.rounds(q - 1, range(len(ladder.level(q - 1, q, budget)[0])))
 
     def cofaces(fronts):
         moves = [_precomposition(q, (*range(i - 1), *range(i, q), i - 1), side << (q - 1))
                  for i in range(1, q + 1) for side in (0, 1)]
+        at = {key: x for x, key in enumerate(ladder.level(q - 1, q, budget)[0])}
         seen = set()
-        for a in rounds(fronts):
+        for a in ladder.rounds(q - 1, [at[f] for f in fronts]):
             for move in moves:
                 if (key := move(a)) not in seen:
                     seen.add(key)
                     yield key
 
-    return counted(rounds(search([0] * half, 0, half))), lambda fronts: counted(cofaces(fronts))
+    return counted(listing()), lambda fronts: counted(cofaces(fronts))
 
 
 @lru_cache(maxsize=None)
@@ -613,19 +618,20 @@ def _boundary_columns(keys, rows):
         yield col
 
 
-def _materialize(X, top, budget):
+def _materialize(X, top, budget, ladder):
     """(keys, mats, err) for degrees 0..top, stopping short of the first
     degree over budget.
 
-    keys[q] lists the q-cube keys in the order of _enumerate, and mats[q-1]
-    is the boundary of degree q over them; err is the BudgetExceeded that cut
-    keys short, or None when every degree fit.
+    keys[q] lists the q-cube keys in the order of _enumerate, each degree
+    from the one ladder given, and mats[q-1] is the boundary of degree q over
+    them; err is the BudgetExceeded that cut keys short, or None when every
+    degree fit.
     """
     keys = []
     mats = []
     for q in range(top + 1):
         try:
-            kq = list(_enumerate(X, q, budget)[0])
+            kq = list(_enumerate(X, q, budget, ladder)[0])
         except BudgetExceeded as e:
             return keys, mats, e
         if q:
@@ -647,12 +653,18 @@ def _check_degree_and_budget(name, q, budget):
 def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
     """All nondegenerate singular q-cubes on X, lexicographic in corner tables.
 
-    Point indices follow point order, so the sorted keys are the lex tables.
+    They are the nondegenerate tables of level q of a _Ladder, built front
+    face after front face with the partners of each in lex order; point
+    indices follow point order, so that is the lex order of the corner
+    tables.  Degree 0 and a degree with no cube come from _enumerate.
     """
     _check_degree_and_budget("q", q, budget)
     pts = X.sorted_points
-    return [SingularCube(q, tuple(pts[a] for a in k))
-            for k in sorted(_enumerate(X, q, budget)[0])]
+    if q and any(X.neighbors(p) for p in pts):
+        keys = [key for key, m in zip(*_Ladder(X).level(q, q, budget)[:2]) if not m]
+    else:
+        keys = _enumerate(X, q, budget)[0]
+    return [SingularCube(q, tuple(pts[a] for a in k)) for k in keys]
 
 
 def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
@@ -666,7 +678,7 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     of a degree does not depend on max_q.
     """
     _check_degree_and_budget("max_q", max_q, budget)
-    keys, mats, err = _materialize(X, max_q + 1, budget)
+    keys, mats, err = _materialize(X, max_q + 1, budget, _Ladder(X))
     if err is not None:
         raise err
     return ChainComplex._trusted(keys, mats)
@@ -677,7 +689,8 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
 
     Degrees 0..max_q are materialized, and one top-down pass of chain.py
     computes every group.  The boundary columns of degree max_q+1 are
-    streamed into it in the order of _enumerate, and it stops reading them
+    streamed into it in the order of _enumerate, from the ladder of the
+    degrees below, and it stops reading them
     once their span saturates the cycles of degree max_q; those cubes are
     never stored.  When H_max_q is not zero the span cannot saturate, and
     the stream stops once witness rows are chosen instead: the columns of
@@ -690,14 +703,15 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     pass through degree j-2.
     """
     _check_degree_and_budget("max_q", max_q, budget)
-    keys, mats, err = _materialize(X, max_q, budget)
+    ladder = _Ladder(X)
+    keys, mats, err = _materialize(X, max_q, budget, ladder)
     m = len(keys) - 1  # top materialized degree
     if m < 0:
         return [None] * (max_q + 1)
     trunc = ChainComplex._trusted(keys, mats)
     if err is None:  # H_m needs degree m+1, which may be over budget
         rows = keys[m]
-        stream, cofaces = _enumerate(X, m + 1, budget)
+        stream, cofaces = _enumerate(X, m + 1, budget, ladder)
         try:
             return (_homology(trunc, 0, m, _boundary_columns(stream, rows),
                               lambda R: _boundary_columns(cofaces([rows[r] for r in R]), rows))

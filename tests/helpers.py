@@ -226,29 +226,20 @@ def elementary_cubes_by_vertex_test(image, q):
     return out
 
 
+def continuous_tables(image, q):
+    """Every continuous corner table of length 2^q, degenerate ones too, in
+    lex order, by filtering every table."""
+    pairs = [(c, c | 1 << b) for c in range(1 << q) for b in range(q) if not c >> b & 1]
+    return [corners for corners in product(image.sorted_points, repeat=1 << q)
+            if all(corners[c] == corners[d]
+                   or sum(abs(u - v) for u, v in zip(corners[c], corners[d])) == 1
+                   for c, d in pairs)]
+
+
 def brute_singular_cubes(image, q):
     """All nondegenerate singular q-cubes by filtering every corner table."""
-    pts = image.sorted_points
-    out = []
-    for corners in product(pts, repeat=1 << q):
-        ok = True
-        for c in range(1 << q):
-            for b in range(q):
-                d = c ^ (1 << b)
-                if d < c:
-                    continue
-                x, y = corners[c], corners[d]
-                if x != y and sum(abs(u - v) for u, v in zip(x, y)) != 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        cube = SingularCube(q, corners)
-        if not is_degenerate(cube):
-            out.append(cube)
-    return out
+    cubes = (SingularCube(q, corners) for corners in continuous_tables(image, q))
+    return [cube for cube in cubes if not is_degenerate(cube)]
 
 
 def precompose_oracle(sigma, op):

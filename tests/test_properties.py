@@ -7,10 +7,12 @@ c1 complex must have the cubes of a brute-force vertex test as its bases,
 cube_boundary as its columns, dimension() as its top degree, and the
 quotient by the cubes inside a subimage as its relative complex.  beta on
 singular keys must be public beta on the decoded cubes, and its sign the
-determinant of the edge vectors.  The search
-for singular cubes must yield those of a brute-force filter of every corner
-table, in the same order once sorted, and its round-robin listing a
-permutation of them.
+determinant of the edge vectors.  Each level
+of the ladder of appended tables must list the continuous corner tables of a
+brute-force filter, degenerate ones too, in lex order, with a degeneracy mask
+that matches a direction-by-direction check; the singular cubes must be those
+of a brute-force filter, in lex order, and their round-robin listing a
+permutation of them, the same from a fresh ladder and from a shared one.
 The coordinate operators must precompose with the maps that an oracle
 evaluates point by point.  Images written as JSON and as text files must
 parse back equal, and each class of malformed image file must end the CLI
@@ -69,6 +71,7 @@ from dighom import chain, cli
 from dighom.chain import _ColumnReducer
 from dighom.singular import (
     DEFAULT_BUDGET,
+    _Ladder,
     _beta_key,
     _boundary_columns,
     _enumerate,
@@ -278,12 +281,49 @@ def test_corner_search_is_the_brute_force_filter(X):
         check_corner_search(X, q)
 
 
+# random images of at most 3 points, whose 3-tables a brute-force filter
+# can list
+DEGREE_3_IMAGES = st.one_of(images((5,), 3), images((3, 3), 3), images((2, 2, 2), 3))
+
+
 @settings(derandomize=True, deadline=None)
-@given(st.one_of(images((5,), 3), images((3, 3), 3), images((2, 2, 2), 3)))
+@given(DEGREE_3_IMAGES)
 def test_corner_search_in_degree_3(X):
-    # corners with two and three predecessors share the memoized
-    # common neighborhoods
+    # the fronts are tables of level 2, whose partners come from memoized
+    # chunks of the partners of their halves
     check_corner_search(X, 3)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(SEARCH_IMAGES.map(lambda X: (X, 2)), DEGREE_3_IMAGES.map(lambda X: (X, 3))))
+def test_ladder_levels_are_the_continuous_tables(case):
+    # every level k lists every continuous k-table, degenerate ones too, in
+    # lex order, and bit i-1 of its mask is set iff the table ignores t_i
+    X, top = case
+    pts = X.sorted_points
+    ladder = _Ladder(X)
+    for k in range(top + 1):
+        keys, masks = ladder.level(k, k, DEFAULT_BUDGET)[:2]
+        assert [tuple(pts[a] for a in key) for key in keys] == helpers.continuous_tables(X, k)
+        for key, mask in zip(keys, masks):
+            for b in range(k):
+                ignores = all(key[c] == key[c | 1 << b] for c in range(1 << k) if not c >> b & 1)
+                assert bool(mask >> b & 1) == ignores
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(images((5,), 4), images((3, 3), 4), images((2, 2, 2), 4)),
+       st.permutations(range(4)))
+def test_a_shared_ladder_keeps_the_listing(X, order):
+    # degrees listed from one ladder in any order, and their cofaces, are
+    # those listed from a fresh ladder each
+    ladder = _Ladder(X)
+    for q in order:
+        keys, cofaces = _enumerate(X, q, DEFAULT_BUDGET, ladder)
+        assert list(keys) == list(_enumerate(X, q, DEFAULT_BUDGET)[0])
+        if cofaces is not None:
+            faces = list(_enumerate(X, q - 1, DEFAULT_BUDGET)[0])[::3]
+            assert list(cofaces(faces)) == list(_enumerate(X, q, DEFAULT_BUDGET)[1](faces))
 
 
 @st.composite

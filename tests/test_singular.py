@@ -40,7 +40,7 @@ from dighom import (
     swap,
     verify_isomorphism,
 )
-from dighom.singular import DEFAULT_BUDGET, _enumerate, _signed_face_maps
+from dighom.singular import DEFAULT_BUDGET, _enumerate, _Ladder, _signed_face_maps
 
 import helpers
 
@@ -562,6 +562,34 @@ def test_interleaved_stream_counts_the_budget():
         list(_enumerate(helpers.square(), 3, 2431)[0])
     assert (ei.value.degree, ei.value.count) == (3, 2431)
     assert len(list(_enumerate(helpers.square(), 3, 2432)[0])) == 2432
+
+
+def test_ladder_stays_bounded_over_budget():
+    # degree 6 of the two-point edge needs the 2^32 tables of level 5 as
+    # front faces, but level 4 already has more than the budget of
+    # nondegenerate tables, so the ladder stops while building it
+    ladder = _Ladder(helpers.edge())
+    with pytest.raises(BudgetExceeded) as ei:
+        list(_enumerate(helpers.edge(), 6, 1000, ladder)[0])
+    assert (ei.value.degree, ei.value.count) == (6, 1000)
+    assert sum(len(level[0]) for level in ladder.levels) < 100_000
+
+
+def test_one_ladder_per_call(monkeypatch):
+    # every degree of a call, the streamed one included, comes from one ladder
+    made = []
+    init = _Ladder.__init__
+
+    def recording(self, X):
+        made.append(X)
+        init(self, X)
+
+    monkeypatch.setattr(_Ladder, "__init__", recording)
+    X = helpers.square()
+    assert singular_homology(X, 2) == [FGAbelianGroup(1), FGAbelianGroup(0), FGAbelianGroup(0)]
+    assert made == [X]
+    build_singular_complex(X, 2)
+    assert made == [X, X]
 
 
 @pytest.mark.parametrize("name, q", [("ring", 1), ("ring", 2), ("block", 2), ("square", 3)])
