@@ -32,36 +32,50 @@ one above (the "twist" of Chen and Kerber): it skips the columns at the
 unit pivot rows of d_{q+1}, which would only reduce to zero.
 
 A stream that cannot saturate (H_top != 0) reduces most of its columns to
-zero, each through a cascade of pivot steps, until the coface finish below
-ends it.  Once more columns than the rank have reduced to zero since the
-last new pivot, each in more steps than it had entries, the column reducer
-interreduces its unit pivots, the exhaustive reduction of PHAT (Bauer,
-Kerber, Reininghaus and Wagner); a column in their span then reduces in one
-step per entry.  These are unimodular column operations that keep every
-pivot row and pivot entry, so the result stays exact and clearing and
-saturation keep their meaning.
+zero, each through a cascade of pivot steps, until the witness rows below
+replace that reduction.  Once more columns than the rank have reduced to
+zero since the last new pivot, each in more steps than it had entries, the
+column reducer interreduces its unit pivots, the exhaustive reduction of
+PHAT (Bauer, Kerber, Reininghaus and Wagner); a column in their span then
+reduces in one step per entry.  These are unimodular column operations that
+keep every pivot row and pivot entry, so the result stays exact and clearing
+and saturation keep their meaning.
 
-Once the pivots of d_{top+1} are all units and interreduced, with span S of
-rank r, a cheaper test replaces most of that reduction.  Let t = dim ker
-d_top - r and N the nonpivot rows; the witness rows J are the t indices k in
-N whose column d_top[k] depends on those at earlier indices in N.  A later
-cycle c lies in S exactly when its residual c - sum c[r] p_r, over its
-entries at pivot rows r, is zero at J, which costs t lookups per entry of c
-instead of a cascade.  The test is exact: the residual is a cycle that is
-zero at every pivot row, the cycles supported on N have dimension t, and
-the columns of d_top at N minus J are independent, so such a cycle that is
-zero at J is zero; and S, with unit pivots, is saturated, so a column in S
-over Q is in S over Z.  Saturation is the case t = 0, J empty.  A column
-with a nonzero residual becomes a new pivot, and J waits for the next
-interreduction.  Like saturation, the test takes the streamed columns to be
-cycles; a pivot that is not one can leave more than t witness rows, which
-raises RuntimeError.
+Once the pivots of d_{top+1} are all units, with span S of rank r, a
+cheaper test replaces most of that reduction.  Let t = dim ker d_top - r and
+N the nonpivot rows; the witness rows J are the t indices k in N whose
+column d_top[k] depends on those at earlier indices in N.  The residual of a
+cycle c is the one vector in c + S, over Q, that is zero at every pivot row;
+at j it is l_j(c) = c[j] - sum y_r[j] c[r] over the pivot rows r, where
+y_r[j] = p_r[j] - sum y_s[j] p_r[s] over the pivot rows s < r, a triangular
+solve against the pivots as they stand, from the lowest pivot row up.  l_j
+depends on S and the pivot rows alone, so on interreduced pivots, where
+y_r[j] = p_r[j], it is the same row; the solve changes no pivot.  A later
+cycle c lies in S exactly when l_j(c) = 0 for each j in J, which costs t
+lookups per entry of c instead of a cascade.  The test is exact: the
+residual is a cycle that is zero at every pivot row, the cycles supported on
+N have dimension t, and the columns of d_top at N minus J are independent,
+so such a cycle that is zero at J is zero; and S, with unit pivots, is
+saturated, so a column in S over Q is in S over Z.  Saturation is the case
+t = 0, J empty.  A column with a nonzero residual becomes a new pivot, and
+J is chosen again, by the rules below.  Like saturation, the test takes the
+streamed columns to be cycles; a pivot that is not one can leave more than
+t witness rows, which raises RuntimeError.
+
+While every pivot is a unit, J is chosen at each interreduction, and once
+the slow zero columns since the last new pivot have taken more pivot steps
+beyond their entries than d_top has columns, n.  Choosing J reduces the
+n - r columns of d_top at the nonpivot rows and reads the pivots once, so
+it costs about as much as n such steps, and it is paid only once the
+cascades have cost as much, as in ski rental.  A stream whose span stops
+growing thus reaches its witness rows without paying for an interreduction,
+whose fill-in can double the pivot entries of a large saturating stream.
 
 The witness rows also finish a stream that cannot saturate, after the
 implicit coboundary of Ripser (Bauer).  Once J is first chosen, let R be
-the rows of the residuals: J and every pivot row r with p_r[j] != 0 for
-some j in J.  A cycle outside S has a nonzero residual at some j in J, so
-an entry at j or at some such r: it has an entry in R.  S only grows, so a
+the rows of the residuals: J and every pivot row r with y_r[j] != 0 for
+some j in J.  A cycle outside S has l_j(c) != 0 for some j in J, so an
+entry at j or at some such r: it has an entry in R.  S only grows, so a
 later column outside the final span has an entry in R too.  The rest of the
 stream is left unread, and the caller's cofaces(R), every column of that
 degree with an entry in R, is reduced instead: the span, and so the result,
@@ -525,18 +539,24 @@ class _ColumnReducer:
     rows and the pivot entries as they were.
 
     Given the columns d of d_top and saturation = dim ker d_top, a reducer
-    of cycles of d_top chooses witness rows (see the module docstring) at
-    each interreduction that leaves only unit pivots; until the next new
-    pivot, spans(col) tells from them alone whether col is in the span.
+    of cycles of d_top chooses witness rows (see the module docstring) while
+    every pivot is a unit: at each interreduction, and once the slow zero
+    columns since the last new pivot have taken more pivot steps beyond
+    their entries than d has columns.  The choice reduces the columns of d
+    at the nonpivot rows, so it costs about as much as len(d) such steps,
+    and solves each witness row against the pivots as they stand, which
+    changes none of them.  Until the next new pivot, spans(col) tells from
+    the witness rows alone whether col is in the span.
     """
 
-    __slots__ = ("pivots", "nonunit", "interreduced", "slow", "d", "saturation", "witness")
+    __slots__ = ("pivots", "nonunit", "interreduced", "slow", "work", "d", "saturation", "witness")
 
     def __init__(self, d=None, saturation=None):
         self.pivots = {}  # pivot row -> column dict
         self.nonunit = 0
         self.interreduced = 0  # unit pivots at the last interreduction
         self.slow = 0  # slow zero columns since the last pivot or interreduction
+        self.work = 0  # their pivot steps beyond their entries, since the last pivot
         self.d = d  # columns of d_top, when every added column is a cycle of it
         self.saturation = saturation  # dim ker d_top
         self.witness = None  # witness rows J while the pivots are as when chosen
@@ -559,7 +579,7 @@ class _ColumnReducer:
                 pivots[r] = col
                 if col[r] != 1:
                     self.nonunit += 1
-                self.slow = 0
+                self.slow = self.work = 0
                 self.witness = None
                 return True
             steps += 1
@@ -594,8 +614,12 @@ class _ColumnReducer:
                 col = newc
         if steps > 0:
             self.slow += 1
+            self.work += steps
             if self.slow > len(pivots) and self.interreduced < len(pivots) - self.nonunit:
                 self._interreduce()
+            d = self.d
+            if d is not None and self.work > len(d) and not self.nonunit and self.witness is None:
+                self._choose_witness()
         return False
 
     def _interreduce(self):
@@ -625,14 +649,34 @@ class _ColumnReducer:
     def _choose_witness(self):
         """The t = saturation - rank nonpivot rows j whose column d[j]
         depends on those at earlier nonpivot rows, each with its residual as
-        a row; a pivot that is not a cycle can leave more than t of them."""
+        a row, solved against the pivots as they stand from the lowest pivot
+        row up; a pivot that is not a cycle can leave more than t of them."""
         pivots, d = self.pivots, self.d
         red = _ColumnReducer()
         J = [k for k in range(len(d)) if k not in pivots and not red.add(d[k])]
         if len(J) != self.saturation - len(pivots):
             raise RuntimeError("witness rows do not match ker d_top: a pivot is not a cycle")
-        # j -> the residual at j as a row: c[j] - sum of c[r] * p_r[j]
-        self.witness = {j: {j: 1, **{r: -p[j] for r, p in pivots.items() if j in p}} for j in J}
+        # j -> its residual as a row: c[j] - sum of y_r[j] * c[r] over the
+        # pivot rows r, where y_r[j] = p_r[j] - sum of y_s[j] * p_r[s] over
+        # the pivot rows s < r.  With y_k = {k: -1} for k in J, both are one
+        # sum over the rows of p_r in y, and a p_r with none has y_r = 0
+        y = {j: {j: -1} for j in J}  # row -> {j: y[j]}, nonzero only
+        rows = y.keys()
+        for r in sorted(pivots):
+            p = pivots[r]
+            if rows.isdisjoint(p):
+                continue
+            acc = {}
+            for s, v in p.items():
+                for j, w in y.get(s, {}).items():
+                    acc[j] = acc.get(j, 0) - w * v
+            if acc := {j: w for j, w in acc.items() if w}:
+                y[r] = acc
+        witness = {j: {} for j in J}
+        for r, acc in y.items():
+            for j, w in acc.items():
+                witness[j][r] = -w
+        self.witness = witness
 
     def spans(self, col):
         """True when witness rows are chosen and col, a cycle, has a zero
@@ -841,6 +885,9 @@ def _homology(C, lo, top, columns_in=None, cofaces=None):
     entry 1 at its maximal row j and d_q p = 0, so column j of d_q is a
     combination of earlier columns.
     """
+    if not isinstance(C, ChainComplex):
+        hint = ", pass its .complex" if isinstance(getattr(C, "complex", None), ChainComplex) else ""
+        raise ValueError(f"homology needs a ChainComplex, not a {type(C).__name__}{hint}")
     if type(lo) is not int or type(top) is not int or lo < 0:
         raise ValueError("degree must be a nonnegative int")
     if not (C._library or C.is_complex()):

@@ -29,6 +29,7 @@ and the cubes with those front faces, moved to each face position, are those.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
@@ -179,7 +180,7 @@ def boundary(sigma):
     """
     faces = (get(sigma.corners) for get, _ in _signed_face_maps(sigma.q))
     rows = [f for f in faces if not is_degenerate(SingularCube(sigma.q - 1, f))]
-    (col,) = _boundary_columns([sigma.corners], rows)
+    (col,) = _boundary_columns([sigma.corners], {f: r for r, f in enumerate(rows)})
     return Chain(sigma.q - 1, {SingularCube(sigma.q - 1, rows[r]): v for r, v in col.items()})
 
 
@@ -568,9 +569,9 @@ def _enumerate(X, q, budget, ladder=None):
     def cofaces(fronts):
         moves = [_precomposition(q, (*range(i - 1), *range(i, q), i - 1), side << (q - 1))
                  for i in range(1, q + 1) for side in (0, 1)]
-        at = {key: x for x, key in enumerate(ladder.level(q - 1, q, budget)[0])}
+        level = ladder.level(q - 1, q, budget)[0]  # in lex order
         seen = set()
-        for a in ladder.rounds(q - 1, [at[f] for f in fronts]):
+        for a in ladder.rounds(q - 1, [bisect_left(level, f) for f in fronts]):
             for move in moves:
                 if (key := move(a)) not in seen:
                     seen.add(key)
@@ -596,11 +597,11 @@ def _signed_face_maps(q):
     return tuple(out)
 
 
-def _boundary_columns(keys, rows):
-    """The boundary column of each cube key in keys, lazily, row r being the
-    face key rows[r]; faces not in rows are degenerate and dropped.  The face
-    maps, tables of 2^q corners, are looked up only once a key arrives."""
-    rowindex = {k: r for r, k in enumerate(rows)}
+def _boundary_columns(keys, rowindex):
+    """The boundary column of each cube key in keys, lazily, the face key f
+    being row rowindex[f]; faces not in rowindex are degenerate and dropped.
+    The face maps, tables of 2^q corners, are looked up only once a key
+    arrives."""
     fmaps = None
     for key in keys:
         if fmaps is None:
@@ -635,8 +636,9 @@ def _materialize(X, top, budget, ladder):
         except BudgetExceeded as e:
             return keys, mats, e
         if q:
+            at = {k: r for r, k in enumerate(keys[-1])}
             mats.append(SparseIntMatrix._trusted(len(keys[-1]), len(kq),
-                                                 list(_boundary_columns(kq, keys[-1]))))
+                                                 list(_boundary_columns(kq, at))))
         keys.append(kq)
     return keys, mats, None
 
@@ -711,10 +713,11 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     trunc = ChainComplex._trusted(keys, mats)
     if err is None:  # H_m needs degree m+1, which may be over budget
         rows = keys[m]
+        at = {k: r for r, k in enumerate(rows)}  # shared by stream and cofaces
         stream, cofaces = _enumerate(X, m + 1, budget, ladder)
         try:
-            return (_homology(trunc, 0, m, _boundary_columns(stream, rows),
-                              lambda R: _boundary_columns(cofaces([rows[r] for r in R]), rows))
+            return (_homology(trunc, 0, m, _boundary_columns(stream, at),
+                              lambda R: _boundary_columns(cofaces([rows[r] for r in R]), at))
                     + [None] * (max_q - m))
         except BudgetExceeded:
             pass

@@ -541,29 +541,47 @@ def recording_reads(monkeypatch):
     return reads
 
 
-def test_unsaturating_stream_is_interreduced_and_finished_by_its_cofaces(monkeypatch):
+def test_unsaturating_stream_is_finished_by_its_cofaces_without_interreduction(monkeypatch):
     # H_2 = Z, so the streamed degree 3 never spans ker d_2: at rank 1128
-    # its columns only reduce to zero; the materialized d_1 (rank 25)
-    # interreduces once, after its last pivot, d_2 (rank 71) once, before
-    # its last pivot, and the stream once, which chooses its witness row.
-    # (Listed in lex order, d_1 did not interreduce.)  The stream of 77,616
-    # columns then stops, and the cofaces of the rows of the residuals,
-    # about 1,080, finish it
+    # its columns only reduce to zero.  The materialized d_1 (rank 25)
+    # interreduces once, after its last pivot.  d_2 (rank 71) and the stream
+    # interreduce no more: once the extra pivot steps of their slow zero
+    # columns since the last pivot outnumber the columns of the boundary
+    # below (96 and 1,200), each chooses its witness row by a triangular
+    # solve.  The stream of 77,616 columns then stops after 1,862, and the
+    # cofaces of the rows of the residuals, 1,080, finish it
     read = recording_reads(monkeypatch)
     interreductions = recording_interreductions(monkeypatch)
     assert singular_homology(helpers.shell(), 2) == [
         FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
     [(streamed, finished)] = [r for r in read if type(r) is tuple]
-    assert streamed < 3000
-    assert 1000 < finished < 1200
-    assert interreductions == [(25, 0), (70, 0), (1128, 0)]
+    assert streamed == 1862
+    assert finished == 1080
+    assert interreductions == [(25, 0)]
+
+
+def test_shell_stream_solves_its_witness_row_on_pivots_as_they_stand(monkeypatch):
+    # the witness row of the shell's stream comes from its pivots as they
+    # stand: none of them was interreduced, and choosing the row changes no
+    # pivot entry
+    chosen = []
+    choose = chain._ColumnReducer._choose_witness
+
+    def choosing(red):
+        before = {r: dict(p) for r, p in red.pivots.items()}
+        choose(red)
+        chosen.append((len(red.d), red.interreduced, len(red.witness), red.pivots == before))
+
+    monkeypatch.setattr(chain._ColumnReducer, "_choose_witness", choosing)
+    singular_homology(helpers.shell(), 2)
+    assert chosen == [(96, 0, 1, True), (1200, 0, 1, True)]
 
 
 def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
-    # once the shell's stream has interreduced its unit pivots, the columns
-    # that the witness row shows to be in the span skip add().  The stream
-    # reads under 3,000 columns; its span is then already that of all
-    # 77,616, so none of the cofaces that finish it reaches add()
+    # once the shell's stream has chosen its witness row, the columns that
+    # it shows to be in the span skip add().  The stream reads under 3,000
+    # columns; its span is then already that of all 77,616, so none of the
+    # cofaces that finish it reaches add()
     reads = []
     adds = 0
     reduce, add = chain._reduce, chain._ColumnReducer.add
@@ -672,7 +690,7 @@ def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncol
     # and d_1, d_0 cleared
     (helpers.square(), 3, [64, 83, 2651, 3, 1]),
     # H_1 = 0: d_2 saturates after 348 of its 1,200 columns
-    (helpers.shell(), 2, [96, 348, (2711, 1080), 1]),
+    (helpers.shell(), 2, [96, 348, (1862, 1080), 1]),
     # at top 1, d_1 is read in full, as H_0 != 0: 85 stream cubes and 18
     # cofaces, the 103 of the CI budget check
     (helpers.ring(), 1, [16, (85, 18), 1]),
@@ -766,6 +784,18 @@ def test_non_integer_degrees_are_refused(call):
     # others ended in a TypeError traceback
     with pytest.raises(ValueError, match="must be a nonnegative int"):
         call()
+
+
+@pytest.mark.parametrize("entry", [
+    homology, homology_through, lambda C, q: chain._homology(C, 0, q),
+], ids=["homology", "homology_through", "_homology"])
+def test_homology_refuses_what_is_not_a_chain_complex(entry):
+    # the C1Complex wrapper, and anything else, ended in an AttributeError
+    # on ChainComplex._library
+    with pytest.raises(ValueError, match=r"not a C1Complex, pass its \.complex"):
+        entry(build_c1_complex(helpers.ring()), 1)
+    with pytest.raises(ValueError, match="not a list$"):
+        entry([], 1)
 
 
 def test_homology_circle():

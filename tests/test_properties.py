@@ -27,7 +27,9 @@ unit pivots must leave the result, the pivot rows and the pivot entries as
 they are.  On streams of boundaries of random singular complexes, the
 reduction with d_top, which tests later columns on witness rows, must have
 the rank, pivot rows, pivot entries and invariant factors of the one
-without it, and each witness test must agree with a reduction.  The
+without it, and each witness test must agree with a reduction; the
+witness rows solved on pivots as they stand must be those read off the same
+pivots interreduced.  The
 reduction that leaves its stream unread once witness rows are chosen, and
 reads the cofaces of the rows of their residuals instead, must find every
 other column in its span and match the reduction of the whole stream.
@@ -493,7 +495,7 @@ def stream_of(draw, X, top):
     first.  The stream starts with p_1 and each p_i + p_{i-1}, which span
     what the prefix spans.  Then come 2m + 2 multiples of p_i that have
     fewer than i entries: each telescopes down through the sums in i pivot
-    steps, so the reducer interreduces and may choose witness rows.  The
+    steps, so the reducer may interreduce and choose witness rows.  The
     rest of the boundary columns then test them.
     """
     C = build_singular_complex(X, top)
@@ -576,6 +578,30 @@ def test_witness_rows_keep_the_reduction(case):
 
 
 @settings(derandomize=True, deadline=None)
+@given(boundary_streams(), st.data())
+def test_solved_witness_rows_are_those_of_interreduced_pivots(case, data):
+    # the witness rows solved on the pivots of a prefix of the stream as
+    # they stand must be those solved once the pivots are interreduced, and
+    # on interreduced pivots the residual at j is c[j] - sum of c[r] p_r[j]
+    d, n, saturation, stream = case
+    red = _ColumnReducer()
+    for col in stream[:data.draw(st.integers(0, len(stream)))]:
+        red.add(col)
+    event(f"nonunit pivots: {min(red.nonunit, 1)}")
+    if red.nonunit:
+        return
+    red.d, red.saturation = d, saturation
+    red._choose_witness()
+    solved, pivots = red.witness, {r: dict(p) for r, p in red.pivots.items()}
+    red._interreduce()
+    event(f"interreduction changed the pivots: {red.pivots != pivots}")
+    event(f"witness rows: {min(len(solved), 2)}")
+    assert red.witness == solved
+    assert solved == {j: {j: 1, **{r: -p[j] for r, p in red.pivots.items() if j in p}}
+                      for j in solved}
+
+
+@settings(derandomize=True, deadline=None)
 @given(singular_streams())
 def test_coface_finish_keeps_the_reduction(case):
     # given the cofaces of the singular search, the reduction leaves the
@@ -599,7 +625,7 @@ def test_coface_finish_keeps_the_reduction(case):
         for col in C.boundary_matrix(top + 1).columns:
             assert not R.isdisjoint(col) or not oracle.add(col)
         return _boundary_columns(_enumerate(X, top + 1, DEFAULT_BUDGET)[1](
-            [rows[r] for r in R]), rows)
+            [rows[r] for r in R]), {k: r for r, k in enumerate(rows)})
 
     with patch.object(_ColumnReducer, "_choose_witness", choosing):
         red = chain._reduce(stream, saturation, d, cofaces)
