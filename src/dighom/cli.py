@@ -13,6 +13,7 @@ exceeded.  Identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -70,7 +71,9 @@ def _nonnegative_int(text):
     return v
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it is."""
     p = argparse.ArgumentParser(
         prog="dighom",
         description="Exact cubical homology of digital images.",

@@ -15,15 +15,19 @@ Every q-cube is append(x, y) of its faces t_q = 0 and 1, continuous
 (q-1)-tables with corners pairwise equal or adjacent, so the cubes come from
 a ladder of appended tables: level k holds every continuous k-table in lex
 order as a pair of level k-1.  A budget caps the number of nondegenerate
-cubes produced.  Every degree q >= 1 is listed round-robin over its front
-faces, the tables of level q-1, so that the reduction of its boundary
-saturates the cycles below early.  The degree above the top of
-singular_homology is streamed in that order without materializing cubes, and
-its boundary columns go lazily to the top-boundary reduction of chain.py,
-which stops once their span saturates the cycles below.  A stream that cannot
-saturate stops once the reduction has chosen its witness rows: only a cube
-with a face at one of the few rows of their residuals can then grow the span,
-and the cubes with those front faces, moved to each face position, are those.
+cubes of a degree, and a level over it is refused before any of it is
+stored.  Every degree q >= 1 is listed round-robin over its front faces, the
+tables of level q-1, so that the reduction of its boundary saturates the
+cycles below early.  A materialized degree q is that order over level q, in
+the level's own key tuples, and in singular_homology a column of the top
+stored boundary is built only once something reads it.  The degree above
+the top of singular_homology is streamed in that order without building its
+level, and its boundary columns go lazily to the top-boundary reduction of
+chain.py, which stops once their span saturates the cycles below.  A stream
+that cannot saturate stops once the reduction has chosen its witness rows:
+only a cube with a face at one of the few rows of their residuals can then
+grow the span, and the cubes with those front faces, moved to each face
+position, are those.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress, islice
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, not_
 
 from .chain import (
     Chain,
@@ -192,13 +196,19 @@ def _check_index(q, i):
 
 
 @lru_cache(maxsize=None)
-def _precomposition(q, src, mask):
-    """Getter of the corner table of a q-cube precomposed with a coordinate map.
+def _precomposition(q, i, j, mask, shifted=False):
+    """Getter of the corner table of a q-cube precomposed with a coordinate
+    map: t_i and t_j transposed, or if shifted t_i moved into slot j, then
+    the coordinates at the set bits of mask reflected.
 
     Corner c of the result is corner m ^ mask of the cube, where bit b of m
-    is bit src[b] of c: src permutes the coordinates, and mask reflects
-    those at its set bits.
+    is bit src[b] of c, src the permutation of the coordinates.
     """
+    src = list(range(q))
+    if shifted:
+        src.insert(j - 1, src.pop(i - 1))
+    else:
+        src[i - 1], src[j - 1] = j - 1, i - 1
     return itemgetter(*[sum((c >> s & 1) << b for b, s in enumerate(src)) ^ mask
                         for c in range(1 << q)])
 
@@ -206,8 +216,7 @@ def _precomposition(q, src, mask):
 def flip(sigma, j):
     """Precompose with the reflection t_j -> 1 - t_j."""
     _check_index(sigma.q, j)
-    get = _precomposition(sigma.q, tuple(range(sigma.q)), 1 << (j - 1))
-    return SingularCube(sigma.q, get(sigma.corners))
+    return SingularCube(sigma.q, _precomposition(sigma.q, j, j, 1 << (j - 1))(sigma.corners))
 
 
 def swap(sigma, i, j):
@@ -216,9 +225,7 @@ def swap(sigma, i, j):
     _check_index(sigma.q, j)
     if i == j:
         return sigma
-    src = list(range(sigma.q))
-    src[i - 1], src[j - 1] = j - 1, i - 1
-    return SingularCube(sigma.q, _precomposition(sigma.q, tuple(src), 0)(sigma.corners))
+    return SingularCube(sigma.q, _precomposition(sigma.q, i, j, 0)(sigma.corners))
 
 
 def shift(sigma, i, j):
@@ -227,14 +234,11 @@ def shift(sigma, i, j):
     For i < j the variables strictly between slide down one slot; for i > j
     they slide up.  Equal indices give the identity.
     """
-    q = sigma.q
-    _check_index(q, i)
-    _check_index(q, j)
+    _check_index(sigma.q, i)
+    _check_index(sigma.q, j)
     if i == j:
         return sigma
-    src = list(range(q))
-    src.insert(j - 1, src.pop(i - 1))
-    return SingularCube(q, _precomposition(q, tuple(src), 0)(sigma.corners))
+    return SingularCube(sigma.q, _precomposition(sigma.q, i, j, 0, True)(sigma.corners))
 
 
 def rotate(sigma, i, j):
@@ -244,7 +248,7 @@ def rotate(sigma, i, j):
     """
     _check_index(sigma.q, i)
     _check_index(sigma.q, j)
-    return swap(flip(sigma, j), i, j)
+    return SingularCube(sigma.q, _precomposition(sigma.q, i, j, 1 << (j - 1))(sigma.corners))
 
 
 _OPERATORS = {"F": (flip, 1), "C": (swap, 2), "S": (shift, 2), "R": (rotate, 2)}
@@ -468,29 +472,54 @@ class _Ladder:
             chunk = memo[at] = tuple(compress(range(hi - lo), map(ys, back[lo:hi])))
         return chunk
 
+    def _partners(self, j, x):
+        """(lo, chunk) for each partner t of the front of table x of level j:
+        the tables y with (x, y) in level j+1 are lo plus an entry of a chunk."""
+        _, _, front, back, start, _ = self.levels[j]
+        return [(start[back[t]], self._chunk(j, back[x], back[t]))
+                for t in range(start[front[x]], start[front[x] + 1])]
+
     def level(self, k, q, budget):
-        """Level k, building the levels up to it; a level built with more than
-        budget nondegenerate tables raises BudgetExceeded for degree q."""
+        """Level k, building the levels up to it.  A level is sized before it
+        is stored: unless its chunk lengths show that it has at most budget
+        tables, its nondegenerate tables are counted, and more than budget
+        raise BudgetExceeded for degree q with nothing of the level stored."""
         while len(self.levels) <= k:
             j = len(self.levels) - 1
-            keys, masks, front, back, start, _ = self.levels[j]
+            keys, masks = self.levels[j][:2]
+            xs = range(len(keys))
+            if any(n > budget for n in accumulate(
+                    len(c) for x in xs for _, c in self._partners(j, x))):
+                nondeg = (y for x in xs for lo, c in self._partners(j, x) for y in c
+                          if y + lo != x and not masks[y + lo] & masks[x])
+                if next(islice(nondeg, budget, None), None) is not None:
+                    raise BudgetExceeded(q, budget)
             new = nkeys, nmasks, nfront, nback, nstart, _ = [], [], [], [], [0], {}
-            found = 0
             for x, key in enumerate(keys):
-                for t in range(start[front[x]], start[front[x] + 1]):
-                    lo = start[back[t]]
-                    for y in self._chunk(j, back[x], back[t]):
+                for lo, chunk in self._partners(j, x):
+                    for y in chunk:
                         y += lo
-                        m = masks[x] & masks[y] | (x == y) << j
                         nkeys.append(key + keys[y])
-                        nmasks.append(m)
+                        nmasks.append(masks[x] & masks[y] | (x == y) << j)
                         nfront.append(x)
                         nback.append(y)
-                        if not m and (found := found + 1) > budget:
-                            raise BudgetExceeded(q, budget)
                 nstart.append(len(nkeys))
             self.levels.append(new)
         return self.levels[k]
+
+    def cubes(self, q, budget):
+        """The keys of level q that are nondegenerate, the q-cubes, in the
+        order of rounds(q - 1, every front): round r lists the r-th of each
+        front in turn, fronts in order."""
+        keys, masks, front = self.level(q, q, budget)[:3]
+        rounds, last = [], None
+        for t in compress(range(len(keys)), map(not_, masks)):
+            r = r + 1 if front[t] == last else 0
+            last = front[t]
+            if r == len(rounds):
+                rounds.append([])
+            rounds[r].append(keys[t])
+        return [key for turn in rounds for key in turn]
 
     def rounds(self, k, fronts):
         """The keys of the nondegenerate tables (x, y) over the fronts x of
@@ -567,7 +596,7 @@ def _enumerate(X, q, budget, ladder=None):
         yield from ladder.rounds(q - 1, range(len(ladder.level(q - 1, q, budget)[0])))
 
     def cofaces(fronts):
-        moves = [_precomposition(q, (*range(i - 1), *range(i, q), i - 1), side << (q - 1))
+        moves = [_precomposition(q, i, q, side << (q - 1), True)
                  for i in range(1, q + 1) for side in (0, 1)]
         level = ladder.level(q - 1, q, budget)[0]  # in lex order
         seen = set()
@@ -619,28 +648,51 @@ def _boundary_columns(keys, rowindex):
         yield col
 
 
-def _materialize(X, top, budget, ladder):
+class _Columns:
+    """The boundary columns of keys over the row index at, as a sequence:
+    each is built by _boundary_columns the first time it is read, by index
+    or in order, and kept."""
+
+    def __init__(self, keys, at):
+        self.keys, self.at, self.cols = keys, at, [None] * len(keys)
+
+    def __len__(self):
+        return len(self.cols)
+
+    def __getitem__(self, j):
+        col = self.cols[j]  # IndexError past the end stops iteration
+        if col is None:
+            col = self.cols[j] = next(_boundary_columns((self.keys[j],), self.at))
+        return col
+
+
+def _materialize(X, top, budget, ladder, lazy=False):
     """(keys, mats, err) for degrees 0..top, stopping short of the first
     degree over budget.
 
-    keys[q] lists the q-cube keys in the order of _enumerate, each degree
-    from the one ladder given, and mats[q-1] is the boundary of degree q over
-    them; err is the BudgetExceeded that cut keys short, or None when every
-    degree fit.
+    keys[q] lists the q-cube keys in the order of _enumerate: degree 0 the
+    points, and every degree q >= 1 the nondegenerate tables of level q of
+    the one ladder given, its own tuples (see _Ladder.cubes).  mats[q-1] is
+    the boundary of degree q over them; if lazy, that of the top degree
+    listed builds each column only once it is read (see _Columns).  err is
+    the BudgetExceeded that cut keys short, or None when every degree fit.
     """
-    keys = []
-    mats = []
+    keys, err = [], None
+    edges = any(X.neighbors(p) for p in X.sorted_points)
     for q in range(top + 1):
         try:
-            kq = list(_enumerate(X, q, budget, ladder)[0])
+            keys.append(ladder.cubes(q, budget) if q and edges
+                        else list(_enumerate(X, q, budget)[0]))
         except BudgetExceeded as e:
-            return keys, mats, e
-        if q:
-            at = {k: r for r, k in enumerate(keys[-1])}
-            mats.append(SparseIntMatrix._trusted(len(keys[-1]), len(kq),
-                                                 list(_boundary_columns(kq, at))))
-        keys.append(kq)
-    return keys, mats, None
+            err = e
+            break
+    mats = []
+    for q in range(1, len(keys)):
+        at = {k: r for r, k in enumerate(keys[q - 1])}
+        cols = (_Columns(keys[q], at) if lazy and q == len(keys) - 1
+                else list(_boundary_columns(keys[q], at)))
+        mats.append(SparseIntMatrix._trusted(len(at), len(keys[q]), cols))
+    return keys, mats, err
 
 
 def _check_degree_and_budget(name, q, budget):
@@ -689,8 +741,11 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
 def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     """[H_0, ..., H_max_q] of the normalized singular complex.
 
-    Degrees 0..max_q are materialized, and one top-down pass of chain.py
-    computes every group.  The boundary columns of degree max_q+1 are
+    Degrees 0..max_q are materialized from their levels of one ladder, and
+    one top-down pass of chain.py computes every group.  Each column of the
+    top stored boundary is built the first time the pass reads it: in its
+    reduction, in the sampled check that a streamed column is a cycle, or
+    to choose witness rows.  The boundary columns of degree max_q+1 are
     streamed into it in the order of _enumerate, from the ladder of the
     degrees below, and it stops reading them
     once their span saturates the cycles of degree max_q; those cubes are
@@ -706,7 +761,7 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     """
     _check_degree_and_budget("max_q", max_q, budget)
     ladder = _Ladder(X)
-    keys, mats, err = _materialize(X, max_q, budget, ladder)
+    keys, mats, err = _materialize(X, max_q, budget, ladder, lazy=True)
     m = len(keys) - 1  # top materialized degree
     if m < 0:
         return [None] * (max_q + 1)

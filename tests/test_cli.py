@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from dighom.cli import main
+from dighom.cli import build_parser, main
 
 import helpers
 
@@ -382,6 +382,32 @@ def test_reports_are_byte_identical_across_runs(run, tmp_path):
     first = run(["compare", path, "--max-q", "2", "--format", "json"])
     second = run(["compare", path, "--max-q", "2", "--format", "json"])
     assert first == second
+
+
+def test_one_parser_per_process_reports_as_a_fresh_one(capsys, tmp_path):
+    # the parser is built once and reused; a parse error in between leaves
+    # the later reports and exit codes as a fresh parser gives them
+    ring = write_image(tmp_path, "ring.json", helpers.ring())
+    argvs = [["singular", ring], ["singular", ring, "--max-q", "x"],
+             ["homology", ring, "--format", "json"], ["nope"],
+             ["verify", "operators", "--seed", "2"], ["classify", ring, "--max-q", "2"]]
+
+    def outcomes(fresh):
+        got = []
+        for argv in argvs:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                rc = main(argv)
+            except SystemExit as e:
+                rc = e.code
+            got.append((rc, *capsys.readouterr()))
+        return got
+
+    assert build_parser() is build_parser()
+    reused = outcomes(False)
+    assert [rc for rc, _, _ in reused] == [0, 2, 0, 2, 0, 0]
+    assert reused == outcomes(True)
 
 
 def test_console_script_is_installed(tmp_path):

@@ -13,6 +13,8 @@ brute-force filter, degenerate ones too, in lex order, with a degeneracy mask
 that matches a direction-by-direction check; the singular cubes must be those
 of a brute-force filter, in lex order, and their round-robin listing a
 permutation of them, the same from a fresh ladder and from a shared one.
+Each degree of a materialized singular complex, taken from its own level,
+must be that listing, or both must refuse the same degree over budget.
 The coordinate operators must precompose with the maps that an oracle
 evaluates point by point.  Images written as JSON and as text files must
 parse back equal, and each class of malformed image file must end the CLI
@@ -43,11 +45,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from unittest.mock import patch
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from dighom import (
+    BudgetExceeded,
     ChainComplex,
     DigitalImage,
     FGAbelianGroup,
@@ -326,6 +330,25 @@ def test_a_shared_ladder_keeps_the_listing(X, order):
         if cofaces is not None:
             faces = list(_enumerate(X, q - 1, DEFAULT_BUDGET)[0])[::3]
             assert list(cofaces(faces)) == list(_enumerate(X, q, DEFAULT_BUDGET)[1](faces))
+
+
+@settings(derandomize=True, deadline=None)
+@given(SEARCH_IMAGES)
+def test_materialized_bases_are_the_round_robin_listings(X):
+    # each degree of the complex comes from its ladder level, the stream
+    # from the level below: the same keys in the same order, and the same
+    # refusal when a degree is over budget
+    budget = 5000
+    try:
+        bases, top = build_singular_complex(X, 2, budget).bases, 3
+    except BudgetExceeded as e:
+        event(f"degree {e.degree} over budget")
+        with pytest.raises(BudgetExceeded) as ei:
+            list(_enumerate(X, e.degree, budget)[0])
+        assert (ei.value.degree, ei.value.count) == (e.degree, budget)
+        bases, top = build_singular_complex(X, e.degree - 2, budget).bases, e.degree - 1
+    for q in range(top + 1):
+        assert bases[q] == tuple(_enumerate(X, q, budget)[0])
 
 
 @st.composite

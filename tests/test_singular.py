@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from itertools import product
 
@@ -40,7 +42,14 @@ from dighom import (
     swap,
     verify_isomorphism,
 )
-from dighom.singular import DEFAULT_BUDGET, _enumerate, _Ladder, _signed_face_maps
+from dighom import singular
+from dighom.singular import (
+    DEFAULT_BUDGET,
+    _enumerate,
+    _Ladder,
+    _materialize,
+    _signed_face_maps,
+)
 
 import helpers
 
@@ -244,6 +253,20 @@ def test_apply_operator_dispatch_and_errors():
         swap(sigma, 1, 3)
     with pytest.raises(IndexOutOfRange):
         shift(sigma, 1, "2")
+
+
+@pytest.mark.parametrize("bad", [0, 4, -1, True, 2.0, "2", None, [2], {2: 1}])
+@pytest.mark.parametrize("op", [
+    lambda s, k: flip(s, k),
+    lambda s, k: swap(s, 1, k), lambda s, k: swap(s, k, k),
+    lambda s, k: shift(s, k, 2), lambda s, k: shift(s, k, k),
+    lambda s, k: rotate(s, 2, k), lambda s, k: rotate(s, k, 1),
+], ids=["flip", "swap", "swap-equal", "shift", "shift-equal", "rotate", "rotate-first"])
+def test_operators_refuse_a_bad_index_before_any_lookup(op, bad):
+    # the corner getters are cached by index: an unhashable, bool or float
+    # index is refused as out of range, never a TypeError of the cache
+    with pytest.raises(IndexOutOfRange):
+        op(id_cube(3), bad)
 
 
 def test_operators_commute_on_disjoint_indices():
@@ -590,6 +613,65 @@ def test_one_ladder_per_call(monkeypatch):
     assert made == [X]
     build_singular_complex(X, 2)
     assert made == [X, X]
+
+
+def test_a_level_over_budget_is_refused_before_it_is_stored():
+    # level 4 of the two-point edge has 64,594 nondegenerate tables of
+    # 65,536, level 5 2^32 tables: each is counted, not stored, once its
+    # chunk lengths exceed the budget
+    ladder = _Ladder(helpers.edge())
+    with pytest.raises(BudgetExceeded) as ei:
+        ladder.level(5, 5, 1000)
+    assert (ei.value.degree, ei.value.count) == (5, 1000)
+    assert len(ladder.levels) == 4
+    ladder.level(4, 4, 64_594)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as ei:
+            ladder.level(5, 5, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ei.value.degree, ei.value.count) == (5, 20_000)
+    assert len(ladder.levels) == 5
+    assert peak < 2_000_000  # 20,000 tables of 32 corners take over 6 MB
+
+
+def test_a_level_fits_a_budget_of_its_nondegenerate_tables():
+    # the square's level 3 has 2,652 tables, 2,432 of them nondegenerate
+    assert len(_Ladder(helpers.square()).level(3, 3, 2432)[0]) == 2652
+    with pytest.raises(BudgetExceeded) as ei:
+        _Ladder(helpers.square()).level(3, 3, 2431)
+    assert (ei.value.degree, ei.value.count) == (3, 2431)
+
+
+def test_materialized_keys_are_the_tuples_of_their_level():
+    # the top materialized degree is not held a second time beside its level
+    X = helpers.square()
+    ladder = _Ladder(X)
+    keys, mats, err = _materialize(X, 3, DEFAULT_BUDGET, ladder)
+    assert err is None and len(mats) == 3
+    level = ladder.levels[3][0]  # in lex order
+    assert all(level[bisect_left(level, key)] is key for key in keys[3])
+    assert keys[3] == list(_enumerate(X, 3, DEFAULT_BUDGET)[0])
+
+
+def test_top_stored_boundary_is_built_only_where_it_is_read(monkeypatch):
+    # the reduction of d_3 reads 83 of its 2,432 columns to saturation, and
+    # the stream's sampled d∘d checks read some more; each is built once
+    built = Counter()
+    columns = singular._boundary_columns
+
+    def counting(keys, at):
+        for key in keys:
+            built[key] += 1
+            yield from columns((key,), at)
+
+    monkeypatch.setattr(singular, "_boundary_columns", counting)
+    groups = singular_homology(helpers.square(), 3)
+    assert groups == [FGAbelianGroup(1)] + [FGAbelianGroup(0)] * 3
+    top = [n for key, n in built.items() if len(key) == 8]
+    assert len(top) == 138 and set(top) == {1}
 
 
 @pytest.mark.parametrize("name, q", [("ring", 1), ("ring", 2), ("block", 2), ("square", 3)])
