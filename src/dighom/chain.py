@@ -19,6 +19,22 @@ Two reduction routines coexist on purpose:
   these k columns goes through the same column reducer, which leaves a
   k x k block for the dense routine whatever the number of rows.
 
+A full reduction of signed incidence columns, each 0, ±e_a or ±(e_a - e_b),
+goes to a spanning forest instead (``_SpanningForest``).  d_1 of every
+library complex has this form, with the edges ±e_a to a ground vertex in a
+relative complex.  Such a matrix is the incidence matrix of a graph, which
+is totally unimodular (Kaczynski, Mischaikow and Mrozek, *Computational
+Homology*), so the forest gives its rank exactly: the number of edges that
+join two trees of a union-find, and every invariant factor is 1.  Each tree
+is rooted at its smallest vertex, so the pivot e_v - e_root of each other
+vertex v has entry 1 at its largest row v; these are the pivot rows and
+entries that the column reducer finds on the same columns, as both depend
+on the span alone, and they clear the degree below as its unit pivots do.
+The path is chosen from the columns as they are read: at the first column
+of another form the column reducer takes over, fed the forest's pivots and
+then the rest.  A reduction that may stop at saturation is always a
+column reduction.
+
 Homology of the degrees lo..top is one pass from the top degree down, with
 nothing kept between calls: homology(C, q) is the window [q, q] and
 homology_through(C, top) the window [0, top].  The top boundary d_{top+1}
@@ -721,6 +737,74 @@ def _pivot_invariant_factors(red):
     return factors
 
 
+class _SpanningForest:
+    """The span of signed incidence columns, as a spanning forest.
+
+    Each column is 0, ±e_a (an edge from a to the ground) or ±(e_a - e_b),
+    an edge of a graph on the rows, and a union-find joins the trees of its
+    ends.  The root of a tree is its smallest vertex, and the ground, the
+    vertex -1 below every row, roots its own tree.  The columns and the
+    pivots e_v - e_root (e_v in the ground's tree) of the non-root vertices
+    v span one lattice: a pivot is the sum of the edges along a tree path,
+    and an edge is the difference of the pivots at its ends.  Each pivot
+    has entry 1 at its largest row, so the rank is the number of edges that
+    joined two trees and every invariant factor is 1, as the incidence
+    matrix is totally unimodular; the pivots stand in for unit pivots of a
+    _ColumnReducer.
+    """
+
+    __slots__ = ("parent", "rank")
+    nonunit = 0
+
+    def __init__(self):
+        self.parent = {}  # vertex -> its parent, below it, for each non-root
+        self.rank = 0
+
+    def absorb(self, columns):
+        """Join the edges of the columns as they are read, up to the first
+        one that is not a signed incidence column, which is returned; None
+        once every column is read."""
+        parent, rank = self.parent, self.rank
+        for col in columns:
+            if len(col) == 2:
+                (a, x), (b, y) = col.items()
+                if x + y or x * x != 1:
+                    break
+            elif len(col) == 1:
+                ((a, x),) = col.items()
+                if x * x != 1:
+                    break
+                b = -1
+            elif col:
+                break
+            else:
+                continue
+            while (p := parent.get(a, a)) != a:  # path halving
+                parent[a] = a = parent.get(p, p)
+            while (p := parent.get(b, b)) != b:
+                parent[b] = b = parent.get(p, p)
+            if a != b:  # union by the smaller root
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
+                rank += 1
+        else:
+            col = None
+        self.rank = rank
+        return col
+
+    @property
+    def pivots(self):
+        """Row v -> the pivot e_v - e_root, or e_v in the ground's tree, for
+        each vertex v that is not a root, in increasing order."""
+        parent, root, out = self.parent, {}, {}
+        for v in sorted(parent):
+            r = root[v] = root.get(p := parent[v], p)
+            out[v] = {v: 1, r: -1} if r >= 0 else {v: 1}
+        return out
+
+
 def _reduce(columns, saturation=None, d=None, cofaces=None):
     """A _ColumnReducer fed the columns, checked or built by the library and
     read as they are; it stops, leaving the rest unread, once its rank is
@@ -730,9 +814,21 @@ def _reduce(columns, saturation=None, d=None, cofaces=None):
     time witness rows are chosen the rest of the columns is left unread and
     cofaces(R) is read instead, R the rows of the residuals: it must give
     every later column with an entry at a row in R, and may give more (see
-    the module docstring)."""
+    the module docstring).
+
+    Without saturation every column is read, and signed incidence columns
+    go to a _SpanningForest, which is returned when they are all such.  At
+    the first other column the reducer takes over, fed the forest's pivots,
+    which span what was read, and then that column and the rest."""
     red = _ColumnReducer(d, saturation)
     columns = iter(columns)
+    if saturation is None:
+        forest = _SpanningForest()
+        if (col := forest.absorb(columns)) is None:
+            return forest
+        for p in forest.pivots.values():
+            red.add(p)
+        red.add(col)
     while (col := next(columns, None)) is not None:
         if red.spans(col):
             continue
@@ -749,6 +845,7 @@ def rank_and_invariant_factors(columns, nrows):
 
     columns: iterable of sparse dicts, zeros allowed, consumed lazily (suitable
     for streaming); each is checked as it is read, its rows against nrows.
+    Signed incidence columns are ranked by a spanning forest (see _reduce).
     """
     red = _reduce(_check_column(col, nrows) for col in columns)
     return red.rank, _pivot_invariant_factors(red)

@@ -118,25 +118,32 @@ class ElementaryCube:
 
 
 def _levels(X, top=None):
-    """(tr, levels): the cubes of X in degrees 0..top, up to the top nonempty
-    one.  tr[d][i] is the index of point i + e_{d+1} in X.sorted_points or
-    None; levels[q] maps keys (i, ext) to positions in (min_corner, extent)
-    order.  A cube grows into d > ext[-1] iff its translate by e_d is a cube."""
+    """(tr, levels, rows): the cubes of X in degrees 0..top, up to the top
+    nonempty one.  tr[d][i] is the index of point i + e_{d+1} in
+    X.sorted_points or None; levels[q] maps keys (i, ext) to positions in
+    (min_corner, extent) order, and rows[q][ext][i] is the position of
+    (i, ext) or None.  A cube grows into d > ext[-1] iff its translate by
+    e_d is a cube."""
     pts = X.sorted_points
+    n = len(pts)
     at = {p: i for i, p in enumerate(pts)}
     tr = [[at.get(p[:d] + (p[d] + 1,) + p[d + 1:]) for p in pts] for d in range(X.ambient_dim)]
-    levels = [{(i, ()): i for i in range(len(pts))}]
+    levels, rows = [{(i, ()): i for i in range(n)}], [{(): list(range(n))}]
     while top is None or len(levels) <= top:
-        below = levels[-1]
-        level = {}
-        for i, ext in below:
+        below, level, index = rows[-1], {}, {}
+        for i, ext in levels[-1]:
+            row = below[ext]
             for d in range(ext[-1] if ext else 0, len(tr)):
-                if (tr[d][i], ext) in below:
-                    level[(i, ext + (d + 1,))] = len(level)
+                if (j := tr[d][i]) is not None and row[j] is not None:
+                    up = ext + (d + 1,)
+                    if up not in index:
+                        index[up] = [None] * n
+                    index[up][i] = level[(i, up)] = len(level)
         if not level:
             break
         levels.append(level)
-    return tr, levels
+        rows.append(index)
+    return tr, levels, rows
 
 
 def _level(X, q):
@@ -144,7 +151,7 @@ def _level(X, q):
     and ValueError for a q that is not an int."""
     if type(q) is not int:
         raise ValueError(f"q {q!r} must be an int")
-    tr, levels = _levels(X, max(q, 0))
+    tr, levels, _ = _levels(X, max(q, 0))
     return tr, levels[q] if 0 <= q < len(levels) else {}
 
 
@@ -203,22 +210,28 @@ def build_c1_complex(X, max_dim=None):
     The basis labels are keys: ElementaryCube(X.sorted_points[i], ext) is
     the cube of key (i, ext).  As in cube_boundary, it has the faces (i, rest)
     and (i + e_j, rest), j = ext[p-1], with the signs (-1)^p and -(-1)^p.
+    Their rows are looked up by point index in the arrays of _levels,
+    through one (array of rest, tr[j-1], sign) per p, shared by the cubes of
+    an extent.
     """
     if max_dim is not None and (type(max_dim) is not int or max_dim < 0):
         raise ValueError("max_dim must be a nonnegative int")
-    tr, levels = _levels(X, max_dim)
+    tr, levels, rows = _levels(X, max_dim)
     mats = []
     for q in range(1, len(levels)):
-        rows = levels[q - 1]
+        at = rows[q - 1]
+        faces = {}  # extent -> its (array of rest, translate, sign) per p
         cols = []
         for i, ext in levels[q]:
+            if ext not in faces:
+                faces[ext] = [(at[ext[:p - 1] + ext[p:]], tr[j - 1], (-1) ** p)
+                              for p, j in enumerate(ext, 1)]
             col = {}
-            for p, j in enumerate(ext, 1):
-                rest = ext[:p - 1] + ext[p:]
-                col[rows[(i, rest)]] = (-1) ** p
-                col[rows[(tr[j - 1][i], rest)]] = -(-1) ** p
+            for row, t, s in faces[ext]:
+                col[row[i]] = s
+                col[row[t[i]]] = -s
             cols.append(col)
-        mats.append(SparseIntMatrix._trusted(len(rows), len(levels[q]), cols))
+        mats.append(SparseIntMatrix._trusted(len(levels[q - 1]), len(levels[q]), cols))
     return C1Complex(X, ChainComplex._trusted(levels, mats))
 
 

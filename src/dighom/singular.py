@@ -452,6 +452,9 @@ class _Ladder:
     x1 and y0.  memo holds these per (x1, y0), as offsets y - start[y0].  A
     point a is the pair (0, a), with its closed neighborhood as its chunk.
     (x, y) ignores t_{k+1} iff x == y, and t_i, i <= k, iff both x and y do.
+    Once level k+1 is stored, the memo of level k >= 1 is emptied: only the
+    rounds of the top level and the partners of the level being extended
+    read a memo, and _chunk refills a miss.
     """
 
     def __init__(self, X):
@@ -505,6 +508,8 @@ class _Ladder:
                         nback.append(y)
                 nstart.append(len(nkeys))
             self.levels.append(new)
+            if j:
+                self.levels[j][5].clear()
         return self.levels[k]
 
     def cubes(self, q, budget):

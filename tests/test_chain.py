@@ -23,6 +23,7 @@ from dighom import (
     homology_through,
     quotient_complex,
     rank_and_invariant_factors,
+    relative_c1_complex,
     singular_homology,
     smith_normal_form,
     verify_chain_map,
@@ -543,13 +544,14 @@ def recording_reads(monkeypatch):
 
 def test_unsaturating_stream_is_finished_by_its_cofaces_without_interreduction(monkeypatch):
     # H_2 = Z, so the streamed degree 3 never spans ker d_2: at rank 1128
-    # its columns only reduce to zero.  The materialized d_1 (rank 25)
-    # interreduces once, after its last pivot.  d_2 (rank 71) and the stream
-    # interreduce no more: once the extra pivot steps of their slow zero
-    # columns since the last pivot outnumber the columns of the boundary
-    # below (96 and 1,200), each chooses its witness row by a triangular
-    # solve.  The stream of 77,616 columns then stops after 1,862, and the
-    # cofaces of the rows of the residuals, 1,080, finish it
+    # its columns only reduce to zero.  The materialized d_1 (rank 25) is a
+    # graph's incidence matrix, ranked by a spanning forest with no column
+    # reducer.  d_2 (rank 71) and the stream never interreduce: once the
+    # extra pivot steps of their slow zero columns since the last pivot
+    # outnumber the columns of the boundary below (96 and 1,200), each
+    # chooses its witness row by a triangular solve.  The stream of 77,616
+    # columns then stops after 1,862, and the cofaces of the rows of the
+    # residuals, 1,080, finish it
     read = recording_reads(monkeypatch)
     interreductions = recording_interreductions(monkeypatch)
     assert singular_homology(helpers.shell(), 2) == [
@@ -557,7 +559,7 @@ def test_unsaturating_stream_is_finished_by_its_cofaces_without_interreduction(m
     [(streamed, finished)] = [r for r in read if type(r) is tuple]
     assert streamed == 1862
     assert finished == 1080
-    assert interreductions == [(25, 0)]
+    assert interreductions == []
 
 
 def test_shell_stream_solves_its_witness_row_on_pivots_as_they_stand(monkeypatch):
@@ -654,6 +656,80 @@ def test_c1_boundaries_reduce_without_interreduction(monkeypatch, X):
     interreductions = recording_interreductions(monkeypatch)
     homology_through(C, C.max_degree)
     assert interreductions == []
+
+
+def recording_full_reductions(monkeypatch, columns):
+    """(type of the result, calls of _ColumnReducer.add) of each reduction
+    without saturation, from now on, of some columns, all in columns."""
+    ids = {id(c) for c in columns}
+    calls = []
+    reduce, add = chain._reduce, chain._ColumnReducer.add
+    adds = [0]
+
+    def counting_adds(red, col):
+        adds[0] += 1
+        return add(red, col)
+
+    def recording(cols, saturation=None, d=None, cofaces=None):
+        cols = list(cols)
+        adds[0] = 0
+        red = reduce(cols, saturation, d, cofaces)
+        if saturation is None and cols and all(id(c) in ids for c in cols):
+            calls.append((type(red), adds[0]))
+        return red
+
+    monkeypatch.setattr(chain, "_reduce", recording)
+    monkeypatch.setattr(chain._ColumnReducer, "add", counting_adds)
+    return calls
+
+
+def relative_shell():
+    X = helpers.shell()
+    return relative_c1_complex(X, [p for p in X.sorted_points if p[0] == 0])
+
+
+@pytest.mark.parametrize("C, top", [
+    (build_c1_complex(helpers.shell()).complex, 2),
+    (build_c1_complex(helpers.block()).complex, 3),
+    (build_singular_complex(helpers.ring(), 1), 1),
+    (build_singular_complex(helpers.square(), 2), 2),
+    (relative_shell(), 2),
+], ids=["c1-shell", "c1-block", "singular-ring", "singular-square", "relative-shell"])
+def test_d1_of_library_complexes_is_ranked_by_a_spanning_forest(monkeypatch, C, top):
+    # d_1 of a library complex is a graph's signed incidence matrix, with
+    # edges to the ground in a relative complex, so its full reduction,
+    # cleared by d_2, never reaches the column reducer
+    expected = homology_through(C, top)
+    calls = recording_full_reductions(monkeypatch, C.boundaries[0].columns)
+    assert homology_through(C, top) == expected
+    assert calls == [(chain._SpanningForest, 0)]
+
+
+def test_spanning_forest_keeps_only_the_rows_it_reads():
+    # the forest holds the vertices its edges touch, as the column reducer
+    # holds only nonzero entries, so a far row costs no more than a near one
+    far = 10**12
+    assert rank_and_invariant_factors([{far: 1, 3: -1}, {3: -1}, {far: 1}], far + 1) == (2, (1, 1))
+    assert chain._reduce([{far: 1, 3: -1}, {3: -1}]).pivots == {3: {3: 1}, far: {far: 1}}
+
+
+@pytest.mark.parametrize("d_1, groups", [
+    # an entry 2: H_0 = Z^3 / <v1 - v0, 2 v2>
+    ([[-1, 0], [1, 0], [0, 2]], [FGAbelianGroup(1, (2,)), ZERO_GROUP]),
+    # two entries of one sign, after an edge: H_0 = Z^3 / <v1 - v0, v1 + v2>
+    ([[-1, 0], [1, 1], [0, 1]], [FGAbelianGroup(1), ZERO_GROUP]),
+    # the same columns, the other one first
+    ([[0, -1], [1, 1], [1, 0]], [FGAbelianGroup(1), ZERO_GROUP]),
+    # an edge twice, then two entries of one sign: H_0 = Z^3 / <v0 - v1, v0 + v1>
+    ([[1, -1, 1], [-1, 1, 1], [0, 0, 0]], [FGAbelianGroup(1, (2,)), FGAbelianGroup(1)]),
+], ids=["entry-2", "same-signs", "same-signs-first", "repeated-edge"])
+def test_other_user_d1_goes_through_the_column_reducer(monkeypatch, d_1, groups):
+    C = ChainComplex([("v0", "v1", "v2"), tuple(f"e{j}" for j in range(len(d_1[0])))], [d_1])
+    calls = recording_full_reductions(monkeypatch, C.boundaries[0].columns)
+    assert homology_through(C, 1) == groups
+    [(kind, adds)] = calls
+    assert kind is chain._ColumnReducer
+    assert adds >= 1
 
 
 @pytest.mark.parametrize("X, top, ncols, groups", [

@@ -23,7 +23,13 @@ rank_and_invariant_factors and SparseIntMatrix must refuse the same bad row
 indices and entries.
 The column reducer's pivots must have the invariant factors that sympy's
 Smith normal form finds, all ones whenever every pivot entry is 1, also on
-matrices with mostly nonunit entries; on
+matrices with mostly nonunit entries.  Signed incidence matrices, with
+edges of either sign, edges to the ground, zero and repeated columns and
+shuffled rows, must have the rank and invariant factors of the certified
+dense Smith normal form, and the spanning forest's pivots entry 1 at their
+largest rows and the columns' span; with one column of another form the
+column reducer takes over, and either way the pivot rows and entries are
+those of the column reducer alone.  On
 streams that repeat their own span, the interreduction of the reducer's
 unit pivots must leave the result, the pivot rows and the pivot entries as
 they are.  On streams of boundaries of random singular complexes, the
@@ -409,6 +415,69 @@ def test_invariant_factors_match_sympy_on_nonunit_matrices(cols):
         Matrix(len(cols[0]), len(cols), lambda i, j: cols[j][i]), domain=ZZ)
     diagonal = sorted(abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i])
     assert (rank, factors) == (len(diagonal), tuple(diagonal))
+
+
+def is_incidence(col):
+    """True for a column ±e_a or ±(e_a - e_b), or 0."""
+    values = sorted(col.values())
+    return values in ([], [-1], [1], [-1, 1])
+
+
+@st.composite
+def incidence_matrices(draw):
+    """(nrows, columns, other) on 1 to 8 rows: up to 12 signed incidence
+    columns, edges ±(e_a - e_b) of either sign, single entries ±e_a (edges
+    to the ground) and zero columns, some repeated with either sign, their
+    rows shuffled; other is None or a column that is not one, inserted
+    somewhere."""
+    nrows = draw(st.integers(1, 8))
+    row, sign = st.integers(0, nrows - 1), st.sampled_from([-1, 1])
+    edge = st.tuples(row, row, sign).filter(lambda e: e[0] != e[1]).map(
+        lambda e: {e[0]: e[2], e[1]: -e[2]})
+    column = st.one_of(st.just({}), st.tuples(row, sign).map(lambda e: {e[0]: e[1]}),
+                       *([edge] * (nrows > 1)))
+    cols = draw(st.lists(column, max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if cols else 0):
+        m = draw(sign)
+        cols.append({r: m * v for r, v in draw(st.sampled_from(cols)).items()})
+    perm = draw(st.permutations(range(nrows)))
+    cols = [{perm[r]: v for r, v in col.items()} for col in cols]
+    other = draw(st.none() | st.dictionaries(row, st.integers(-3, 3).filter(bool), min_size=1,
+                                             max_size=3).filter(lambda c: not is_incidence(c)))
+    if other is not None:
+        cols.insert(draw(st.integers(0, len(cols))), other)
+    return nrows, cols, other
+
+
+def certified(nrows, cols):
+    """(rank, invariant factors) of the columns by the certified dense SNF."""
+    res = chain.smith_normal_form([[c.get(i, 0) for c in cols] for i in range(nrows)],
+                                  ncols=len(cols))
+    return res.rank, res.invariant_factors
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(incidence_matrices())
+def test_spanning_forest_ranks_incidence_matrices(case):
+    nrows, cols, other = case
+    expected = certified(nrows, cols)
+    assert rank_and_invariant_factors(iter(cols), nrows) == expected
+    red = chain._reduce(cols)
+    event(f"spanning forest: {other is None}")
+    assert type(red) is (chain._SpanningForest if other is None else _ColumnReducer)
+    if other is None:
+        # unit pivots at their largest rows that span the columns' lattice:
+        # adding them keeps the rank and the factors 1, and they alone have both
+        assert all(p[r] == 1 and max(p) == r for r, p in red.pivots.items())
+        assert len(red.pivots) == red.rank
+        pivots = list(red.pivots.values())
+        assert certified(nrows, cols + pivots) == certified(nrows, pivots) == expected
+    # the pivot rows and entries of the column reducer alone, so clearing
+    # skips the same columns whichever of the two reduced
+    plain = _ColumnReducer()
+    for col in cols:
+        plain.add(col)
+    assert {r: p[r] for r, p in red.pivots.items()} == {r: p[r] for r, p in plain.pivots.items()}
 
 
 # (nrows, columns) whose row keys are ints in range, ints out of range,
