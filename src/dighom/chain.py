@@ -32,8 +32,11 @@ entries that the column reducer finds on the same columns, as both depend
 on the span alone, and they clear the degree below as its unit pivots do.
 The path is chosen from the columns as they are read: at the first column
 of another form the column reducer takes over, fed the forest's pivots and
-then the rest.  A reduction that may stop at saturation is always a
-column reduction.
+then the rest.  A reduction that may stop at saturation starts in the
+forest too, and stops there once its rank is the saturation: its pivots are
+units, so its span is then all of the kernel.  d_1 read to saturation at top
+0, where the kernel is all of C_0, thus stops only once every vertex is in
+the ground's tree.
 
 Homology of the degrees lo..top is one pass from the top degree down, with
 nothing kept between calls: homology(C, q) is the window [q, q] and
@@ -760,35 +763,37 @@ class _SpanningForest:
         self.parent = {}  # vertex -> its parent, below it, for each non-root
         self.rank = 0
 
-    def absorb(self, columns):
+    def absorb(self, columns, saturation=None):
         """Join the edges of the columns as they are read, up to the first
         one that is not a signed incidence column, which is returned; None
-        once every column is read."""
+        once every column is read, or once the rank is saturation."""
         parent, rank = self.parent, self.rank
         for col in columns:
-            if len(col) == 2:
-                (a, x), (b, y) = col.items()
-                if x + y or x * x != 1:
-                    break
-            elif len(col) == 1:
-                ((a, x),) = col.items()
-                if x * x != 1:
-                    break
-                b = -1
-            elif col:
-                break
-            else:
-                continue
-            while (p := parent.get(a, a)) != a:  # path halving
-                parent[a] = a = parent.get(p, p)
-            while (p := parent.get(b, b)) != b:
-                parent[b] = b = parent.get(p, p)
-            if a != b:  # union by the smaller root
-                if a < b:
-                    parent[b] = a
+            if col:
+                if len(col) == 2:
+                    (a, x), (b, y) = col.items()
+                    if x + y or x * x != 1:
+                        break
+                elif len(col) == 1:
+                    ((a, x),) = col.items()
+                    if x * x != 1:
+                        break
+                    b = -1
                 else:
-                    parent[a] = b
-                rank += 1
+                    break
+                while (p := parent.get(a, a)) != a:  # path halving
+                    parent[a] = a = parent.get(p, p)
+                while (p := parent.get(b, b)) != b:
+                    parent[b] = b = parent.get(p, p)
+                if a != b:  # union by the smaller root
+                    if a < b:
+                        parent[b] = a
+                    else:
+                        parent[a] = b
+                    rank += 1
+            if rank == saturation:
+                col = None
+                break
         else:
             col = None
         self.rank = rank
@@ -816,27 +821,26 @@ def _reduce(columns, saturation=None, d=None, cofaces=None):
     every later column with an entry at a row in R, and may give more (see
     the module docstring).
 
-    Without saturation every column is read, and signed incidence columns
-    go to a _SpanningForest, which is returned when they are all such.  At
-    the first other column the reducer takes over, fed the forest's pivots,
-    which span what was read, and then that column and the rest."""
+    Signed incidence columns go to a _SpanningForest first, which is
+    returned once they are all read and all such, or once its rank is
+    saturation.  At the first other column the reducer takes over, fed the
+    forest's pivots, which span what was read, and then that column and the
+    rest."""
     red = _ColumnReducer(d, saturation)
     columns = iter(columns)
-    if saturation is None:
-        forest = _SpanningForest()
-        if (col := forest.absorb(columns)) is None:
-            return forest
-        for p in forest.pivots.values():
-            red.add(p)
-        red.add(col)
-    while (col := next(columns, None)) is not None:
-        if red.spans(col):
-            continue
-        red.add(col)
-        if red.rank == saturation and not red.nonunit:
-            break
-        if red.witness and cofaces is not None:
-            columns, cofaces = iter(cofaces(set().union(*red.witness.values()))), None
+    forest = _SpanningForest()
+    if (col := forest.absorb(columns, saturation)) is None:
+        return forest
+    for p in forest.pivots.values():
+        red.add(p)
+    while col is not None:
+        if not red.spans(col):
+            red.add(col)
+            if red.rank == saturation and not red.nonunit:
+                break
+            if red.witness and cofaces is not None:
+                columns, cofaces = iter(cofaces(set().union(*red.witness.values()))), None
+        col = next(columns, None)
     return red
 
 

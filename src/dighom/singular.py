@@ -18,25 +18,35 @@ order as a pair of level k-1.  A budget caps the number of nondegenerate
 cubes of a degree, and a level over it is refused before any of it is
 stored.  Every degree q >= 1 is listed round-robin over its front faces, the
 tables of level q-1, so that the reduction of its boundary saturates the
-cycles below early.  A materialized degree q is that order over level q, in
-the level's own key tuples, and in singular_homology a column of the top
-stored boundary is built only once something reads it.  The degree above
-the top of singular_homology is streamed in that order without building its
-level, and its boundary columns go lazily to the top-boundary reduction of
-chain.py, which stops once their span saturates the cycles below.  A stream
-that cannot saturate stops once the reduction has chosen its witness rows:
-only a cube with a face at one of the few rows of their residuals can then
-grow the span, and the cubes with those front faces, moved to each face
-position, are those.
+cycles below early.  A materialized degree q is that order over the tables
+of level q, labelled by the level's own key tuples, and in singular_homology
+a column of the top stored boundary is built only once something reads it.
+The degree above the top of singular_homology is streamed in that order as
+pairs of tables, without building its level, and its boundary columns go
+lazily to the top-boundary reduction of chain.py, which stops once their
+span saturates the cycles below.  A stream that cannot saturate stops once
+the reduction has chosen its witness rows: only a cube with a face at one of
+the few rows of their residuals can then grow the span, and the cubes with
+those front faces, moved to each face position, are those.
+
+Boundary columns are built from table indices, never from corner tables.
+The face of a cube (x, y) at t_q is x or y, and its face at t_i, i < q, is
+the pair of the faces of x and y at t_i, read from face arrays per level;
+each degree has one row index, from the code of each of its tables as a
+pair of the level below to its row.  The cofaces are found the same way,
+the coordinate moves of the levels below kept as arrays.  The public
+boundary() works on corner tables and is the independent check of these
+columns.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, compress, islice
+from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
 from math import prod
 from operator import itemgetter, not_
 
@@ -442,19 +452,30 @@ def _beta_key(key, pts):
 class _Ladder:
     """The continuous corner tables on X, level by level, for one call.
 
-    Level k is (keys, masks, front, back, start, memo) over its continuous
-    k-tables t, degenerate ones too, in lex order: keys[t] is t as indices
-    into X.sorted_points, bit i-1 of masks[t] is set iff t ignores t_i, t is
-    the pair (front[t], back[t]) of its faces t_k = 0, 1 in level k-1, and
-    start[x] is the first table with front x.  The tables with front x =
-    (x0, x1) are (x, y) for the partners y of x, those with corners equal or
-    adjacent to x's: the (y0, y1) with y0 a partner of x0 and y1 one of both
-    x1 and y0.  memo holds these per (x1, y0), as offsets y - start[y0].  A
-    point a is the pair (0, a), with its closed neighborhood as its chunk.
-    (x, y) ignores t_{k+1} iff x == y, and t_i, i <= k, iff both x and y do.
-    Once level k+1 is stored, the memo of level k >= 1 is emptied: only the
+    Level k is (keys, masks, front, back, start, memo, index, chunks) over
+    its continuous k-tables t, degenerate ones too, in lex order: keys[t] is
+    t as indices into X.sorted_points, bit i-1 of masks[t] is set iff t
+    ignores t_i, t is the pair (front[t], back[t]) of its faces t_k = 0, 1 in
+    level k-1, and start[x] is the first table with front x.  index[x] maps
+    the back of each table with front x to its index, built once per table
+    x (see _index).  The tables with front x = (x0, x1) are (x, y) for the
+    partners y of x, those with corners equal or adjacent to x's: the (y0,
+    y1) with y0 a partner of x0 and y1 one of both x1 and y0.  memo holds
+    these per (x1, y0), as offsets y - start[y0], each distinct chunk
+    stored once per level, in chunks.  A point a is the pair (0, a), with
+    its closed neighborhood as its chunk.  (x, y) ignores t_{k+1} iff x ==
+    y, and t_i, i <= k, iff both x and y do.  Once level k+1 is stored, the
+    memo of level k >= 1 is emptied, with its index and chunks: only the
     rounds of the top level and the partners of the level being extended
     read a memo, and _chunk refills a miss.
+
+    Faces are table indices too.  The face of t = (x, y) at t_k = s is x or
+    y, and its face at t_i = s, i < k, is the table (f[x], f[y]) of level
+    k-1, f the face array of level k-1 at t_i = s, found by index; faces(k)
+    builds these arrays once.  The code of a table (u, v) of level k is u *
+    N + v, N the number of tables of level k-1 (1 below level 0): a row
+    index maps the code of each k-cube to its row, so a face is found from
+    its pair, without its own index.
     """
 
     def __init__(self, X):
@@ -463,22 +484,40 @@ class _Ladder:
         n = len(pts)
         memo = {a * n: tuple(sorted([a] + [at[t] for t in X.neighbors(p)]))
                 for a, p in enumerate(pts)}
-        self.levels = [([(a,) for a in range(n)], [0] * n, [0] * n, range(n), (0, 1), memo)]
+        self.edges = any(len(c) > 1 for c in memo.values())
+        self.levels = [([(a,) for a in range(n)], [0] * n, [0] * n, range(n), (0, 1), memo, {}, {})]
+        self.face_arrays, self.move_arrays = {0: []}, {}
+        self.listed = {}
+
+    def _index(self, k, u):
+        """index[u] of level k >= 1: the back of each table with front u ->
+        its index.  Its keys are the partners of u, the chunks' filter."""
+        back, start, _, index = self.levels[k][3:7]
+        found = index.get(u)
+        if found is None:
+            lo, hi = start[u], start[u + 1]
+            found = index[u] = dict(zip(back[lo:hi], range(lo, hi)))
+        return found
 
     def _chunk(self, k, x1, y0):
         """Chunk (x1, y0) of level k: the y = (y0, y1), y1 a partner of x1, as y - start[y0]."""
-        keys, _, _, back, start, memo = self.levels[k]
+        keys, _, _, back, start, memo, _, chunks = self.levels[k]
         chunk = memo.get(at := x1 * len(keys) + y0)
         if chunk is None:
             lo, hi = start[y0], start[y0 + 1]
-            ys = set(back[start[x1]:start[x1 + 1]]).__contains__
-            chunk = memo[at] = tuple(compress(range(hi - lo), map(ys, back[lo:hi])))
+            ys = self._index(k, x1).__contains__
+            # made from a list at its final size, so that it reuses a freed
+            # tuple of that size: one grown from the iterator would be
+            # resized from another size, and the freed ones of its own size
+            # would pile up in the interpreter's free list across calls
+            chunk = tuple(list(compress(range(hi - lo), map(ys, back[lo:hi]))))
+            chunk = memo[at] = chunks.setdefault(chunk, chunk)
         return chunk
 
     def _partners(self, j, x):
         """(lo, chunk) for each partner t of the front of table x of level j:
         the tables y with (x, y) in level j+1 are lo plus an entry of a chunk."""
-        _, _, front, back, start, _ = self.levels[j]
+        _, _, front, back, start = self.levels[j][:5]
         return [(start[back[t]], self._chunk(j, back[x], back[t]))
                 for t in range(start[front[x]], start[front[x] + 1])]
 
@@ -497,7 +536,7 @@ class _Ladder:
                           if y + lo != x and not masks[y + lo] & masks[x])
                 if next(islice(nondeg, budget, None), None) is not None:
                     raise BudgetExceeded(q, budget)
-            new = nkeys, nmasks, nfront, nback, nstart, _ = [], [], [], [], [0], {}
+            new = nkeys, nmasks, nfront, nback, nstart = [], [], [], [], [0]
             for x, key in enumerate(keys):
                 for lo, chunk in self._partners(j, x):
                     for y in chunk:
@@ -507,111 +546,251 @@ class _Ladder:
                         nfront.append(x)
                         nback.append(y)
                 nstart.append(len(nkeys))
-            self.levels.append(new)
+            self.levels.append(new + ({}, {}, {}))
             if j:
-                self.levels[j][5].clear()
+                for cache in self.levels[j][5:]:
+                    cache.clear()
         return self.levels[k]
 
     def cubes(self, q, budget):
-        """The keys of level q that are nondegenerate, the q-cubes, in the
-        order of rounds(q - 1, every front): round r lists the r-th of each
-        front in turn, fronts in order."""
-        keys, masks, front = self.level(q, q, budget)[:3]
-        rounds, last = [], None
-        for t in compress(range(len(keys)), map(not_, masks)):
-            r = r + 1 if front[t] == last else 0
-            last = front[t]
-            if r == len(rounds):
-                rounds.append([])
-            rounds[r].append(keys[t])
-        return [key for turn in rounds for key in turn]
+        """The nondegenerate tables of level q, the q-cubes, in the order
+        of rounds(q - 1, every front): round r lists the r-th of each front
+        in turn, fronts in order.  Degree 0 lists the points, and more than
+        budget of them raise BudgetExceeded.  Listed once per degree."""
+        tables = self.listed.get(q)
+        if tables is None:
+            keys, masks, front = self.level(q, q, budget)[:3]
+            if not q and len(keys) > budget:
+                raise BudgetExceeded(q, budget)
+            rounds, last = [], None
+            for t in compress(range(len(keys)), map(not_, masks)):
+                r = r + 1 if front[t] == last else 0
+                last = front[t]
+                if r == len(rounds):
+                    rounds.append([])
+                rounds[r].append(t)
+            tables = self.listed[q] = array("i", [t for turn in rounds for t in turn])
+        return tables
 
     def rounds(self, k, fronts):
-        """The keys of the nondegenerate tables (x, y) over the fronts x of
-        level k, round-robin: one in turn from the partners of each x, in lex
-        order, until all are listed.  A live front is the list [x, t, i]: its
-        next partner is at i in the chunk of the partner back[t] of front[x]."""
-        keys, masks, front, back, start, memo = self.levels[k]
+        """The nondegenerate tables (x, y) over the fronts x of level k, as
+        pairs, round-robin: one in turn from the partners of each x, in lex
+        order, until all are listed.  A live front is x with its place (t,
+        i): its next partner is at i in the chunk of the partner back[t] of
+        front[x].  The live fronts of a round are kept in arrays."""
+        keys, masks, front, back, start, memo = self.levels[k][:6]
         n = len(keys)
-
-        def step(s):
-            x, t, i = s
-            x1, m = back[x], masks[x]
-            while t < start[front[x] + 1]:
-                y0 = back[t]
-                ys = memo.get(x1 * n + y0) or self._chunk(k, x1, y0)
-                while i < len(ys):
-                    y = start[y0] + ys[i]
-                    i += 1
-                    if y != x and not masks[y] & m:
-                        s[1:] = t, i
-                        return y
-                t, i = t + 1, 0
-            return None
-
         # the first round starts the fronts as it goes
-        live = ([x, start[front[x]], 0] for x in fronts)
-        while live:
-            kept = []
-            for s in live:
-                y = step(s)
-                if y is not None:
-                    kept.append(s)
-                    yield keys[s[0]] + keys[y]
-            live = kept
+        live = zip(fronts, map(start.__getitem__, map(front.__getitem__, fronts)), repeat(0))
+        while True:
+            kept = xs, ts, places = array("i"), array("i"), array("i")
+            for x, t, i in live:
+                x1, m, end = back[x], masks[x], start[front[x] + 1]
+                while t < end:
+                    y0 = back[t]
+                    lo, ys = start[y0], memo.get(x1 * n + y0) or self._chunk(k, x1, y0)
+                    while i < len(ys):
+                        y = lo + ys[i]
+                        i += 1
+                        if y != x and not masks[y] & m:
+                            break
+                    else:
+                        t, i = t + 1, 0
+                        continue
+                    xs.append(x)
+                    ts.append(t)
+                    places.append(i)
+                    yield x, y
+                    break
+            if not xs:
+                return
+            live = zip(*kept)
+
+    def _base(self, k):
+        """N of the codes of level k: the number of tables of level k-1."""
+        return len(self.levels[k - 1][0]) if k else 1
+
+    def faces(self, k):
+        """The face arrays of level k, for t_1 = 0, t_1 = 1, ..., t_k = 1 in
+        turn: entry t of each is the face of table t, a table of level k-1.
+        Those at t_k are front and back."""
+        out = self.face_arrays.get(k)
+        if out is None:
+            front, back, start = self.levels[k][2:5]
+            index = self.levels[k - 1][6]
+            out = []
+            for f in self.faces(k - 1):
+                out.append(g := array("i"))
+                for x in range(len(start) - 1):  # the tables with front x, in turn
+                    u = f[x]
+                    pairs = index.get(u) or self._index(k - 1, u)
+                    g.extend(map(pairs.__getitem__, map(f.__getitem__, back[start[x]:start[x + 1]])))
+            out = self.face_arrays[k] = out + [front, back]
+        return out
+
+    def rows(self, k, tables):
+        """The row index of the k-cubes tables: the code of each -> its position."""
+        front, back = self.levels[k][2:4]
+        n = self._base(k)
+        return {front[t] * n + back[t]: r for r, t in enumerate(tables)}
+
+    def column(self, k, rows):
+        """The boundary column of a (k+1)-cube (x, y), x and y tables of
+        level k, over the row index rows of the k-cubes, as a function of x
+        and y.  The face at t_i = s is the table (f[x], f[y]) for i <= k, f a
+        face array of level k, and x or y for i = k+1; its coefficient is
+        (-1)^i if s = 0, else -(-1)^i.  A face not in rows is degenerate and
+        dropped, and coinciding faces merge, possibly to zero."""
+        faces = self.faces(k)
+        signed = [(f, (-1) ** (j // 2 + 1) * (1 - j % 2 * 2)) for j, f in enumerate(faces)]
+        sx, sy = (-1) ** (k + 1), -(-1) ** (k + 1)
+        front, back = self.levels[k][2:4]
+        n, get = self._base(k), rows.get
+
+        def column(x, y):
+            col = {}
+            for f, sgn in signed:
+                r = get(f[x] * n + f[y])
+                if r is not None:
+                    if r in col:
+                        if v := col[r] + sgn:
+                            col[r] = v
+                        else:
+                            del col[r]
+                    else:
+                        col[r] = sgn
+            for r, sgn in (get(front[x] * n + back[x]), sx), (get(front[y] * n + back[y]), sy):
+                if r is not None:
+                    if r in col:
+                        if v := col[r] + sgn:
+                            col[r] = v
+                        else:
+                            del col[r]
+                    else:
+                        col[r] = sgn
+            return col
+
+        return column
+
+    def _mover(self, k, i, s):
+        """The map of tables t of level k to t with its t_k moved into slot
+        i <= k, the coordinates from t_i on moving up one, and reflected if
+        s.  For i < k, the faces of the result at t_k are those of t at
+        t_{k-1}, moved in level k-1 (see _moves)."""
+        front, back = self.levels[k][2:4]
+        index = self._index
+        if i == k:
+            return (lambda t: index(k, back[t])[front[t]]) if s else (lambda t: t)
+        f0, f1, moved = *self.faces(k)[2 * k - 4:2 * k - 2], self._moves(k - 1, i, s)
+        return lambda t: index(k, moved[f0[t]])[moved[f1[t]]]
+
+    def _moves(self, k, i, s):
+        """_mover(k, i, s) of every table of level k, as an array, built once."""
+        moved = self.move_arrays.get((k, i, s))
+        if moved is None:
+            moved = self.move_arrays[k, i, s] = array(
+                "i", map(self._mover(k, i, s), range(len(self.levels[k][0]))))
+        return moved
+
+    def cofaces(self, k, fronts):
+        """Each (k+1)-cube with a face in fronts, tables of level k, once, as
+        a pair (x, y) of tables of level k.  Cube b has face f at t_i = s
+        exactly when it is a cube a with front face f, from rounds(k,
+        fronts), precomposed to move t_{k+1} to t_i, reflected if s; so b's
+        faces at t_{k+1} are those of a at t_k, moved to have t_k at t_i.
+        The cubes are listed a by a, moves for i = 1..k+1 and s = 0, 1 in
+        turn."""
+        front, back, index = *self.levels[k][2:4], self.levels[k][6]
+        movers = [self._mover(k, i, s) for i in range(1, k + 1) for s in (0, 1)]
+        moved = {}  # table -> its moves, for the halves met so far
+
+        def moves(u, v):
+            h = (index.get(u) or self._index(k, u))[v]
+            found = moved.get(h)
+            if found is None:
+                found = moved[h] = [mv(h) for mv in movers]
+            return found
+
+        seen = set()
+        for x, y in self.rounds(k, fronts):
+            halves = zip(moves(front[x], front[y]), moves(back[x], back[y])) if k else ()
+            for b in chain(halves, ((x, y), (y, x))):
+                if b not in seen:
+                    seen.add(b)
+                    yield b
 
 
-def _enumerate(X, q, budget, ladder=None):
-    """(keys, cofaces) of the nondegenerate q-cubes on X, lazily.
-
-    A key is a tuple of indices into X.sorted_points, one per corner index.
-    keys lists every key once: degree 0 lists the points, and a degree q >= 1
-    takes one cube in turn from each front face t_q = 0, a table of level q-1
-    of the ladder (a fresh one unless given), listing its partners in lex
-    order (see _Ladder.rounds).  Consecutive cubes thus have different front
-    faces, so their boundary columns span the cycles of degree q-1 after far
-    fewer columns than in lex order, where long runs of cubes share a front
-    face.  cofaces(fronts)
-    lists, each once, the keys with a face in fronts, keys of degree q-1: a
-    q-cube has face f at t_i = side exactly when it is a cube with front
-    face f precomposed to move t_q to t_i, reflected if side.  The keys of
-    both count toward one budget, and BudgetExceeded rises once more than
-    budget went by, or when a level of the ladder built for them has more
-    than budget nondegenerate tables.  Without a c1-adjacent pair in X every
-    continuous cube is constant, so there is none in a degree q >= 1, and no
-    level is built.  Degree 0 and a degree with no cube have no cofaces (None).
-    """
+def _counter(q, budget):
+    """A filter that passes items through and counts them all toward one
+    budget of degree q: BudgetExceeded rises once more than budget went by."""
     spent = 0
 
-    def counted(keys):
+    def counted(items):
         nonlocal spent
-        for key in keys:
+        for item in items:
             spent += 1
             if spent > budget:
                 raise BudgetExceeded(q, budget)
-            yield key
+            yield item
 
-    if not q:
-        return counted((i,) for i in range(len(X.sorted_points))), None
-    if not any(X.neighbors(p) for p in X.sorted_points):
-        return iter(()), None
-    ladder = ladder or _Ladder(X)
+    return counted
+
+
+def _stream(ladder, q, budget):
+    """(cubes, cofaces) of the nondegenerate q-cubes, q >= 1, lazily, each
+    cube a pair (x, y) of tables of level q-1 of the ladder.
+
+    cubes lists every cube once, one in turn from each front face t_q = 0,
+    listing its partners in lex order (see _Ladder.rounds).  Consecutive
+    cubes thus have different front faces, so their boundary columns span
+    the cycles of degree q-1 after far fewer columns than in lex order,
+    where long runs of cubes share a front face.  cofaces(fronts) lists,
+    each once, the cubes with a face in fronts, tables of level q-1 (see
+    _Ladder.cofaces).  Both count toward one budget, and BudgetExceeded
+    rises once more than budget went by, or when a level of the ladder built
+    for them has more than budget nondegenerate tables.
+    """
+    counted = _counter(q, budget)
 
     def listing():
         yield from ladder.rounds(q - 1, range(len(ladder.level(q - 1, q, budget)[0])))
 
     def cofaces(fronts):
-        moves = [_precomposition(q, i, q, side << (q - 1), True)
-                 for i in range(1, q + 1) for side in (0, 1)]
-        level = ladder.level(q - 1, q, budget)[0]  # in lex order
-        seen = set()
-        for a in ladder.rounds(q - 1, [bisect_left(level, f) for f in fronts]):
-            for move in moves:
-                if (key := move(a)) not in seen:
-                    seen.add(key)
-                    yield key
+        ladder.level(q - 1, q, budget)
+        yield from ladder.cofaces(q - 1, fronts)
 
     return counted(listing()), lambda fronts: counted(cofaces(fronts))
+
+
+def _enumerate(X, q, budget, ladder=None):
+    """(keys, cofaces) of the nondegenerate q-cubes on X, lazily, as keys.
+
+    A key is a tuple of indices into X.sorted_points, one per corner index.
+    Degree 0 lists the points, and a degree q >= 1 the cubes of _stream
+    from a ladder (a fresh one unless given), each (x, y) as the key of x
+    followed by that of y; cofaces(fronts) lists those of _stream for the
+    keys fronts of degree q-1.  Without a c1-adjacent pair in X every
+    continuous cube is constant, so there is none in a degree q >= 1, and no
+    level is built.  Degree 0 and a degree with no cube have no cofaces
+    (None).
+    """
+    if not q:
+        return _counter(q, budget)((i,) for i in range(len(X.sorted_points))), None
+    ladder = ladder or _Ladder(X)
+    if not ladder.edges:
+        return iter(()), None
+    cubes, cofaces = _stream(ladder, q, budget)
+
+    def keyed(pairs):
+        keys = ladder.level(q - 1, q, budget)[0]  # in lex order
+        for x, y in pairs:
+            yield keys[x] + keys[y]
+
+    def coface_keys(fronts):
+        keys = ladder.level(q - 1, q, budget)[0]
+        yield from keyed(cofaces([bisect_left(keys, f) for f in fronts]))
+
+    return keyed(cubes), coface_keys
 
 
 @lru_cache(maxsize=None)
@@ -634,8 +813,9 @@ def _signed_face_maps(q):
 def _boundary_columns(keys, rowindex):
     """The boundary column of each cube key in keys, lazily, the face key f
     being row rowindex[f]; faces not in rowindex are degenerate and dropped.
-    The face maps, tables of 2^q corners, are looked up only once a key
-    arrives."""
+    This is the path of boundary() on corner tables, independent of the
+    table indices of _Ladder.column.  The face maps, tables of 2^q corners,
+    are looked up only once a key arrives."""
     fmaps = None
     for key in keys:
         if fmaps is None:
@@ -654,12 +834,13 @@ def _boundary_columns(keys, rowindex):
 
 
 class _Columns:
-    """The boundary columns of keys over the row index at, as a sequence:
-    each is built by _boundary_columns the first time it is read, by index
-    or in order, and kept."""
+    """The boundary columns of the tables of a level, as a sequence: each
+    is column(front[t], back[t]) of its table t, built the first time it is
+    read, by index or in order, and kept."""
 
-    def __init__(self, keys, at):
-        self.keys, self.at, self.cols = keys, at, [None] * len(keys)
+    def __init__(self, column, front, back, tables):
+        self.column, self.front, self.back, self.tables = column, front, back, tables
+        self.cols = [None] * len(tables)
 
     def __len__(self):
         return len(self.cols)
@@ -667,7 +848,8 @@ class _Columns:
     def __getitem__(self, j):
         col = self.cols[j]  # IndexError past the end stops iteration
         if col is None:
-            col = self.cols[j] = next(_boundary_columns((self.keys[j],), self.at))
+            t = self.tables[j]
+            col = self.cols[j] = self.column(self.front[t], self.back[t])
         return col
 
 
@@ -675,28 +857,32 @@ def _materialize(X, top, budget, ladder, lazy=False):
     """(keys, mats, err) for degrees 0..top, stopping short of the first
     degree over budget.
 
-    keys[q] lists the q-cube keys in the order of _enumerate: degree 0 the
-    points, and every degree q >= 1 the nondegenerate tables of level q of
-    the one ladder given, its own tuples (see _Ladder.cubes).  mats[q-1] is
-    the boundary of degree q over them; if lazy, that of the top degree
-    listed builds each column only once it is read (see _Columns).  err is
-    the BudgetExceeded that cut keys short, or None when every degree fit.
+    keys[q] lists the q-cube keys of the one ladder given, the tuples of the
+    tables of _Ladder.cubes(q) in its order: degree 0 the points, and every
+    degree q >= 1 round-robin over its front faces, as _stream lists it.
+    mats[q-1] is the boundary of degree q over them, built by
+    _Ladder.column; if lazy, that of the top degree listed builds each
+    column only once it is read (see _Columns).  err is the BudgetExceeded
+    that cut keys short, or None when every degree fit.
     """
     keys, err = [], None
-    edges = any(X.neighbors(p) for p in X.sorted_points)
     for q in range(top + 1):
         try:
-            keys.append(ladder.cubes(q, budget) if q and edges
-                        else list(_enumerate(X, q, budget)[0]))
+            tables = ladder.cubes(q, budget) if ladder.edges or not q else ()
         except BudgetExceeded as e:
             err = e
             break
+        keys.append(list(map(ladder.levels[q][0].__getitem__, tables)) if tables else [])
     mats = []
     for q in range(1, len(keys)):
-        at = {k: r for r, k in enumerate(keys[q - 1])}
-        cols = (_Columns(keys[q], at) if lazy and q == len(keys) - 1
-                else list(_boundary_columns(keys[q], at)))
-        mats.append(SparseIntMatrix._trusted(len(at), len(keys[q]), cols))
+        cols = []
+        if keys[q]:
+            column = ladder.column(q - 1, ladder.rows(q - 1, ladder.cubes(q - 1, budget)))
+            tables, (front, back) = ladder.cubes(q, budget), ladder.levels[q][2:4]
+            cols = (_Columns(column, front, back, tables) if lazy and q == len(keys) - 1
+                    else list(map(column, map(front.__getitem__, tables),
+                                  map(back.__getitem__, tables))))
+        mats.append(SparseIntMatrix._trusted(len(keys[q - 1]), len(keys[q]), cols))
     return keys, mats, err
 
 
@@ -772,13 +958,18 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
         return [None] * (max_q + 1)
     trunc = ChainComplex._trusted(keys, mats)
     if err is None:  # H_m needs degree m+1, which may be over budget
-        rows = keys[m]
-        at = {k: r for r, k in enumerate(rows)}  # shared by stream and cofaces
-        stream, cofaces = _enumerate(X, m + 1, budget, ladder)
+        if not ladder.edges:  # degree m+1 has no cube
+            return homology_through(trunc, m) + [None] * (max_q - m)
+        tables = ladder.cubes(m, budget)
+        column = ladder.column(m, ladder.rows(m, tables))  # for the stream and cofaces
+        cubes, cofaces = _stream(ladder, m + 1, budget)
+
+        def finish(R):
+            cubes.close()  # the rest of the stream stays unread: free its live fronts
+            return starmap(column, cofaces([tables[r] for r in R]))
+
         try:
-            return (_homology(trunc, 0, m, _boundary_columns(stream, at),
-                              lambda R: _boundary_columns(cofaces([rows[r] for r in R]), at))
-                    + [None] * (max_q - m))
+            return _homology(trunc, 0, m, starmap(column, cubes), finish) + [None] * (max_q - m)
         except BudgetExceeded:
             pass
     return homology_through(trunc, m - 1) + [None] * (max_q - m + 1)

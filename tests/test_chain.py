@@ -705,6 +705,24 @@ def test_d1_of_library_complexes_is_ranked_by_a_spanning_forest(monkeypatch, C, 
     assert calls == [(chain._SpanningForest, 0)]
 
 
+@pytest.mark.parametrize("C", [
+    build_c1_complex(helpers.shell()).complex,
+    build_c1_complex(helpers.block()).complex,
+    build_c1_complex(DigitalImage(2, [(0, 0), (0, 1), (5, 5)])).complex,
+    relative_shell(),
+], ids=["c1-shell", "c1-block", "c1-two-components", "relative-shell"])
+def test_h0_of_library_complexes_is_ranked_by_a_spanning_forest(monkeypatch, C):
+    # at top 0, d_1 is read to saturation, dim C_0, which the forest reaches
+    # only once every vertex is in the ground's tree; H_0 comes from the
+    # forest with no column reducer
+    expected = homology_through(C, 1)[0]
+    adds = []
+    add = chain._ColumnReducer.add
+    monkeypatch.setattr(chain._ColumnReducer, "add", lambda red, col: adds.append(col) or add(red, col))
+    assert homology(C, 0) == expected
+    assert adds == []
+
+
 def test_spanning_forest_keeps_only_the_rows_it_reads():
     # the forest holds the vertices its edges touch, as the column reducer
     # holds only nonzero entries, so a far row costs no more than a near one

@@ -15,6 +15,9 @@ of a brute-force filter, in lex order, and their round-robin listing a
 permutation of them, the same from a fresh ladder and from a shared one.
 Each degree of a materialized singular complex, taken from its own level,
 must be that listing, or both must refuse the same degree over budget.
+Every boundary column built from table indices (of a materialized degree,
+of the lazily built top boundary, of the stream and of its cofaces) must be
+the public boundary() of its cube, which works on corner tables.
 The coordinate operators must precompose with the maps that an oracle
 evaluates point by point.  Images written as JSON and as text files must
 parse back equal, and each class of malformed image file must end the CLI
@@ -48,7 +51,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import product
+from itertools import chain as chain_from, islice, product
 from unittest.mock import patch
 
 import pytest
@@ -65,6 +68,7 @@ from dighom import (
     SparseIntMatrix,
     apply_operator,
     beta,
+    boundary,
     build_c1_complex,
     build_singular_complex,
     cube_boundary,
@@ -87,6 +91,8 @@ from dighom.singular import (
     _beta_key,
     _boundary_columns,
     _enumerate,
+    _materialize,
+    _stream,
 )
 
 import helpers
@@ -355,6 +361,36 @@ def test_materialized_bases_are_the_round_robin_listings(X):
         bases, top = build_singular_complex(X, e.degree - 2, budget).bases, e.degree - 1
     for q in range(top + 1):
         assert bases[q] == tuple(_enumerate(X, q, budget)[0])
+
+
+def boundary_through(X, q, key, basis):
+    """boundary() of the q-cube of key, a column over the keys basis of degree q-1."""
+    at = {k: r for r, k in enumerate(basis)}
+    points = {p: a for a, p in enumerate(X.sorted_points)}
+    return {at[tuple(points[p] for p in s.corners)]: v
+            for s, v in boundary(helpers.decode(X, q, key)).items()}
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(images((5,), 5), images((3, 3), 5), images((2, 2, 2), 4)))
+def test_index_columns_are_the_boundaries_of_the_cubes(X):
+    # the columns of degrees 1 and 2 (the top one built as it is read), the
+    # streamed degree 3 and the cofaces of some of its rows come from table
+    # indices; boundary() finds the faces of each cube from its corners
+    ladder = _Ladder(X)
+    keys, mats, err = _materialize(X, 2, DEFAULT_BUDGET, ladder, lazy=True)
+    assert err is None
+    for q in (1, 2):
+        for j, key in enumerate(keys[q]):
+            assert mats[q - 1].columns[j] == boundary_through(X, q, key, keys[q - 1])
+    if not ladder.edges:
+        return
+    tables, level = ladder.cubes(2, DEFAULT_BUDGET), ladder.levels[2][0]
+    column = ladder.column(2, ladder.rows(2, tables))
+    cubes, cofaces = _stream(ladder, 3, DEFAULT_BUDGET)
+    fronts = list(tables[::7])
+    for x, y in chain_from(islice(cubes, 300), cofaces(fronts)):
+        assert column(x, y) == boundary_through(X, 3, level[x] + level[y], keys[2])
 
 
 @st.composite

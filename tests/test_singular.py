@@ -42,7 +42,6 @@ from dighom import (
     swap,
     verify_isomorphism,
 )
-from dighom import singular
 from dighom.singular import (
     DEFAULT_BUDGET,
     _enumerate,
@@ -660,18 +659,45 @@ def test_top_stored_boundary_is_built_only_where_it_is_read(monkeypatch):
     # the reduction of d_3 reads 83 of its 2,432 columns to saturation, and
     # the stream's sampled d∘d checks read some more; each is built once
     built = Counter()
-    columns = singular._boundary_columns
+    column = _Ladder.column
 
-    def counting(keys, at):
-        for key in keys:
-            built[key] += 1
-            yield from columns((key,), at)
+    def counting(ladder, k, rows):
+        build = column(ladder, k, rows)
 
-    monkeypatch.setattr(singular, "_boundary_columns", counting)
+        def counted(x, y):
+            if k == 2:  # a 3-cube, the pair (x, y) of tables of level 2
+                built[x, y] += 1
+            return build(x, y)
+
+        return counted
+
+    monkeypatch.setattr(_Ladder, "column", counting)
     groups = singular_homology(helpers.square(), 3)
     assert groups == [FGAbelianGroup(1)] + [FGAbelianGroup(0)] * 3
-    top = [n for key, n in built.items() if len(key) == 8]
+    top = list(built.values())
     assert len(top) == 138 and set(top) == {1}
+
+
+def test_the_stream_is_closed_once_its_cofaces_start(monkeypatch):
+    # H_2 of the shell is Z, so its streamed degree 3 is finished by the
+    # cofaces of its witness rows; the stream's listing, with its live
+    # fronts, is closed before they start, though the reduction still holds
+    # the stream
+    events = []
+    rounds = _Ladder.rounds
+
+    def recording(ladder, k, fronts):
+        kind = "stream" if isinstance(fronts, range) else "cofaces"
+        events.append(("start", kind))
+        try:
+            yield from rounds(ladder, k, fronts)
+        finally:
+            events.append(("end", kind))
+
+    monkeypatch.setattr(_Ladder, "rounds", recording)
+    assert singular_homology(helpers.shell(), 2) == [
+        FGAbelianGroup(1), FGAbelianGroup(0), FGAbelianGroup(1)]
+    assert events == [("start", "stream"), ("end", "stream"), ("start", "cofaces"), ("end", "cofaces")]
 
 
 @pytest.mark.parametrize("name, q", [("ring", 1), ("ring", 2), ("block", 2), ("square", 3)])
