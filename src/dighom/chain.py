@@ -118,7 +118,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAComplex, NotSubcomplex, ShapeMismatch
+from .errors import BudgetExceeded, NotAComplex, NotSubcomplex, ShapeMismatch
 
 __all__ = [
     "xgcd",
@@ -971,7 +971,9 @@ def _homology(C, lo, top, columns_in=None, cofaces=None):
     degree beyond C, rows as in C.basis(top), sampled to be cycles.  If
     given, cofaces(R) gives the columns of that degree with an entry at a
     row in R, sampled in the same way, to finish a stream that does not
-    saturate.
+    saturate.  If the stream or its cofaces raise BudgetExceeded, H_top
+    comes back as None, and the groups below it from the reductions of the
+    boundaries below, as they stand.
 
     A complex built by the library is checked to have d_{q-1} c = 0 for
     each stored column c of d_q, q >= 2, that a reduction reads, as it is
@@ -1011,10 +1013,17 @@ def _homology(C, lo, top, columns_in=None, cofaces=None):
     d = C.boundary_matrix(top).columns
     columns = read(top + 1) if columns_in is None else _cycles(columns_in, d, sampled=True)
     finish = cofaces and (lambda rows: _cycles(cofaces(rows), d, sampled=True))
-    above = _reduce(columns, n - reds[top].rank, d, finish)
+    try:
+        above = _reduce(columns, n - reds[top].rank, d, finish)
+    except BudgetExceeded:  # only a stream counts toward a budget
+        above = None
     groups = []
     for q in range(top, lo - 1, -1):  # degrees not in reds cleared by the one above
         below = reds.get(q) or _reduce(read(q, {r for r, p in above.pivots.items() if p[r] == 1}))
+        if above is None:  # d_{top+1} over budget
+            groups.append(None)
+            above = below
+            continue
         free = len(C.basis(q)) - below.rank - above.rank
         if free < 0:
             raise RuntimeError("negative free rank: broken reduction")

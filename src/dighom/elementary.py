@@ -8,15 +8,19 @@ extent coordinate carries sign (-1)^i, front minus back.
 
 The complex is built level by level on keys (i, extent), i the index of the
 minimal corner in X.sorted_points: a (q+1)-cube is a q-cube whose translate
-one step up a direction above its extent is a q-cube too.  So the canonically
-ordered bases, the faces and dimension(X), the top nonempty level, are table
-lookups.  induced_map realizes a continuous map over these bases through each
-cube's canonical embedding and its orientation.
+one step up a direction above its extent is a q-cube too.  The translates are
+point indices looked up by integer point codes, and each level is built one
+extent at a time: for each direction above an extent, one pass over the
+points of that extent's cubes keeps those whose translate is a cube of it.
+So the canonically ordered bases, the faces and dimension(X), the top
+nonempty level, are table lookups.  induced_map realizes a continuous map
+over these bases through each cube's canonical embedding and its orientation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .chain import Chain, ChainComplex, SparseIntMatrix, quotient_complex
 from .errors import EmptyImage, NoSuchFace, NotContinuous, PointNotInImage
@@ -122,27 +126,51 @@ def _levels(X, top=None):
     nonempty one.  tr[d][i] is the index of point i + e_{d+1} in
     X.sorted_points or None; levels[q] maps keys (i, ext) to positions in
     (min_corner, extent) order, and rows[q][ext][i] is the position of
-    (i, ext) or None.  A cube grows into d > ext[-1] iff its translate by
-    e_d is a cube."""
+    (i, ext) or None, keyed in the order of each extent's first cube.
+
+    tr comes from mixed-radix point codes: a radix of max - min + 2 for
+    each coordinate after the first leaves room for p + e_d without a
+    carry, so the code of p + e_d is the code of p plus the stride of d.
+    A cube (i, ext) grows into d > ext[-1] iff its translate by e_d is a
+    cube, so level q+1 comes from one pass per (extent, direction) over the
+    member points of that extent, in extent order; a stable sort on i then
+    puts the new keys in (min_corner, extent) order.
+    """
     pts = X.sorted_points
     n = len(pts)
-    at = {p: i for i, p in enumerate(pts)}
-    tr = [[at.get(p[:d] + (p[d] + 1,) + p[d + 1:]) for p in pts] for d in range(X.ambient_dim)]
+    if not n:
+        return [[] for _ in range(X.ambient_dim)], [{}], [{(): []}]
+    cols = list(zip(*pts))
+    codes, strides = cols[0], [1]
+    for col in cols[1:]:
+        r = max(col) - min(col) + 2
+        codes = [c * r + a for c, a in zip(codes, col)]
+        strides = [s * r for s in strides] + [1]
+    at = dict(zip(codes, range(n)))
+    tr = [[at.get(c + s) for c in codes] for s in strides]
+    del cols, codes, at
     levels, rows = [{(i, ()): i for i in range(n)}], [{(): list(range(n))}]
+    members = rows[0]  # extent -> the increasing i of its cubes, in extent order
     while top is None or len(levels) <= top:
-        below, level, index = rows[-1], {}, {}
-        for i, ext in levels[-1]:
+        below, found = rows[-1], []
+        for ext, mem in members.items():
             row = below[ext]
             for d in range(ext[-1] if ext else 0, len(tr)):
-                if (j := tr[d][i]) is not None and row[j] is not None:
-                    up = ext + (d + 1,)
-                    if up not in index:
-                        index[up] = [None] * n
-                    index[up][i] = level[(i, up)] = len(level)
-        if not level:
+                t = tr[d]
+                if got := [i for i in mem if (j := t[i]) is not None and row[j] is not None]:
+                    found.append((ext + (d + 1,), got))
+        if not found:
             break
+        keys = [(i, up) for up, got in found for i in got]
+        keys.sort(key=itemgetter(0))
+        level = {key: p for p, key in enumerate(keys)}
+        del keys
+        index = {up: [None] * n for up, got in sorted(found, key=lambda f: f[1][0])}  # ties: extent order
+        for (i, up), p in level.items():
+            index[up][i] = p
         levels.append(level)
         rows.append(index)
+        members = dict(found)
     return tr, levels, rows
 
 

@@ -52,6 +52,18 @@ def _as_point(p):
     return pt
 
 
+def _check_ambient_dim(n):
+    if type(n) is not int or n < 1:
+        raise ParseError(f"ambient dimension must be a positive integer, got {n!r}")
+    return n
+
+
+def _check_length(pt, n):
+    if len(pt) != n:
+        raise DimensionMismatch(f"point {pt} has {len(pt)} coordinates, image is {n}-dimensional")
+    return pt
+
+
 def adjacent(x, y):
     """True iff x and y differ by exactly 1 in exactly one coordinate."""
     if len(x) != len(y):
@@ -82,20 +94,21 @@ class DigitalImage:
     __slots__ = ("ambient_dim", "points", "sorted_points")
 
     def __init__(self, ambient_dim, points=()):
-        n = ambient_dim
-        if type(n) is not int or n < 1:
-            raise ParseError(f"ambient dimension must be a positive integer, got {n!r}")
-        pts = set()
-        for p in points:
-            pt = _as_point(p)
-            if len(pt) != n:
-                raise DimensionMismatch(
-                    f"point {pt} has {len(pt)} coordinates, image is {n}-dimensional"
-                )
-            pts.add(pt)
+        n = _check_ambient_dim(ambient_dim)
+        self._set(n, frozenset([_check_length(_as_point(p), n) for p in points]))
+
+    def _set(self, n, points):
         object.__setattr__(self, "ambient_dim", n)
-        object.__setattr__(self, "points", frozenset(pts))
-        object.__setattr__(self, "sorted_points", tuple(sorted(pts)))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "sorted_points", tuple(sorted(points)))
+
+    @classmethod
+    def _trusted(cls, n, points):
+        """The image of a frozenset of points already checked to be tuples
+        of n ints, n a positive int: the parsers check each point once."""
+        X = object.__new__(cls)
+        X._set(n, points)
+        return X
 
     def __setattr__(self, name, value):
         raise AttributeError("DigitalImage is immutable")
@@ -409,12 +422,14 @@ def parse_image(text):
     return _parse_image_text(text)
 
 
-def _refuse_duplicates(pts):
-    """ParseError naming the first point, in file order, that occurs twice."""
-    counts = Counter(pts)
-    dup = next((p for p in pts if counts[p] > 1), None)
-    if dup is not None:
-        raise ParseError(f"duplicate point {dup}")
+def _distinct(pts):
+    """The frozenset of the points; ParseError naming the first point, in
+    file order, that occurs twice."""
+    out = frozenset(pts)
+    if len(out) != len(pts):
+        counts = Counter(pts)
+        raise ParseError(f"duplicate point {next(p for p in pts if counts[p] > 1)}")
+    return out
 
 
 def _parse_image_json(text):
@@ -435,11 +450,14 @@ def _parse_image_json(text):
         if not isinstance(item, list):
             raise ParseError(f"point {item!r} must be a list of integers")
         pts.append(_as_point(item))
-    _refuse_duplicates(pts)
+    points = _distinct(pts)
+    _check_ambient_dim(n)
     try:
-        return DigitalImage(n, pts)
+        for p in pts:
+            _check_length(p, n)
     except DimensionMismatch as e:
         raise ParseError(str(e)) from e
+    return DigitalImage._trusted(n, points)
 
 
 def _parse_image_text(text):
@@ -460,8 +478,7 @@ def _parse_image_text(text):
     for p in pts:
         if len(p) != n:
             raise ParseError(f"point {p} has {len(p)} coordinates, expected {n}")
-    _refuse_duplicates(pts)
-    return DigitalImage(n, pts)
+    return DigitalImage._trusted(n, _distinct(pts))
 
 
 def load_image(path):

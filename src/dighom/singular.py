@@ -947,8 +947,9 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     the chain module).  These cofaces count toward the budget of degree
     max_q+1 after the streamed cubes read.  If the enumeration budget
     is exhausted at degree j, every group needing that degree (q >= j-1)
-    comes back as None instead of a group, and the groups below come from a
-    pass through degree j-2.
+    comes back as None instead of a group.  The groups below come from the
+    same pass when j = max_q+1, from the reductions it already made, and
+    otherwise from a pass through degree j-2.
     """
     _check_degree_and_budget("max_q", max_q, budget)
     ladder = _Ladder(X)
@@ -968,8 +969,5 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
             cubes.close()  # the rest of the stream stays unread: free its live fronts
             return starmap(column, cofaces([tables[r] for r in R]))
 
-        try:
-            return _homology(trunc, 0, m, starmap(column, cubes), finish) + [None] * (max_q - m)
-        except BudgetExceeded:
-            pass
+        return _homology(trunc, 0, m, starmap(column, cubes), finish) + [None] * (max_q - m)
     return homology_through(trunc, m - 1) + [None] * (max_q - m + 1)

@@ -795,6 +795,21 @@ def test_singular_top_boundaries_are_read_to_saturation(monkeypatch, X, q, reads
     assert recorded == reads
 
 
+@pytest.mark.parametrize("X, q, budget, groups, reads", [
+    # the stream and cofaces of degree 3 need 2,942 reads: d_1 and d_2 are
+    # reduced once, and H_1 comes from d_2 as it stood before the stream
+    (helpers.shell(), 2, 2941, [FGAbelianGroup(1), ZERO_GROUP, None], [96, 348, 1]),
+    # 85 stream cubes and 18 cofaces, one over: d_1 is read once, in full
+    (helpers.ring(), 1, 102, [FGAbelianGroup(1), None], [16, 1]),
+], ids=["shell", "ring"])
+def test_budget_fallback_keeps_the_reductions_below_the_stream(monkeypatch, X, q, budget,
+                                                               groups, reads):
+    # the stream's own reduction raises BudgetExceeded and is not recorded
+    recorded = recording_reads(monkeypatch)
+    assert singular_homology(X, q, budget) == groups
+    assert recorded == reads
+
+
 @pytest.mark.parametrize("X, reads", [
     (helpers.shell(), [[26, 48], [48, 23, 1], [24, 0, 25, 1]]),
     (helpers.block(), [[8, 12], [12, 5, 1], [6, 1, 7, 1], [1, 0, 5, 7, 1]]),

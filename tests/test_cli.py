@@ -146,6 +146,36 @@ def test_duplicate_at_the_end_of_a_large_file_exits_2_quickly(run, tmp_path, as_
     assert (rc, out, err) == (2, "", "error: duplicate point (249, 199)\n")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"ambient_dim": 2, "points": [[0, 0], [0, 0.5]]}', "non-integer coordinate 0.5"),
+    ('{"ambient_dim": 2, "points": [[0, true]]}', "non-integer coordinate True"),
+    ("0 0\n0 x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ('{"ambient_dim": 2, "points": [[0, 0], [1]]}',
+     "point (1,) has 1 coordinates, image is 2-dimensional"),
+    ('{"ambient_dim": 2, "points": [[0, 0, 0], [1, 1, 1]]}',
+     "point (0, 0, 0) has 3 coordinates, image is 2-dimensional"),
+    ("0 0\n1\n", "point (1,) has 1 coordinates, expected 2"),
+    ('{"ambient_dim": 2, "points": [[0, 0], [1, 0], [1, 0], [0, 0]]}', "duplicate point (0, 0)"),
+    ("0 0\n1 0\n1 0\n0 0\n", "duplicate point (0, 0)"),
+    # a duplicate is named before the mixed lengths, and a bad ambient_dim
+    # before the lengths
+    ('{"ambient_dim": 2, "points": [[0], [0], [1, 1]]}', "duplicate point (0,)"),
+    ('{"ambient_dim": 0, "points": []}', "ambient dimension must be a positive integer, got 0"),
+    ('{"ambient_dim": "2", "points": [[0, 0]]}',
+     "ambient dimension must be a positive integer, got '2'"),
+    ('{"ambient_dim": true, "points": [[0]]}',
+     "ambient dimension must be a positive integer, got True"),
+    ('{"ambient_dim": -1, "points": [[0], [0, 1]]}',
+     "ambient dimension must be a positive integer, got -1"),
+], ids=["json-float", "json-bool", "text-word", "json-short", "json-long", "text-short",
+        "json-duplicate", "text-duplicate", "duplicate-first", "dim-zero", "dim-string",
+        "dim-bool", "dim-first"])
+def test_bad_image_exits_2_with_its_message(run, tmp_path, doc, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(doc)
+    assert run(["homology", str(p)]) == (2, "", f"error: {message}\n")
+
+
 # --- singular -------------------------------------------------------------------
 
 def test_singular_edge(run, tmp_path):

@@ -354,6 +354,24 @@ def test_duplicate_error_names_the_first_repeated_point_in_file_order():
             parse_image(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    '{"ambient_dim": 2, "points": [[3, -1], [0, 0], [1, 0]]}',
+    "3 -1\n0 0\n1 0\n",
+], ids=["json", "text"])
+def test_each_loaded_point_is_checked_once(monkeypatch, doc):
+    # the parsers check every point and build the image from the checked
+    # set, without the constructor checking each point again
+    from dighom import image
+
+    checked = []
+    as_point = image._as_point
+    monkeypatch.setattr(image, "_as_point", lambda p: checked.append(p) or as_point(p))
+    X = parse_image(doc)
+    assert len(checked) == 3
+    assert X == DigitalImage(2, [(3, -1), (0, 0), (1, 0)])
+    assert X.sorted_points == ((0, 0), (1, 0), (3, -1))
+
+
 def test_load_image_roundtrip(tmp_path):
     p = tmp_path / "ring.json"
     X = helpers.ring()

@@ -3,8 +3,10 @@
 The singular homology (streamed and materialized) and the c1 homology must
 agree on every image, homology_through (which clears columns from the top
 degree down) must agree with a reduction of every full boundary matrix.  The
-c1 complex must have the cubes of a brute-force vertex test as its bases,
-cube_boundary as its columns, dimension() as its top degree, and the
+c1 complex must have the cubes of a brute-force vertex test as its bases
+(also on images in 1-4 dimensions spread out by offsets near +-10^12, whose
+translates must be those of a direct lookup of p + e_d), cube_boundary as
+its columns, dimension() as its top degree, and the
 quotient by the cubes inside a subimage as its relative complex.  beta on
 singular keys must be public beta on the decoded cubes, and its sign the
 determinant of the edge vectors.  Each level
@@ -55,7 +57,7 @@ from itertools import chain as chain_from, islice, product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -85,6 +87,7 @@ from dighom import (
 )
 from dighom import chain, cli
 from dighom.chain import _ColumnReducer
+from dighom.elementary import _levels
 from dighom.singular import (
     DEFAULT_BUDGET,
     _Ladder,
@@ -243,6 +246,44 @@ def test_c1_columns_are_cube_boundaries(X):
         rows = helpers.chain_groups(X, C, q - 1)
         for Q, col in zip(helpers.chain_groups(X, C, q), C.boundary_matrix(q).columns):
             assert {rows[r]: v for r, v in col.items()} == cube_boundary(Q).coeffs
+
+
+OFFSETS = st.one_of(st.integers(-60, -1), st.integers(-10**12 - 3, -10**12 + 3),
+                    st.integers(10**12 - 3, 10**12 + 3))
+
+
+@st.composite
+def placed_images(draw):
+    """Images in 1-4 dimensions made of two clusters, each a subset of a
+    small box (empty or a single point too) moved by its own offset, negative
+    or near +-10^12, so that the points may be spread far apart."""
+    n = draw(st.integers(1, 4))
+    box = list(product(*(range(k) for k in ((6,), (3, 3), (3, 2, 2), (2, 2, 2, 2))[n - 1])))
+    pts = set()
+    for size in (len(box), 3):
+        offset = draw(st.lists(OFFSETS, min_size=n, max_size=n))
+        cluster = draw(st.sets(st.sampled_from(box), max_size=size))
+        pts |= {tuple(a + o for a, o in zip(p, offset)) for p in cluster}
+    return DigitalImage(n, pts)
+
+
+@settings(derandomize=True, deadline=None)
+@given(placed_images())
+@example(DigitalImage(3, []))
+@example(DigitalImage(2, [(-10**12, 10**12)]))
+def test_c1_cubes_of_placed_images_are_the_vertex_test_cubes(X):
+    # the translates come from mixed-radix point codes, whose strides grow
+    # with the spread of the points in each coordinate
+    pts = X.sorted_points
+    tr = _levels(X, 0)[0]
+    for d in range(X.ambient_dim):
+        up = [p[:d] + (p[d] + 1,) + p[d + 1:] for p in pts]
+        assert tr[d] == [pts.index(u) if u in X else None for u in up]
+    C = build_c1_complex(X).complex
+    for q in range(X.ambient_dim + 2):
+        cubes = helpers.elementary_cubes_by_vertex_test(X, q)
+        assert enumerate_elementary_cubes(X, q) == cubes
+        assert (helpers.chain_groups(X, C, q) if q <= C.max_degree else []) == cubes
 
 
 @settings(derandomize=True, deadline=None)
