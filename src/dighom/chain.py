@@ -52,13 +52,7 @@ unit pivot rows of d_{q+1}, which would only reduce to zero.
 
 A stream that cannot saturate (H_top != 0) reduces most of its columns to
 zero, each through a cascade of pivot steps, until the witness rows below
-replace that reduction.  Once more columns than the rank have reduced to
-zero since the last new pivot, each in more steps than it had entries, the
-column reducer interreduces its unit pivots, the exhaustive reduction of
-PHAT (Bauer, Kerber, Reininghaus and Wagner); a column in their span then
-reduces in one step per entry.  These are unimodular column operations that
-keep every pivot row and pivot entry, so the result stays exact and clearing
-and saturation keep their meaning.
+replace that reduction.
 
 Once the pivots of d_{top+1} are all units, with span S of rank r, a
 cheaper test replaces most of that reduction.  Let t = dim ker d_top - r and
@@ -81,14 +75,13 @@ J is chosen again, by the rules below.  Like saturation, the test takes the
 streamed columns to be cycles; a pivot that is not one can leave more than
 t witness rows, which raises RuntimeError.
 
-While every pivot is a unit, J is chosen at each interreduction, and once
-the slow zero columns since the last new pivot have taken more pivot steps
-beyond their entries than d_top has columns, n.  Choosing J reduces the
-n - r columns of d_top at the nonpivot rows and reads the pivots once, so
-it costs about as much as n such steps, and it is paid only once the
-cascades have cost as much, as in ski rental.  A stream whose span stops
-growing thus reaches its witness rows without paying for an interreduction,
-whose fill-in can double the pivot entries of a large saturating stream.
+While every pivot is a unit, J is chosen once the slow zero columns since
+the last new pivot, those that took more pivot steps than they had entries,
+outnumber the rank or have taken more steps beyond their entries than d_top
+has columns, n.  Choosing J reads the pivots once, about as much as
+reducing r columns, and reduces the n - r columns of d_top at the nonpivot
+rows, about as much as n such steps; it is paid only once the cascades have
+cost as much as one of these, as in ski rental.
 
 The witness rows also finish a stream that cannot saturate, after the
 implicit coboundary of Ripser (Bauer).  Once J is first chosen, let R be
@@ -546,35 +539,24 @@ class _ColumnReducer:
     A stream whose span stops growing (it cannot saturate while the homology
     it computes is nonzero) reduces each later column to zero, often through
     a cascade: each pivot subtracted brings in entries at other pivot rows.
-    Over interreduced unit pivots, each zero at every other unit pivot row,
-    a column in their span needs one step per entry at those rows.  So a
-    zero column that took more steps than it had entries is a slow one, and
-    once more than rank slow columns have come since the last new pivot or
-    interreduction, and some unit pivot is not yet interreduced, the unit
-    pivots are interreduced.  That costs about as much as reducing rank
-    columns, paid after at least rank slow ones; columns that reduce without
-    cascades never pay it.  Interreduction only subtracts multiples of
-    earlier unit pivots, so it is unimodular and leaves the span, the pivot
-    rows and the pivot entries as they were.
-
+    A zero column that took more steps than it had entries is a slow one.
     Given the columns d of d_top and saturation = dim ker d_top, a reducer
     of cycles of d_top chooses witness rows (see the module docstring) while
-    every pivot is a unit: at each interreduction, and once the slow zero
-    columns since the last new pivot have taken more pivot steps beyond
-    their entries than d has columns.  The choice reduces the columns of d
-    at the nonpivot rows, so it costs about as much as len(d) such steps,
-    and solves each witness row against the pivots as they stand, which
-    changes none of them.  Until the next new pivot, spans(col) tells from
-    the witness rows alone whether col is in the span.
+    every pivot is a unit, once more than rank slow columns have come since
+    the last new pivot, or once they have taken more pivot steps beyond
+    their entries than d has columns.  The choice reads the pivots once and
+    reduces the columns of d at the nonpivot rows, and it solves each
+    witness row against the pivots as they stand, which changes none of
+    them.  Until the next new pivot, spans(col) tells from the witness rows
+    alone whether col is in the span.
     """
 
-    __slots__ = ("pivots", "nonunit", "interreduced", "slow", "work", "d", "saturation", "witness")
+    __slots__ = ("pivots", "nonunit", "slow", "work", "d", "saturation", "witness")
 
     def __init__(self, d=None, saturation=None):
         self.pivots = {}  # pivot row -> column dict
         self.nonunit = 0
-        self.interreduced = 0  # unit pivots at the last interreduction
-        self.slow = 0  # slow zero columns since the last pivot or interreduction
+        self.slow = 0  # slow zero columns since the last pivot
         self.work = 0  # their pivot steps beyond their entries, since the last pivot
         self.d = d  # columns of d_top, when every added column is a cycle of it
         self.saturation = saturation  # dim ker d_top
@@ -634,10 +616,9 @@ class _ColumnReducer:
         if steps > 0:
             self.slow += 1
             self.work += steps
-            if self.slow > len(pivots) and self.interreduced < len(pivots) - self.nonunit:
-                self._interreduce()
             d = self.d
-            if d is not None and self.work > len(d) and not self.nonunit and self.witness is None:
+            if (d is not None and not self.nonunit and self.witness is None
+                    and (self.slow > len(pivots) or self.work > len(d))):
                 self._choose_witness()
         return False
 
@@ -646,8 +627,9 @@ class _ColumnReducer:
 
         From the lowest index up: the entries of p_r at unit rows k < r are
         taken out with the already interreduced p_k, which adds none at the
-        other unit rows.  Unit pivots never change in add(), so they stay
-        interreduced; nonunit pivots are left alone.
+        other unit rows; nonunit pivots are left alone.  This only subtracts
+        multiples of earlier unit pivots, so it is unimodular and leaves the
+        span, the pivot rows and the pivot entries as they were.
         """
         pivots = self.pivots
         unit = {r for r, p in pivots.items() if p[r] == 1}
@@ -660,10 +642,6 @@ class _ColumnReducer:
                         col[i] = w
                     else:
                         col.pop(i, None)
-        self.interreduced = len(unit)
-        self.slow = 0
-        if self.d is not None and not self.nonunit:
-            self._choose_witness()
 
     def _choose_witness(self):
         """The t = saturation - rank nonpivot rows j whose column d[j]
@@ -711,18 +689,17 @@ def _pivot_invariant_factors(red):
 
     When every pivot entry is 1, the pivot rows carry a unitriangular minor,
     which is unimodular, so every invariant factor is 1.  Otherwise the unit
-    pivots are interreduced and each nonunit pivot n becomes n - sum n[k] p_k
-    over the unit rows k.  These column operations are unimodular, and after
-    them each unit row is a unit vector, which splits off one factor 1 per
-    unit pivot.  The k cleared columns carry the other factors; their
-    transpose, one k-entry column per row they touch, is reduced until its
-    pivots span Z^k, or to its end, and the k x k block of its at most k
-    pivots goes through the certified dense SNF.
+    pivots are interreduced, here and nowhere else, and each nonunit pivot n
+    becomes n - sum n[k] p_k over the unit rows k.  These column operations
+    are unimodular, and after them each unit row is a unit vector, which
+    splits off one factor 1 per unit pivot.  The k cleared columns carry the
+    other factors; their transpose, one k-entry column per row they touch,
+    is reduced until its pivots span Z^k, or to its end, and the k x k block
+    of its at most k pivots goes through the certified dense SNF.
     """
     if not red.nonunit:
         return (1,) * red.rank
-    if red.interreduced < red.rank - red.nonunit:
-        red._interreduce()
+    red._interreduce()
     pivots = red.pivots
     unit = {r for r, p in pivots.items() if p[r] == 1}
     cleared = [_apply(pivots, {r: 1, **{i: -v for i, v in n.items() if i in unit}})

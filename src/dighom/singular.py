@@ -905,10 +905,11 @@ def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
     """
     _check_degree_and_budget("q", q, budget)
     pts = X.sorted_points
-    if q and any(X.neighbors(p) for p in pts):
-        keys = [key for key, m in zip(*_Ladder(X).level(q, q, budget)[:2]) if not m]
+    ladder = _Ladder(X) if q else None
+    if ladder and ladder.edges:
+        keys = [key for key, m in zip(*ladder.level(q, q, budget)[:2]) if not m]
     else:
-        keys = _enumerate(X, q, budget)[0]
+        keys = _enumerate(X, q, budget, ladder)[0]
     return [SingularCube(q, tuple(pts[a] for a in k)) for k in keys]
 
 

@@ -58,6 +58,12 @@ def ring():
     return DigitalImage(2, pts)
 
 
+def tailed_ring():
+    # the ring moved by (1, 1), with tails (0, 3), (0, 1)-(0, 0) and (3, 0)
+    return DigitalImage(2, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 3),
+                            (3, 0), (3, 1), (3, 2), (3, 3)])
+
+
 def shell():
     pts = [p for p in product(range(3), repeat=3) if p != (1, 1, 1)]
     return DigitalImage(3, pts)

@@ -314,10 +314,10 @@ def test_reducer_pivots_on_the_lowest_row():
     assert chain._reduce([{0: 1, 2: 1}, {1: 1, 2: 1}]).pivots.keys() == {1, 2}
 
 
-def test_unit_pivots_are_interreduced_before_they_clear_the_others():
-    # the unit pivot e1 + e0 is not zero at the unit row 0; clearing the
-    # pivot 2e2 + e1 + e0 with it and with e0 as they stand would leave
-    # 2e2 - e0, whose factor is 1, instead of 2e2
+def test_invariant_factors_interreduce_the_unit_pivots_before_clearing_the_others():
+    # add() leaves the unit pivot e1 + e0 as it came, not zero at the unit
+    # row 0; clearing the pivot 2e2 + e1 + e0 with it and with e0 as they
+    # stand would leave 2e2 - e0, whose factor is 1, instead of 2e2
     cols = [{2: 2, 1: 1, 0: 1}, {1: 1, 0: 1}, {0: 1}]
     assert rank_and_invariant_factors(cols, 3) == (3, (1, 1, 2))
 
@@ -494,19 +494,6 @@ def test_saturation_waits_for_unit_pivots():
     assert homology_through(C, 1) == [FGAbelianGroup(1), ZERO_GROUP]
 
 
-def recording_interreductions(monkeypatch):
-    """(rank, nonunit) of the reducer at each interreduction, from now on."""
-    calls = []
-    interreduce = chain._ColumnReducer._interreduce
-
-    def recording(red):
-        calls.append((red.rank, red.nonunit))
-        interreduce(red)
-
-    monkeypatch.setattr(chain._ColumnReducer, "_interreduce", recording)
-    return calls
-
-
 def tallied(columns):
     """(columns passed through, [the number read so far])."""
     n = [0]
@@ -546,37 +533,34 @@ def test_unsaturating_stream_is_finished_by_its_cofaces_without_interreduction(m
     # H_2 = Z, so the streamed degree 3 never spans ker d_2: at rank 1128
     # its columns only reduce to zero.  The materialized d_1 (rank 25) is a
     # graph's incidence matrix, ranked by a spanning forest with no column
-    # reducer.  d_2 (rank 71) and the stream never interreduce: once the
-    # extra pivot steps of their slow zero columns since the last pivot
-    # outnumber the columns of the boundary below (96 and 1,200), each
-    # chooses its witness row by a triangular solve.  The stream of 77,616
-    # columns then stops after 1,862, and the cofaces of the rows of the
-    # residuals, 1,080, finish it
+    # reducer.  Once the extra pivot steps of the slow zero columns of d_2
+    # (rank 71) and of the stream since their last pivot outnumber the
+    # columns of the boundary below (96 and 1,200), each chooses its witness
+    # row by a triangular solve.  The stream of 77,616 columns then stops
+    # after 1,862, and the cofaces of the rows of the residuals, 1,080,
+    # finish it
     read = recording_reads(monkeypatch)
-    interreductions = recording_interreductions(monkeypatch)
     assert singular_homology(helpers.shell(), 2) == [
         FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
     [(streamed, finished)] = [r for r in read if type(r) is tuple]
     assert streamed == 1862
     assert finished == 1080
-    assert interreductions == []
 
 
 def test_shell_stream_solves_its_witness_row_on_pivots_as_they_stand(monkeypatch):
     # the witness row of the shell's stream comes from its pivots as they
-    # stand: none of them was interreduced, and choosing the row changes no
-    # pivot entry
+    # stand: choosing the row changes no pivot entry
     chosen = []
     choose = chain._ColumnReducer._choose_witness
 
     def choosing(red):
         before = {r: dict(p) for r, p in red.pivots.items()}
         choose(red)
-        chosen.append((len(red.d), red.interreduced, len(red.witness), red.pivots == before))
+        chosen.append((len(red.d), len(red.witness), red.pivots == before))
 
     monkeypatch.setattr(chain._ColumnReducer, "_choose_witness", choosing)
     singular_homology(helpers.shell(), 2)
-    assert chosen == [(96, 0, 1, True), (1200, 0, 1, True)]
+    assert chosen == [(96, 1, True), (1200, 1, True)]
 
 
 def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
@@ -619,10 +603,11 @@ def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
 
 def test_a_noncycle_pivot_leaves_too_many_witness_rows():
     # d_top maps e0 to the one row below and e1, e2, e3 to 0, so ker d_top
-    # has dimension 3.  The noncycle pivots at rows 0 and 2 are interreduced
-    # after three slow zero columns; then the free rows 1 and 3 both have
-    # zero columns in d_top, two witness rows where ker d_top leaves room for
-    # one cycle beyond the span, and the reduction refuses to go on
+    # has dimension 3.  After the noncycle pivots at rows 0 and 2, three
+    # slow zero columns, more than the rank, choose the witness rows: the
+    # free rows 1 and 3 both have zero columns in d_top, two witness rows
+    # where ker d_top leaves room for one cycle beyond the span, and the
+    # reduction refuses to go on
     d = [{0: 1}, {}, {}, {}]
     stream = [{0: 1}, {0: 1, 2: 1}, {2: 1}, {2: -1}, {2: 2}, {1: 1}]
     with pytest.raises(RuntimeError, match="not a cycle"):
@@ -635,27 +620,18 @@ def test_interreduction_keeps_the_torsion_of_a_stream(monkeypatch):
     # five loops at one vertex; the stream spans the path p1, p2, p3 (unit
     # pivots at rows 1, 2, 3) and the pivot 2 at row 0, so H_1 = Z + Z/2.
     # Each padding column has two entries but telescopes up the path in
-    # three or four pivot steps; after five of them the unit pivots are
-    # interreduced, and the last column then takes one step per entry.
+    # three or four pivot steps, slow zero columns that would choose witness
+    # rows over unit pivots; beside the nonunit pivot none are chosen, and
+    # the invariant factors interreduce the unit pivots to find the torsion
     C = ChainComplex(bases=[("v",), ("e0", "e1", "e2", "e3", "e4")],
                      boundaries=[SparseIntMatrix.zeros(1, 5)])
     path = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {3: 2}]
     padding = [{0: 1, 3: 1}, {0: 1, 3: -1}, {0: 2, 3: 2}, {0: -1, 3: 1}, {0: 3, 3: 1},
                {1: 1, 3: -1}]
-    interreductions = recording_interreductions(monkeypatch)
+    chosen = []
+    monkeypatch.setattr(chain._ColumnReducer, "_choose_witness", chosen.append)
     assert chain._homology(C, 1, 1, iter(path + padding)) == [FGAbelianGroup(1, (2,))]
-    assert interreductions == [(4, 1)]
-
-
-@pytest.mark.parametrize("X", [helpers.shell(), helpers.block(), helpers.ring()],
-                         ids=["shell", "block", "ring"])
-def test_c1_boundaries_reduce_without_interreduction(monkeypatch, X):
-    # the zero columns of a c1 boundary take no more pivot steps than they
-    # have entries, so none of them is slow and no interreduction is paid
-    C = build_c1_complex(X).complex
-    interreductions = recording_interreductions(monkeypatch)
-    homology_through(C, C.max_degree)
-    assert interreductions == []
+    assert chosen == []
 
 
 def recording_full_reductions(monkeypatch, columns):
@@ -788,7 +764,11 @@ def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncol
     # at top 1, d_1 is read in full, as H_0 != 0: 85 stream cubes and 18
     # cofaces, the 103 of the CI budget check
     (helpers.ring(), 1, [16, (85, 18), 1]),
-], ids=["square", "shell", "ring"])
+    # H_1 = Z: 13 slow zero columns outnumber the stream's rank, 12, while
+    # their 21 extra pivot steps do not yet outnumber the 24 columns of d_1,
+    # and it chooses its witness row there, after 116 cubes
+    (helpers.tailed_ring(), 1, [24, (116, 18), 1]),
+], ids=["square", "shell", "ring", "tailed_ring"])
 def test_singular_top_boundaries_are_read_to_saturation(monkeypatch, X, q, reads):
     recorded = recording_reads(monkeypatch)
     singular_homology(X, q)

@@ -35,9 +35,10 @@ dense Smith normal form, and the spanning forest's pivots entry 1 at their
 largest rows and the columns' span; with one column of another form the
 column reducer takes over, and either way the pivot rows and entries are
 those of the column reducer alone.  On
-streams that repeat their own span, the interreduction of the reducer's
-unit pivots must leave the result, the pivot rows and the pivot entries as
-they are.  On streams of boundaries of random singular complexes, the
+streams that repeat their own span, the reducer must have sympy's rank and
+invariant factors, and the interreduction of its unit pivots must keep the
+span, the pivot rows and the pivot entries, and zero each unit pivot at the
+other unit pivot rows.  On streams of boundaries of random singular complexes, the
 reduction with d_top, which tests later columns on witness rows, must have
 the rank, pivot rows, pivot entries and invariant factors of the one
 without it, and each witness test must agree with a reduction; the
@@ -594,9 +595,9 @@ def redundant_streams(draw):
     (columns with a 1 at one row and -1 or 1 at the next row used) and one
     to three other new columns, then 16 to 24 combinations, each telescoping
     along a run of at least three path columns, plus at most one column so
-    far.  Most have few entries but take a pivot step per column of the run:
-    the slow zero columns after which the unit pivots are interreduced,
-    often beside nonunit pivots."""
+    far.  Most have few entries but take a pivot step per column of the run,
+    and the unit pivots of the path, often beside nonunit pivots, have
+    entries at each other's rows for an interreduction to clear."""
     nrows = draw(st.integers(4, 9))
     entries = st.dictionaries(st.integers(0, nrows - 1),
                               st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
@@ -626,27 +627,27 @@ def redundant_streams(draw):
 @given(redundant_streams())
 def test_interreduction_keeps_the_reduction(case):
     nrows, stream = case
-    unit = set()  # the unit pivot rows at the last interreduction
-    interreduce = _ColumnReducer._interreduce
-
-    def recording(red):
-        interreduce(red)
-        unit.clear()
-        unit.update(r for r, p in red.pivots.items() if p[r] == 1)
-
-    with patch.object(_ColumnReducer, "_interreduce", recording):
-        red = chain._reduce(stream)
+    red = _ColumnReducer()
+    for col in stream:
+        red.add(col)
     snf = smith_normal_form(
         Matrix(nrows, len(stream), lambda i, j: stream[j].get(i, 0)), domain=ZZ)
     diagonal = [abs(snf[i, i]) for i in range(min(snf.shape))]
     assert red.rank == sum(1 for d in diagonal if d)
-    with patch.object(_ColumnReducer, "_interreduce", lambda red: None):
-        plain = chain._reduce(stream)
-    assert {r: p[r] for r, p in red.pivots.items()} == {r: p[r] for r, p in plain.pivots.items()}
-    assert red.interreduced == len(unit)
+    entries = {r: p[r] for r, p in red.pivots.items()}
+    unit = {r for r, v in entries.items() if v == 1}
+    tangled = any(k in unit for r in unit for k in red.pivots[r] if k != r)
+    event(f"unit pivots at other unit rows: {tangled}")
+    red._interreduce()
+    assert {r: p[r] for r, p in red.pivots.items()} == entries
     for r in unit:
         assert not any(k in unit for k in red.pivots[r] if k != r)
-    # last: the invariant factors finish the interreduction of the stream
+    # the same span: each column reduces to zero against the interreduced
+    # pivots by subtraction alone, with no mix that would change an entry
+    oracle = _ColumnReducer()
+    oracle.pivots = {r: dict(p) for r, p in red.pivots.items()}
+    assert not any(oracle.add(col) for col in stream)
+    assert {r: p[r] for r, p in oracle.pivots.items()} == entries
     assert sorted(chain._pivot_invariant_factors(red)) == sorted(d for d in diagonal if d)
 
 
@@ -664,7 +665,7 @@ def stream_of(draw, X, top):
     first.  The stream starts with p_1 and each p_i + p_{i-1}, which span
     what the prefix spans.  Then come 2m + 2 multiples of p_i that have
     fewer than i entries: each telescopes down through the sums in i pivot
-    steps, so the reducer may interreduce and choose witness rows.  The
+    steps, so the reducer may choose witness rows.  The
     rest of the boundary columns then test them.
     """
     C = build_singular_complex(X, top)
