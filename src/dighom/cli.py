@@ -236,17 +236,27 @@ def cmd_induced(args):
 
 # --- verify suites ----------------------------------------------------------
 
+class _Fixtures(dict):
+    """The fixture images of one verify run by name; fx[name, q] lists the
+    singular q-cubes of one, the first time a suite of the run asks, for
+    the later suites of that run to share.  Nothing is kept between runs."""
+
+    def __missing__(self, key):
+        name, q = key
+        cubes = self[key] = enumerate_singular_cubes(self[name], q)
+        return cubes
+
+
 def _fixtures():
     square = DigitalImage(2, [(x, y) for x in (0, 1) for y in (0, 1)])
     ring = DigitalImage(2, [(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)])
     edge = DigitalImage(1, [(0,), (1,)])
     tall_edge = DigitalImage(2, [(0, 0), (0, 1)])
     path3 = DigitalImage(1, [(0,), (1,), (2,)])
-    return {"square": square, "ring": ring, "edge": edge,
-            "tall_edge": tall_edge, "path3": path3}
+    return _Fixtures(square=square, ring=ring, edge=edge, tall_edge=tall_edge, path3=path3)
 
 
-def _suite_snf(rng):
+def _suite_snf(rng, fx):
     trials = 200
     for _ in range(trials):
         m = rng.randrange(0, 6)
@@ -260,7 +270,7 @@ def _suite_snf(rng):
     return True, f"{trials} random matrices"
 
 
-def _suite_neighborhood(rng):
+def _suite_neighborhood(rng, fx):
     checks = 0
     for _ in range(40):
         pts = [(x, y) for x in range(4) for y in range(4) if rng.random() < 0.6]
@@ -318,12 +328,11 @@ def _operator_identities(s):
     return True
 
 
-def _suite_operators(rng):
-    fx = _fixtures()
+def _suite_operators(rng, fx):
     count = 0
-    for X in (fx["edge"], fx["square"]):
+    for name in ("edge", "square"):
         for q in (1, 2, 3):
-            cubes = enumerate_singular_cubes(X, q)
+            cubes = fx[name, q]
             for s in rng.sample(cubes, min(len(cubes), 60)):
                 if not _operator_identities(s):
                     return False, f"identity failed on {s}"
@@ -337,12 +346,11 @@ def _beta_eq(a, b, sign):
     return a[1] == b[1] and a[0] == sign * b[0]
 
 
-def _suite_signs(rng):
-    fx = _fixtures()
+def _suite_signs(rng, fx):
     checked = 0
-    for X in (fx["tall_edge"], fx["square"], fx["ring"]):
+    for name in ("tall_edge", "square", "ring"):
         for q in (1, 2):
-            for s in enumerate_singular_cubes(X, q):
+            for s in fx[name, q]:
                 if not is_injective(s):
                     continue
                 bs = beta(s)
@@ -362,8 +370,7 @@ def _suite_signs(rng):
     return True, f"{checked} injective cubes"
 
 
-def _suite_chainmap(rng):
-    fx = _fixtures()
+def _suite_chainmap(rng, fx):
     for name in ("edge", "tall_edge", "path3", "square", "ring"):
         X = fx[name]
         top = dimension(X)
@@ -373,12 +380,11 @@ def _suite_chainmap(rng):
     return True, "5 fixtures"
 
 
-def _suite_classify(rng):
-    fx = _fixtures()
+def _suite_classify(rng, fx):
     total = 0
-    for X in (fx["edge"], fx["square"]):
+    for name in ("edge", "square"):
         for q in (2, 3):
-            for s in enumerate_singular_cubes(X, q):
+            for s in fx[name, q]:
                 if degree_of_injectivity(s) != q - 1:
                     continue
                 classify(s)  # raises UnclassifiableCube on failure
@@ -386,8 +392,7 @@ def _suite_classify(rng):
     return True, f"{total} cubes classified"
 
 
-def _suite_functorial(rng):
-    fx = _fixtures()
+def _suite_functorial(rng, fx):
     pairs = [(fx["square"], fx["ring"]), (fx["ring"], fx["square"]),
              (fx["path3"], fx["square"]), (fx["square"], fx["square"])]
     done = 0
@@ -428,10 +433,11 @@ def cmd_verify(args):
         print(f"error: unknown suite(s) {', '.join(unknown)}; "
               f"available: {', '.join(sorted(_SUITES))}", file=sys.stderr)
         return EXIT_PARSE
+    fx = _fixtures()
     results = []
     for name in names:
         try:
-            ok, detail = _SUITES[name](random.Random(args.seed))
+            ok, detail = _SUITES[name](random.Random(args.seed), fx)
         except DighomError as e:
             ok, detail = False, str(e)
         results.append((name, ok, detail))

@@ -148,31 +148,32 @@ def make_cube(points):
 
 
 def is_degenerate(sigma):
-    """True iff the cube does not depend on some coordinate t_i."""
-    corners, q = sigma.corners, sigma.q
-    total = 1 << q
-    for b in range(q):
-        bit = 1 << b
-        if all(corners[c] == corners[c | bit] for c in range(total) if not c & bit):
-            return True
-    return False
+    """True iff the cube does not depend on some coordinate t_i: its faces
+    at t_i = 0 and t_i = 1 are equal."""
+    corners, fmaps = sigma.corners, _signed_face_maps(sigma.q)
+    return any(front(corners) == back(corners)
+               for (front, _), (back, _) in zip(fmaps[::2], fmaps[1::2]))
 
 
 # --- faces and boundary -----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _face_index_map(q, i, side_bit):
-    """Corner-index table of the face fixing t_i = side_bit in a q-cube.
+def _signed_face_maps(q):
+    """(face-key getter, sign) for each of the 2q faces of a q-cube, the
+    faces t_i = 0 and t_i = 1 for i = 1..q in turn.
 
-    Entry c' of the result is the parent corner index obtained by inserting
-    side_bit at bit position i-1 of c'.
+    The getter maps a q-cube key, or corner table, to that of the face:
+    corner c of the face t_i = sb is corner c of the cube with the bit sb
+    inserted at position i-1.  An itemgetter of one index returns a scalar,
+    so the faces of a 1-cube slice out a 1-tuple.
     """
-    low_mask = (1 << (i - 1)) - 1
     out = []
-    for c in range(1 << (q - 1)):
-        low = c & low_mask
-        high = c >> (i - 1)
-        out.append(low | (side_bit << (i - 1)) | (high << i))
+    for i in range(1, q + 1):
+        low = (1 << (i - 1)) - 1
+        for sb in (0, 1):
+            fmap = [c & low | sb << (i - 1) | (c >> (i - 1)) << i for c in range(1 << (q - 1))]
+            get = itemgetter(*fmap) if q > 1 else itemgetter(slice(fmap[0], fmap[0] + 1))
+            out.append((get, -((-1) ** i) if sb else (-1) ** i))
     return tuple(out)
 
 
@@ -182,8 +183,8 @@ def face(sigma, side, i):
         raise ValueError(f"side must be 'front' or 'back', got {side!r}")
     if type(i) is not int or not 1 <= i <= sigma.q:
         raise NoSuchFace(f"no coordinate {i!r} in a {sigma.q}-cube")
-    fmap = _face_index_map(sigma.q, i, 0 if side == "front" else 1)
-    return SingularCube(sigma.q - 1, tuple(sigma.corners[c] for c in fmap))
+    get, _ = _signed_face_maps(sigma.q)[2 * i - 2 + (side == "back")]
+    return SingularCube(sigma.q - 1, get(sigma.corners))
 
 
 def boundary(sigma):
@@ -330,14 +331,12 @@ def _degree_of_injectivity(q, corners):
         return q
     # q >= 1 here: a noninjective 0-cube is impossible
     best = 0
-    for i in range(1, q + 1):
-        for side_bit in (0, 1):
-            fmap = _face_index_map(q, i, side_bit)
-            d = _degree_of_injectivity(q - 1, tuple(corners[c] for c in fmap))
-            if d > best:
-                best = d
-                if best == q - 1:
-                    return best
+    for get, _ in _signed_face_maps(q):
+        d = _degree_of_injectivity(q - 1, get(corners))
+        if d > best:
+            best = d
+            if best == q - 1:
+                return best
     return best
 
 
@@ -380,11 +379,9 @@ def classify(sigma):
     d = degree_of_injectivity(sigma)
     if d != q - 1:
         raise PreconditionViolated(f"degree of injectivity is {d}, expected {q - 1}")
-    inj = []
-    for i in range(1, q + 1):
-        for side in ("front", "back"):
-            if is_injective(face(sigma, side, i)):
-                inj.append((i, side))
+    half, corners = 1 << (q - 1), sigma.corners
+    inj = [(k // 2 + 1, ("front", "back")[k % 2])
+           for k, (get, _) in enumerate(_signed_face_maps(q)) if len(set(get(corners))) == half]
     coords = sorted({i for i, _ in inj})
     if len(inj) == 4 and len(coords) == 2:
         # both faces in each of two coordinates
@@ -793,23 +790,6 @@ def _enumerate(X, q, budget, ladder=None):
     return keyed(cubes), coface_keys
 
 
-@lru_cache(maxsize=None)
-def _signed_face_maps(q):
-    """(face-key getter, sign) for each of the 2q faces of a q-cube.
-
-    The getter maps a q-cube key, or corner table, to that of the face.  An
-    itemgetter of one index returns a scalar, so the faces of a 1-cube slice
-    out a 1-tuple.
-    """
-    out = []
-    for i in range(1, q + 1):
-        for sb in (0, 1):
-            fmap = _face_index_map(q, i, sb)
-            get = itemgetter(*fmap) if q > 1 else itemgetter(slice(fmap[0], fmap[0] + 1))
-            out.append((get, -((-1) ** i) if sb else (-1) ** i))
-    return tuple(out)
-
-
 def _boundary_columns(keys, rowindex):
     """The boundary column of each cube key in keys, lazily, the face key f
     being row rowindex[f]; faces not in rowindex are degenerate and dropped.
@@ -910,7 +890,7 @@ def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
         keys = [key for key, m in zip(*ladder.level(q, q, budget)[:2]) if not m]
     else:
         keys = _enumerate(X, q, budget, ladder)[0]
-    return [SingularCube(q, tuple(pts[a] for a in k)) for k in keys]
+    return [SingularCube(q, tuple(map(pts.__getitem__, k))) for k in keys]
 
 
 def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):

@@ -983,6 +983,49 @@ def test_composite_checks_reach_the_last_column():
     assert not verify_chain_map(negated, CS, CE)
 
 
+def _chain_map_by_every_product(phi, C, D):
+    """verify_chain_map without its support test: both sides of every pair
+    of columns composed."""
+    mats = [M.columns for M in phi]
+    return all(chain._apply(D.boundary_matrix(q).columns, a) == chain._apply(mats[q - 1], b)
+               for q in range(1, len(mats))
+               for a, b in zip(mats[q], C.boundary_matrix(q).columns))
+
+
+def test_verify_chain_map_skips_only_pairs_zero_by_support():
+    bm = beta_matrices(helpers.square(), 1)
+    CS, CE = bm.singular, bm.elementary.complex
+    b1, b2 = bm.matrices[1:]
+    live = {j for j, c in enumerate(b1.columns) if c}
+    d2 = CS.boundary_matrix(2).columns
+
+    def with_column(j, col):
+        cols = [dict(c) for c in b2.columns]
+        cols[j] = col
+        return bm.matrices[:2] + (SparseIntMatrix(b2.nrows, b2.ncols, cols),)
+
+    # (a) a zeroed column of beta_2 whose boundary meets the support of
+    # beta_1: beta_1 d != 0 there, and the pair must not be skipped
+    j = next(j for j, c in enumerate(b2.columns) if c)
+    assert not live.isdisjoint(d2[j]) and chain._apply(b1.columns, d2[j])
+    assert not verify_chain_map(with_column(j, {}), CS, CE)
+    # (b) a column set on a cube whose boundary misses that support: d beta
+    # != 0 there, and the pair must not be skipped either.  Every 1-cube of
+    # the square is injective, so that boundary is zero: (p, r, r, p)
+    j = next(j for j, (a, b) in enumerate(zip(b2.columns, d2))
+             if not a and live.isdisjoint(b))
+    top = {0: 1}
+    assert chain._apply(CE.boundary_matrix(2).columns, top)
+    assert not verify_chain_map(with_column(j, top), CS, CE)
+    # random columns set or cleared: the verdict is that of every product
+    rng = random.Random(27)
+    for _ in range(60):
+        j = rng.randrange(b2.ncols)
+        col = rng.choice([{}, {0: rng.choice([-1, 1])}, dict(b2.columns[j])])
+        phi = with_column(j, col)
+        assert verify_chain_map(phi, CS, CE) == _chain_map_by_every_product(phi, CS, CE)
+
+
 def test_verify_chain_map_shape_mismatch():
     C = circle_complex()
     with pytest.raises(ShapeMismatch):

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from dighom import cli
 from dighom.cli import build_parser, main
 
 import helpers
@@ -403,6 +404,39 @@ def test_verify_is_deterministic(run):
     rc1, out1, _ = run(["verify", "functorial", "--seed", "3"])
     rc2, out2, _ = run(["verify", "functorial", "--seed", "3"])
     assert (rc1, out1) == (rc2, out2)
+
+
+def test_verify_lists_each_fixture_degree_once_per_run(run, monkeypatch):
+    # the suites of one run share each listing of singular cubes; a later
+    # run lists them again, and each suite reports as it does alone
+    listed = []
+    enumerate_cubes = cli.enumerate_singular_cubes
+
+    def recording(X, q, *rest):
+        listed.append((X.sorted_points, q))
+        return enumerate_cubes(X, q, *rest)
+
+    monkeypatch.setattr(cli, "enumerate_singular_cubes", recording)
+    fixtures = {"edge": helpers.edge(), "square": helpers.square(),
+                "tall_edge": helpers.tall_edge(), "ring": helpers.ring()}
+    expected = {(fixtures[name].sorted_points, q)
+                for names, qs in ((("edge", "square"), (1, 2, 3)),
+                                  (("tall_edge", "ring"), (1, 2)))
+                for name in names for q in qs}
+    for seed in ("1", "2", "3"):
+        for fmt in ("text", "json"):
+            listed.clear()
+            rc, out, err = run(["verify", "--seed", seed, "--format", fmt])
+            assert (rc, err) == (0, "")
+            assert len(listed) == len(set(listed)) and set(listed) == expected
+            alone = [run(["verify", name, "--seed", seed, "--format", fmt])
+                     for name in sorted(cli._SUITES)]
+            assert all((rc1, err1) == (0, "") for rc1, _, err1 in alone)
+            if fmt == "text":
+                assert out == "".join(out1 for _, out1, _ in alone)
+            else:
+                suites = [s for _, out1, _ in alone for s in json.loads(out1)["suites"]]
+                assert json.loads(out) == {"suites": suites, "all_ok": True}
 
 
 # --- general ---------------------------------------------------------------------

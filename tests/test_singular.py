@@ -9,8 +9,10 @@ import pytest
 from dighom import (
     BudgetExceeded,
     Chain,
+    CubeClass,
     CubeType,
     DigitalImage,
+    DighomError,
     FGAbelianGroup,
     IndexOutOfRange,
     NoSuchFace,
@@ -19,6 +21,7 @@ from dighom import (
     NotInjective,
     PreconditionViolated,
     SingularCube,
+    UnclassifiableCube,
     append,
     apply_operator,
     beta_matrices,
@@ -354,6 +357,90 @@ def test_classify_preconditions():
         classify(make_cube([(0,), (1,), (0,), (1,)]))  # degenerate
     with pytest.raises(PreconditionViolated):
         classify(make_cube([(0, 0)] * 8 + [(0, 1)] * 8))  # degree too low at q=4
+
+
+def _degenerate_per_corner(sigma):
+    corners, q = sigma.corners, sigma.q
+    total = 1 << q
+    for b in range(q):
+        bit = 1 << b
+        if all(corners[c] == corners[c | bit] for c in range(total) if not c & bit):
+            return True
+    return False
+
+
+def _face_per_corner(sigma, side, i):
+    if side not in ("front", "back"):
+        raise ValueError(f"side must be 'front' or 'back', got {side!r}")
+    if type(i) is not int or not 1 <= i <= sigma.q:
+        raise NoSuchFace(f"no coordinate {i!r} in a {sigma.q}-cube")
+    side_bit, low_mask = side == "back", (1 << (i - 1)) - 1
+    fmap = [c & low_mask | side_bit << (i - 1) | (c >> (i - 1)) << i
+            for c in range(1 << (sigma.q - 1))]
+    return SingularCube(sigma.q - 1, tuple(sigma.corners[c] for c in fmap))
+
+
+def _degree_per_corner(sigma):
+    if is_injective(sigma) or sigma.q == 0:
+        return sigma.q
+    return max(_degree_per_corner(_face_per_corner(sigma, side, i))
+               for i in range(1, sigma.q + 1) for side in ("front", "back"))
+
+
+def _classify_per_corner(sigma):
+    q = sigma.q
+    if q < 2:
+        raise PreconditionViolated(f"classification needs q >= 2, got q={q}")
+    if _degenerate_per_corner(sigma):
+        raise PreconditionViolated("cube is degenerate")
+    d = _degree_per_corner(sigma)
+    if d != q - 1:
+        raise PreconditionViolated(f"degree of injectivity is {d}, expected {q - 1}")
+    inj = [(i, side) for i in range(1, q + 1) for side in ("front", "back")
+           if is_injective(_face_per_corner(sigma, side, i))]
+    coords = sorted({i for i, _ in inj})
+    kind = {(4, 2): CubeType.TYPE1, (2, 2): CubeType.TYPE2,
+            (2, 1): CubeType.TYPE3}.get((len(inj), len(coords)))
+    if kind is None:
+        raise UnclassifiableCube(f"injective faces {inj} fit no recognized pattern for {sigma}")
+    return CubeClass(kind, tuple(coords))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DighomError as e:
+        return type(e), str(e)
+
+
+def test_face_getters_match_the_per_corner_definitions():
+    # every continuous table, degenerate ones too, of the edge and the
+    # square through q=3 and the ring through q=2
+    cases = [(X, q) for X in (helpers.edge(), helpers.square()) for q in range(4)]
+    cases += [(helpers.ring(), q) for q in range(3)]
+    kinds = Counter()
+    for X, q in cases:
+        for corners in helpers.continuous_tables(X, q):
+            sigma = SingularCube(q, corners)
+            assert is_degenerate(sigma) == _degenerate_per_corner(sigma)
+            for side in ("front", "back"):
+                for i in range(1, q + 1):
+                    assert face(sigma, side, i) == _face_per_corner(sigma, side, i)
+                for i in (0, q + 1, 1.0, True):
+                    with pytest.raises(NoSuchFace):
+                        face(sigma, side, i)
+            with pytest.raises(ValueError, match="side must be"):
+                face(sigma, "left", q + 1)  # the side is checked before the index
+            if q:
+                with pytest.raises(IndexOutOfRange):
+                    flip(sigma, q + 1)
+                assert degree_of_injectivity(sigma) == _degree_per_corner(sigma)
+            got = _outcome(classify, sigma)
+            assert got == _outcome(_classify_per_corner, sigma)
+            kinds[got[0] if isinstance(got, tuple) else got.kind] += 1
+    # both paths reach every precondition and every type
+    assert kinds[PreconditionViolated] and not kinds[UnclassifiableCube]
+    assert all(kinds[kind] for kind in CubeType)
 
 
 def test_classify_fold_is_type1():
