@@ -827,9 +827,10 @@ def rank_and_invariant_factors(columns, nrows):
     """(rank, invariant_factors) of the matrix whose columns are given.
 
     columns: iterable of sparse dicts, zeros allowed, consumed lazily (suitable
-    for streaming); each is checked as it is read, its rows against nrows.
+    for streaming); nrows is checked at once, each column as it is read.
     Signed incidence columns are ranked by a spanning forest (see _reduce).
     """
+    _check_shape(nrows, 0)
     red = _reduce(_check_column(col, nrows) for col in columns)
     return red.rank, _pivot_invariant_factors(red)
 

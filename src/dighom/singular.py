@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import enum
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
@@ -195,7 +194,7 @@ def boundary(sigma):
     """
     faces = (get(sigma.corners) for get, _ in _signed_face_maps(sigma.q))
     rows = [f for f in faces if not is_degenerate(SingularCube(sigma.q - 1, f))]
-    (col,) = _boundary_columns([sigma.corners], {f: r for r, f in enumerate(rows)})
+    col = _boundary_column(sigma.corners, {f: r for r, f in enumerate(rows)})
     return Chain(sigma.q - 1, {SingularCube(sigma.q - 1, rows[r]): v for r, v in col.items()})
 
 
@@ -522,7 +521,11 @@ class _Ladder:
         """Level k, building the levels up to it.  A level is sized before it
         is stored: unless its chunk lengths show that it has at most budget
         tables, its nondegenerate tables are counted, and more than budget
-        raise BudgetExceeded for degree q with nothing of the level stored."""
+        raise BudgetExceeded for degree q with nothing of the level stored.
+        Level 0, the points, is stored from the start, and for degree 0 more
+        than budget points raise BudgetExceeded."""
+        if not q and len(self.levels[0][0]) > budget:
+            raise BudgetExceeded(q, budget)
         while len(self.levels) <= k:
             j = len(self.levels) - 1
             keys, masks = self.levels[j][:2]
@@ -552,13 +555,11 @@ class _Ladder:
     def cubes(self, q, budget):
         """The nondegenerate tables of level q, the q-cubes, in the order
         of rounds(q - 1, every front): round r lists the r-th of each front
-        in turn, fronts in order.  Degree 0 lists the points, and more than
-        budget of them raise BudgetExceeded.  Listed once per degree."""
+        in turn, fronts in order.  Degree 0 lists the points.  Listed once
+        per degree."""
         tables = self.listed.get(q)
         if tables is None:
             keys, masks, front = self.level(q, q, budget)[:3]
-            if not q and len(keys) > budget:
-                raise BudgetExceeded(q, budget)
             rounds, last = [], None
             for t in compress(range(len(keys)), map(not_, masks)):
                 r = r + 1 if front[t] == last else 0
@@ -733,84 +734,22 @@ def _counter(q, budget):
     return counted
 
 
-def _stream(ladder, q, budget):
-    """(cubes, cofaces) of the nondegenerate q-cubes, q >= 1, lazily, each
-    cube a pair (x, y) of tables of level q-1 of the ladder.
-
-    cubes lists every cube once, one in turn from each front face t_q = 0,
-    listing its partners in lex order (see _Ladder.rounds).  Consecutive
-    cubes thus have different front faces, so their boundary columns span
-    the cycles of degree q-1 after far fewer columns than in lex order,
-    where long runs of cubes share a front face.  cofaces(fronts) lists,
-    each once, the cubes with a face in fronts, tables of level q-1 (see
-    _Ladder.cofaces).  Both count toward one budget, and BudgetExceeded
-    rises once more than budget went by, or when a level of the ladder built
-    for them has more than budget nondegenerate tables.
-    """
-    counted = _counter(q, budget)
-
-    def listing():
-        yield from ladder.rounds(q - 1, range(len(ladder.level(q - 1, q, budget)[0])))
-
-    def cofaces(fronts):
-        ladder.level(q - 1, q, budget)
-        yield from ladder.cofaces(q - 1, fronts)
-
-    return counted(listing()), lambda fronts: counted(cofaces(fronts))
-
-
-def _enumerate(X, q, budget, ladder=None):
-    """(keys, cofaces) of the nondegenerate q-cubes on X, lazily, as keys.
-
-    A key is a tuple of indices into X.sorted_points, one per corner index.
-    Degree 0 lists the points, and a degree q >= 1 the cubes of _stream
-    from a ladder (a fresh one unless given), each (x, y) as the key of x
-    followed by that of y; cofaces(fronts) lists those of _stream for the
-    keys fronts of degree q-1.  Without a c1-adjacent pair in X every
-    continuous cube is constant, so there is none in a degree q >= 1, and no
-    level is built.  Degree 0 and a degree with no cube have no cofaces
-    (None).
-    """
-    if not q:
-        return _counter(q, budget)((i,) for i in range(len(X.sorted_points))), None
-    ladder = ladder or _Ladder(X)
-    if not ladder.edges:
-        return iter(()), None
-    cubes, cofaces = _stream(ladder, q, budget)
-
-    def keyed(pairs):
-        keys = ladder.level(q - 1, q, budget)[0]  # in lex order
-        for x, y in pairs:
-            yield keys[x] + keys[y]
-
-    def coface_keys(fronts):
-        keys = ladder.level(q - 1, q, budget)[0]
-        yield from keyed(cofaces([bisect_left(keys, f) for f in fronts]))
-
-    return keyed(cubes), coface_keys
-
-
-def _boundary_columns(keys, rowindex):
-    """The boundary column of each cube key in keys, lazily, the face key f
-    being row rowindex[f]; faces not in rowindex are degenerate and dropped.
-    This is the path of boundary() on corner tables, independent of the
-    table indices of _Ladder.column.  The face maps, tables of 2^q corners,
-    are looked up only once a key arrives."""
-    fmaps = None
-    for key in keys:
-        if fmaps is None:
-            fmaps = _signed_face_maps(len(key).bit_length() - 1)
-        col = {}
-        for get, sgn in fmaps:
-            r = rowindex.get(get(key))
-            if r is None:
-                continue
-            v = col.get(r, 0) + sgn
-            if v:
-                col[r] = v
-            else:
-                del col[r]
-        yield col
+def _boundary_column(key, rowindex):
+    """The boundary column of the cube key, the face key f being row
+    rowindex[f]; faces not in rowindex are degenerate and dropped.  This is
+    the path of boundary() on corner tables, independent of the table
+    indices of _Ladder.column."""
+    col = {}
+    for get, sgn in _signed_face_maps(len(key).bit_length() - 1):
+        r = rowindex.get(get(key))
+        if r is None:
+            continue
+        v = col.get(r, 0) + sgn
+        if v:
+            col[r] = v
+        else:
+            del col[r]
+    return col
 
 
 class _Columns:
@@ -833,13 +772,13 @@ class _Columns:
         return col
 
 
-def _materialize(X, top, budget, ladder, lazy=False):
+def _materialize(top, budget, ladder, lazy=False):
     """(keys, mats, err) for degrees 0..top, stopping short of the first
     degree over budget.
 
     keys[q] lists the q-cube keys of the one ladder given, the tuples of the
     tables of _Ladder.cubes(q) in its order: degree 0 the points, and every
-    degree q >= 1 round-robin over its front faces, as _stream lists it.
+    degree q >= 1 round-robin over its front faces (see _Ladder.rounds).
     mats[q-1] is the boundary of degree q over them, built by
     _Ladder.column; if lazy, that of the top degree listed builds each
     column only once it is read (see _Columns).  err is the BudgetExceeded
@@ -881,16 +820,17 @@ def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
     They are the nondegenerate tables of level q of a _Ladder, built front
     face after front face with the partners of each in lex order; point
     indices follow point order, so that is the lex order of the corner
-    tables.  Degree 0 and a degree with no cube come from _enumerate.
+    tables.  Degree 0 lists the points.  Without a c1-adjacent pair in X
+    every continuous cube is constant, so a degree q >= 1 has none, and no
+    level is built.
     """
     _check_degree_and_budget("q", q, budget)
+    ladder = _Ladder(X)
+    if q and not ladder.edges:
+        return []
     pts = X.sorted_points
-    ladder = _Ladder(X) if q else None
-    if ladder and ladder.edges:
-        keys = [key for key, m in zip(*ladder.level(q, q, budget)[:2]) if not m]
-    else:
-        keys = _enumerate(X, q, budget, ladder)[0]
-    return [SingularCube(q, tuple(map(pts.__getitem__, k))) for k in keys]
+    return [SingularCube(q, tuple(map(pts.__getitem__, key)))
+            for key, m in zip(*ladder.level(q, q, budget)[:2]) if not m]
 
 
 def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
@@ -900,11 +840,11 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     The basis labels are keys, the indices in pts = X.sorted_points of the
     corners: SingularCube(q, tuple(pts[a] for a in key)) is the cube.
     Degree 0 lists the points, and every degree q >= 1 is round-robin by
-    front face (see _enumerate), so its boundary saturates early; the order
-    of a degree does not depend on max_q.
+    front face (see _Ladder.cubes), so its boundary saturates early; the
+    order of a degree does not depend on max_q.
     """
     _check_degree_and_budget("max_q", max_q, budget)
-    keys, mats, err = _materialize(X, max_q + 1, budget, _Ladder(X))
+    keys, mats, err = _materialize(max_q + 1, budget, _Ladder(X))
     if err is not None:
         raise err
     return ChainComplex._trusted(keys, mats)
@@ -918,23 +858,23 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     top stored boundary is built the first time the pass reads it: in its
     reduction, in the sampled check that a streamed column is a cycle, or
     to choose witness rows.  The boundary columns of degree max_q+1 are
-    streamed into it in the order of _enumerate, from the ladder of the
-    degrees below, and it stops reading them
-    once their span saturates the cycles of degree max_q; those cubes are
-    never stored.  When H_max_q is not zero the span cannot saturate, and
+    streamed into it as pairs of tables of level max_q, round-robin over
+    their front faces (see _Ladder.rounds), and it stops reading them once
+    their span saturates the cycles of degree max_q; those cubes are never
+    stored.  When H_max_q is not zero the span cannot saturate, and
     the stream stops once witness rows are chosen instead: the columns of
     the cofaces of the rows of their residuals finish the reduction, exactly,
     as every later column outside the span has an entry at such a row (see
-    the chain module).  These cofaces count toward the budget of degree
-    max_q+1 after the streamed cubes read.  If the enumeration budget
-    is exhausted at degree j, every group needing that degree (q >= j-1)
-    comes back as None instead of a group.  The groups below come from the
+    the chain module and _Ladder.cofaces).  These cofaces count toward the
+    budget of degree max_q+1 after the streamed cubes read.  If the
+    enumeration budget is exhausted at degree j, every group needing that
+    degree (q >= j-1) comes back as None instead of a group.  The groups below come from the
     same pass when j = max_q+1, from the reductions it already made, and
     otherwise from a pass through degree j-2.
     """
     _check_degree_and_budget("max_q", max_q, budget)
     ladder = _Ladder(X)
-    keys, mats, err = _materialize(X, max_q, budget, ladder, lazy=True)
+    keys, mats, err = _materialize(max_q, budget, ladder, lazy=True)
     m = len(keys) - 1  # top materialized degree
     if m < 0:
         return [None] * (max_q + 1)
@@ -944,11 +884,12 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
             return homology_through(trunc, m) + [None] * (max_q - m)
         tables = ladder.cubes(m, budget)
         column = ladder.column(m, ladder.rows(m, tables))  # for the stream and cofaces
-        cubes, cofaces = _stream(ladder, m + 1, budget)
+        counted = _counter(m + 1, budget)
+        cubes = counted(ladder.rounds(m, range(len(ladder.levels[m][0]))))
 
         def finish(R):
             cubes.close()  # the rest of the stream stays unread: free its live fronts
-            return starmap(column, cofaces([tables[r] for r in R]))
+            return starmap(column, counted(ladder.cofaces(m, [tables[r] for r in R])))
 
         return _homology(trunc, 0, m, starmap(column, cubes), finish) + [None] * (max_q - m)
     return homology_through(trunc, m - 1) + [None] * (max_q - m + 1)

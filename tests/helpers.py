@@ -5,11 +5,13 @@ The oracles deliberately use a different strategy than the library
 between the two implementations is meaningful evidence of correctness.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 from dighom import DigitalImage, ElementaryCube, SingularCube, is_continuous, is_degenerate
+from dighom.singular import _counter, _Ladder
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +316,30 @@ def decode(X, q, key):
     if len(key) == 2 and type(key[1]) is tuple:
         return ElementaryCube(pts[key[0]], key[1])
     return SingularCube(q, tuple(pts[a] for a in key))
+
+
+def stream(X, q, budget, ladder=None):
+    """(keys, cofaces) of the nondegenerate q-cubes on X, lazily, as keys of
+    build_singular_complex.  Degree 0 lists the points, and a degree q >= 1
+    the pairs (x, y) of _Ladder.rounds over every table of level q-1 of a
+    ladder (a fresh one unless given), each the key of x followed by that of
+    y: the order in which singular_homology streams degree q.
+    cofaces(fronts) lists those of _Ladder.cofaces for the keys fronts of
+    degree q-1.  Both count toward one budget of degree q.  Degree 0 and a
+    degree with no cube have no cofaces (None)."""
+    counted = _counter(q, budget)
+    if not q:
+        return counted((a,) for a in range(len(X.sorted_points))), None
+    ladder = ladder or _Ladder(X)
+    if not ladder.edges:
+        return iter(()), None
+    keys = ladder.level(q - 1, q, budget)[0]  # in lex order
+
+    def keyed(pairs):
+        return (keys[x] + keys[y] for x, y in counted(pairs))
+
+    return (keyed(ladder.rounds(q - 1, range(len(keys)))),
+            lambda fronts: keyed(ladder.cofaces(q - 1, [bisect_left(keys, f) for f in fronts])))
 
 
 def chain_groups(X, complex_, q):

@@ -328,6 +328,10 @@ def test_rank_and_invariant_factors_rejects_bad_rows():
     for row in (1.0, True, "a"):  # 1.0 gave (1, (1,))
         with pytest.raises(ValueError, match=f"row index {row!r}"):
             rank_and_invariant_factors([{row: 1}], 2)
+    # nrows is refused at once: -1 gave (0, ()), 2.0 and True (1, (1,)), "3" a TypeError
+    for columns, nrows in (([], -1), ([{0: 1}], 2.0), ([{0: 1}], True), ([{0: 1}], "3")):
+        with pytest.raises(ValueError, match="must be nonnegative ints"):
+            rank_and_invariant_factors(columns, nrows)
 
 
 # --- ChainComplex ----------------------------------------------------------------

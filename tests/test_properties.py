@@ -93,10 +93,8 @@ from dighom.singular import (
     DEFAULT_BUDGET,
     _Ladder,
     _beta_key,
-    _boundary_columns,
-    _enumerate,
+    _boundary_column,
     _materialize,
-    _stream,
 )
 
 import helpers
@@ -307,7 +305,7 @@ def test_beta_on_keys_is_beta_on_cubes(X):
     pts = X.sorted_points
     at = {p: i for i, p in enumerate(pts)}
     for q in range(3):
-        for key in _enumerate(X, q, DEFAULT_BUDGET)[0]:
+        for key in helpers.stream(X, q, DEFAULT_BUDGET)[0]:
             sigma = helpers.decode(X, q, key)
             b = beta(sigma)
             if b is None:
@@ -326,7 +324,7 @@ def check_corner_search(X, q):
     # and the round-robin listing is a permutation of them
     brute = helpers.brute_singular_cubes(X, q)
     assert enumerate_singular_cubes(X, q) == brute
-    listed = [helpers.decode(X, q, key) for key in _enumerate(X, q, DEFAULT_BUDGET)[0]]
+    listed = [helpers.decode(X, q, key) for key in helpers.stream(X, q, DEFAULT_BUDGET)[0]]
     assert sorted(listed, key=lambda s: s.corners) == brute
 
 
@@ -379,11 +377,11 @@ def test_a_shared_ladder_keeps_the_listing(X, order):
     # those listed from a fresh ladder each
     ladder = _Ladder(X)
     for q in order:
-        keys, cofaces = _enumerate(X, q, DEFAULT_BUDGET, ladder)
-        assert list(keys) == list(_enumerate(X, q, DEFAULT_BUDGET)[0])
+        keys, cofaces = helpers.stream(X, q, DEFAULT_BUDGET, ladder)
+        assert list(keys) == list(helpers.stream(X, q, DEFAULT_BUDGET)[0])
         if cofaces is not None:
-            faces = list(_enumerate(X, q - 1, DEFAULT_BUDGET)[0])[::3]
-            assert list(cofaces(faces)) == list(_enumerate(X, q, DEFAULT_BUDGET)[1](faces))
+            faces = list(helpers.stream(X, q - 1, DEFAULT_BUDGET)[0])[::3]
+            assert list(cofaces(faces)) == list(helpers.stream(X, q, DEFAULT_BUDGET)[1](faces))
 
 
 @settings(derandomize=True, deadline=None)
@@ -398,11 +396,11 @@ def test_materialized_bases_are_the_round_robin_listings(X):
     except BudgetExceeded as e:
         event(f"degree {e.degree} over budget")
         with pytest.raises(BudgetExceeded) as ei:
-            list(_enumerate(X, e.degree, budget)[0])
+            list(helpers.stream(X, e.degree, budget)[0])
         assert (ei.value.degree, ei.value.count) == (e.degree, budget)
         bases, top = build_singular_complex(X, e.degree - 2, budget).bases, e.degree - 1
     for q in range(top + 1):
-        assert bases[q] == tuple(_enumerate(X, q, budget)[0])
+        assert bases[q] == tuple(helpers.stream(X, q, budget)[0])
 
 
 def boundary_through(X, q, key, basis):
@@ -420,7 +418,7 @@ def test_index_columns_are_the_boundaries_of_the_cubes(X):
     # streamed degree 3 and the cofaces of some of its rows come from table
     # indices; boundary() finds the faces of each cube from its corners
     ladder = _Ladder(X)
-    keys, mats, err = _materialize(X, 2, DEFAULT_BUDGET, ladder, lazy=True)
+    keys, mats, err = _materialize(2, DEFAULT_BUDGET, ladder, lazy=True)
     assert err is None
     for q in (1, 2):
         for j, key in enumerate(keys[q]):
@@ -429,9 +427,9 @@ def test_index_columns_are_the_boundaries_of_the_cubes(X):
         return
     tables, level = ladder.cubes(2, DEFAULT_BUDGET), ladder.levels[2][0]
     column = ladder.column(2, ladder.rows(2, tables))
-    cubes, cofaces = _stream(ladder, 3, DEFAULT_BUDGET)
+    cubes = ladder.rounds(2, range(len(level)))
     fronts = list(tables[::7])
-    for x, y in chain_from(islice(cubes, 300), cofaces(fronts)):
+    for x, y in chain_from(islice(cubes, 300), ladder.cofaces(2, fronts)):
         assert column(x, y) == boundary_through(X, 3, level[x] + level[y], keys[2])
 
 
@@ -794,8 +792,9 @@ def test_coface_finish_keeps_the_reduction(case):
         oracle.pivots = {r: dict(p) for r, p in reducers[-1].pivots.items()}
         for col in C.boundary_matrix(top + 1).columns:
             assert not R.isdisjoint(col) or not oracle.add(col)
-        return _boundary_columns(_enumerate(X, top + 1, DEFAULT_BUDGET)[1](
-            [rows[r] for r in R]), {k: r for r, k in enumerate(rows)})
+        at = {k: r for r, k in enumerate(rows)}
+        return (_boundary_column(key, at) for key in
+                helpers.stream(X, top + 1, DEFAULT_BUDGET)[1]([rows[r] for r in R]))
 
     with patch.object(_ColumnReducer, "_choose_witness", choosing):
         red = chain._reduce(stream, saturation, d, cofaces)

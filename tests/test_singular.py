@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from bisect import bisect_left
 from collections import Counter
@@ -47,7 +48,6 @@ from dighom import (
 )
 from dighom.singular import (
     DEFAULT_BUDGET,
-    _enumerate,
     _Ladder,
     _materialize,
     _signed_face_maps,
@@ -628,6 +628,19 @@ def test_enumeration_budget():
     assert ei.value.count == 5
     # a budget exactly equal to the count is enough
     assert len(enumerate_singular_cubes(helpers.square(), 2, budget=64)) == 64
+    # degree 0 lists the points, level 0 of the ladder, under the same rule
+    with pytest.raises(BudgetExceeded) as ei:
+        enumerate_singular_cubes(helpers.path3(), 0, budget=2)
+    assert (ei.value.degree, ei.value.count) == (0, 2)
+    assert len(enumerate_singular_cubes(helpers.path3(), 0, budget=3)) == 3
+
+
+def test_enumeration_without_edges_builds_no_level():
+    # every continuous cube on isolated points is constant; level 30 would
+    # hold 2^30-corner tables
+    start = time.perf_counter()
+    assert enumerate_singular_cubes(helpers.isolated(2), 30) == []
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("budget", [None, "5", 1.5, True, 0, -3])
@@ -658,7 +671,7 @@ def test_interleaved_stream_permutes_the_lex_enumeration(name):
     X = getattr(helpers, name)()
     q = 3 if name == "square" else 2
     lex = keys_of(X, helpers.brute_singular_cubes(X, q))
-    streamed = list(_enumerate(X, q, DEFAULT_BUDGET)[0])
+    streamed = list(helpers.stream(X, q, DEFAULT_BUDGET)[0])
     assert len(set(streamed)) == len(streamed)
     assert sorted(streamed) == lex
     assert streamed != lex
@@ -668,9 +681,9 @@ def test_interleaved_stream_permutes_the_lex_enumeration(name):
 
 def test_interleaved_stream_counts_the_budget():
     with pytest.raises(BudgetExceeded) as ei:
-        list(_enumerate(helpers.square(), 3, 2431)[0])
+        list(helpers.stream(helpers.square(), 3, 2431)[0])
     assert (ei.value.degree, ei.value.count) == (3, 2431)
-    assert len(list(_enumerate(helpers.square(), 3, 2432)[0])) == 2432
+    assert len(list(helpers.stream(helpers.square(), 3, 2432)[0])) == 2432
 
 
 def test_ladder_stays_bounded_over_budget():
@@ -679,7 +692,7 @@ def test_ladder_stays_bounded_over_budget():
     # nondegenerate tables, so the ladder stops while building it
     ladder = _Ladder(helpers.edge())
     with pytest.raises(BudgetExceeded) as ei:
-        list(_enumerate(helpers.edge(), 6, 1000, ladder)[0])
+        list(helpers.stream(helpers.edge(), 6, 1000, ladder)[0])
     assert (ei.value.degree, ei.value.count) == (6, 1000)
     assert sum(len(level[0]) for level in ladder.levels) < 100_000
 
@@ -735,11 +748,11 @@ def test_materialized_keys_are_the_tuples_of_their_level():
     # the top materialized degree is not held a second time beside its level
     X = helpers.square()
     ladder = _Ladder(X)
-    keys, mats, err = _materialize(X, 3, DEFAULT_BUDGET, ladder)
+    keys, mats, err = _materialize(3, DEFAULT_BUDGET, ladder)
     assert err is None and len(mats) == 3
     level = ladder.levels[3][0]  # in lex order
     assert all(level[bisect_left(level, key)] is key for key in keys[3])
-    assert keys[3] == list(_enumerate(X, 3, DEFAULT_BUDGET)[0])
+    assert keys[3] == list(helpers.stream(X, 3, DEFAULT_BUDGET)[0])
 
 
 def test_top_stored_boundary_is_built_only_where_it_is_read(monkeypatch):
@@ -792,7 +805,7 @@ def test_coface_keys_are_the_cubes_with_a_face_in_the_rows(name, q):
     X = getattr(helpers, name)()
     rows = keys_of(X, enumerate_singular_cubes(X, q - 1))
     faces = random.Random(q).sample(rows, 3)
-    found = list(_enumerate(X, q, DEFAULT_BUDGET)[1](faces))
+    found = list(helpers.stream(X, q, DEFAULT_BUDGET)[1](faces))
     assert len(found) == len(set(found))
     assert set(found) == {key for key in keys_of(X, enumerate_singular_cubes(X, q))
                           if any(get(key) in faces for get, _ in _signed_face_maps(q))}
@@ -806,7 +819,7 @@ def test_build_singular_complex_basis_order(name, m):
     X = getattr(helpers, name)()
     C = build_singular_complex(X, m)
     for q in range(m + 2):
-        assert C.basis(q) == tuple(_enumerate(X, q, DEFAULT_BUDGET)[0])
+        assert C.basis(q) == tuple(helpers.stream(X, q, DEFAULT_BUDGET)[0])
         assert sorted(helpers.chain_groups(X, C, q), key=lambda s: s.corners) == (
             enumerate_singular_cubes(X, q))
     top = len(C.basis(m + 1))
