@@ -8,103 +8,11 @@ arithmetic (certified Smith normal form on small matrices, streaming column
 reduction on large ones).
 """
 
-from .errors import (
-    BudgetExceeded,
-    DighomError,
-    DimensionMismatch,
-    EmptyImage,
-    IndexOutOfRange,
-    NoSuchFace,
-    NotAComplex,
-    NotCompatible,
-    NotContinuous,
-    NotInjective,
-    NotSubcomplex,
-    ParseError,
-    PointNotInImage,
-    PreconditionViolated,
-    ShapeMismatch,
-    UnclassifiableCube,
-)
-from .image import (
-    DigitalImage,
-    HomotopyTable,
-    PointMap,
-    adjacent,
-    closed_neighborhood,
-    components,
-    compose,
-    constant_map,
-    identity_map,
-    interior,
-    is_continuous,
-    is_homotopy,
-    load_image,
-    load_point_map,
-    open_neighborhood,
-    parse_image,
-    random_continuous_map,
-)
-from .chain import (
-    Chain,
-    ChainComplex,
-    FGAbelianGroup,
-    SNFResult,
-    SparseIntMatrix,
-    ZERO_GROUP,
-    groups_isomorphic,
-    homology,
-    homology_through,
-    quotient_complex,
-    rank_and_invariant_factors,
-    smith_normal_form,
-    verify_chain_map,
-    xgcd,
-)
-from .singular import (
-    CubeClass,
-    CubeType,
-    DEFAULT_BUDGET,
-    OrientationData,
-    SingularCube,
-    append,
-    apply_operator,
-    boundary,
-    build_singular_complex,
-    classify,
-    compatible,
-    degree_of_injectivity,
-    enumerate_singular_cubes,
-    face,
-    flip,
-    is_degenerate,
-    is_embedding,
-    is_injective,
-    make_cube,
-    orientation,
-    rotate,
-    shift,
-    singular_homology,
-    swap,
-)
-from .elementary import (
-    C1Complex,
-    ElementaryCube,
-    build_c1_complex,
-    c1_faces,
-    cube_boundary,
-    dimension,
-    enumerate_elementary_cubes,
-    induced_map,
-    relative_c1_complex,
-)
-from .bridge import (
-    BetaMatrix,
-    DegreeComparison,
-    IsoReport,
-    beta,
-    beta_matrices,
-    verify_isomorphism,
-)
+from .errors import *
+from .image import *
+from .chain import *
+from .singular import *
+from .elementary import *
+from .bridge import *
 
 __version__ = "0.1.0"

@@ -310,6 +310,8 @@ class Chain:
     __hash__ = None
 
     def __add__(self, other):
+        if not isinstance(other, Chain):
+            return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degrees differ")
         out = dict(self.coeffs)
@@ -325,7 +327,7 @@ class Chain:
         return Chain(self.degree, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, Chain) else NotImplemented
 
     def __rmul__(self, c):
         if type(c) is not int:
@@ -971,7 +973,7 @@ def _homology(C, lo, top, columns_in=None, cofaces=None):
     if not isinstance(C, ChainComplex):
         hint = ", pass its .complex" if isinstance(getattr(C, "complex", None), ChainComplex) else ""
         raise ValueError(f"homology needs a ChainComplex, not a {type(C).__name__}{hint}")
-    if type(lo) is not int or type(top) is not int or lo < 0:
+    if type(lo) is not int or type(top) is not int or not 0 <= lo <= top:
         raise ValueError("degree must be a nonnegative int")
     if not (C._library or C.is_complex()):
         raise NotAComplex("boundary composed with boundary is nonzero")

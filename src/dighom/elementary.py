@@ -124,9 +124,10 @@ class ElementaryCube:
 def _levels(X, top=None):
     """(tr, levels, rows): the cubes of X in degrees 0..top, up to the top
     nonempty one.  tr[d][i] is the index of point i + e_{d+1} in
-    X.sorted_points or None; levels[q] maps keys (i, ext) to positions in
-    (min_corner, extent) order, and rows[q][ext][i] is the position of
-    (i, ext) or None, keyed in the order of each extent's first cube.
+    X.sorted_points or None; levels[q] lists the keys (i, ext) in
+    (min_corner, extent) order, and rows[q][ext][i], the one index of
+    positions, is the position of (i, ext) in levels[q] or None, keyed in
+    the order of each extent's first cube.
 
     tr comes from mixed-radix point codes: a radix of max - min + 2 for
     each coordinate after the first leaves room for p + e_d without a
@@ -139,7 +140,7 @@ def _levels(X, top=None):
     pts = X.sorted_points
     n = len(pts)
     if not n:
-        return [[] for _ in range(X.ambient_dim)], [{}], [{(): []}]
+        return [[] for _ in range(X.ambient_dim)], [[]], [{(): []}]
     cols = list(zip(*pts))
     codes, strides = cols[0], [1]
     for col in cols[1:]:
@@ -149,7 +150,7 @@ def _levels(X, top=None):
     at = dict(zip(codes, range(n)))
     tr = [[at.get(c + s) for c in codes] for s in strides]
     del cols, codes, at
-    levels, rows = [{(i, ()): i for i in range(n)}], [{(): list(range(n))}]
+    levels, rows = [[(i, ()) for i in range(n)]], [{(): list(range(n))}]
     members = rows[0]  # extent -> the increasing i of its cubes, in extent order
     while top is None or len(levels) <= top:
         below, found = rows[-1], []
@@ -163,24 +164,23 @@ def _levels(X, top=None):
             break
         keys = [(i, up) for up, got in found for i in got]
         keys.sort(key=itemgetter(0))
-        level = {key: p for p, key in enumerate(keys)}
-        del keys
         index = {up: [None] * n for up, got in sorted(found, key=lambda f: f[1][0])}  # ties: extent order
-        for (i, up), p in level.items():
+        for p, (i, up) in enumerate(keys):
             index[up][i] = p
-        levels.append(level)
+        levels.append(keys)
         rows.append(index)
         members = dict(found)
     return tr, levels, rows
 
 
 def _level(X, q):
-    """(tr, keys of degree q) of _levels(X, q); no keys for q out of range,
-    and ValueError for a q that is not an int."""
+    """(tr, keys, rows) of degree q in _levels(X, q): the level's key list and
+    its position index; none of either for q out of range, and ValueError
+    for a q that is not an int."""
     if type(q) is not int:
         raise ValueError(f"q {q!r} must be an int")
-    tr, levels, _ = _levels(X, max(q, 0))
-    return tr, levels[q] if 0 <= q < len(levels) else {}
+    tr, levels, rows = _levels(X, max(q, 0))
+    return (tr, levels[q], rows[q]) if 0 <= q < len(levels) else (tr, [], {})
 
 
 def enumerate_elementary_cubes(X, q):
@@ -290,8 +290,8 @@ def induced_map(f, q):
     """
     if not is_continuous(f):
         raise NotContinuous("map is not continuous")
-    tr, xlevel = _level(f.domain, q)
-    ylevel = _level(f.codomain, q)[1]
+    tr, xlevel, _ = _level(f.domain, q)
+    _, ylevel, yrows = _level(f.codomain, q)
     xpts, ypts = f.domain.sorted_points, f.codomain.sorted_points
     at = {p: i for i, p in enumerate(ypts)}
     cols = []
@@ -300,5 +300,5 @@ def induced_map(f, q):
         for j in ext:
             corners += [tr[j - 1][a] for a in corners]
         b = _beta_key(tuple(at[f(xpts[a])] for a in corners), ypts)
-        cols.append({} if b is None else {ylevel[b[1]]: b[0]})
+        cols.append({} if b is None else {yrows[b[1][1]][b[1][0]]: b[0]})
     return SparseIntMatrix._trusted(len(ylevel), len(xlevel), cols)

@@ -19,7 +19,6 @@ from collections import Counter, deque
 from .errors import DimensionMismatch, ParseError, PointNotInImage
 
 __all__ = [
-    "Point",
     "DigitalImage",
     "PointMap",
     "HomotopyTable",
@@ -38,8 +37,6 @@ __all__ = [
     "load_image",
     "load_point_map",
 ]
-
-Point = tuple  # tuple of ints; enforced by _as_point
 
 
 def _as_point(p):

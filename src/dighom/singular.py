@@ -881,7 +881,7 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     trunc = ChainComplex._trusted(keys, mats)
     if err is None:  # H_m needs degree m+1, which may be over budget
         if not ladder.edges:  # degree m+1 has no cube
-            return homology_through(trunc, m) + [None] * (max_q - m)
+            return homology_through(trunc, m)
         tables = ladder.cubes(m, budget)
         column = ladder.column(m, ladder.rows(m, tables))  # for the stream and cofaces
         counted = _counter(m + 1, budget)
@@ -891,5 +891,5 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
             cubes.close()  # the rest of the stream stays unread: free its live fronts
             return starmap(column, counted(ladder.cofaces(m, [tables[r] for r in R])))
 
-        return _homology(trunc, 0, m, starmap(column, cubes), finish) + [None] * (max_q - m)
-    return homology_through(trunc, m - 1) + [None] * (max_q - m + 1)
+        return _homology(trunc, 0, m, starmap(column, cubes), finish)
+    return (homology_through(trunc, m - 1) if m else []) + [None] * (max_q - m + 1)

@@ -172,6 +172,13 @@ def test_chain_degree_mismatch():
         Chain(1, {"e": 1}) + Chain(2, {"s": 1})
 
 
+def test_chain_refuses_an_operand_that_is_not_a_chain():
+    with pytest.raises(TypeError, match=r"for \+: 'Chain' and 'int'"):
+        Chain(0, {"a": 1}) + 5
+    with pytest.raises(TypeError, match="for -: 'Chain' and 'int'"):
+        Chain(0, {"a": 1}) - 5
+
+
 def test_chain_drops_zero_coefficients_on_construction():
     c = Chain(0, {"v": 0, "w": 3})
     assert c.coeffs == {"w": 3}
@@ -860,6 +867,9 @@ def test_homology_point():
     assert homology(C, 3) == ZERO_GROUP
     with pytest.raises(ValueError):
         homology(C, -1)
+    for top in (-1, -3):
+        with pytest.raises(ValueError, match="must be a nonnegative int"):
+            homology_through(C, top)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,6 +1,11 @@
-"""The README's code runs and prints what its comments say it prints."""
+"""The README's code runs and prints what its comments say it prints, and
+the package publishes exactly the public names of its modules."""
 
 from pathlib import Path
+from types import ModuleType
+
+import dighom
+from dighom import bridge, chain, elementary, errors, image, singular
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +19,16 @@ def test_readme_quick_tour_prints_what_it_claims(capsys):
     assert claims, "the quick tour has no print lines to check"
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == claims
+
+
+def test_package_publishes_the_public_names_of_its_modules():
+    # errors has no __all__: its public names are its DighomError classes
+    owner = {name: mod for mod in (image, chain, singular, elementary, bridge)
+             for name in mod.__all__}
+    owner.update((name, errors) for name, v in vars(errors).items()
+                 if isinstance(v, type) and issubclass(v, errors.DighomError))
+    public = {name for name, v in vars(dighom).items()
+              if not name.startswith("_") and not isinstance(v, ModuleType)}
+    assert public == set(owner)
+    for name, mod in owner.items():
+        assert getattr(dighom, name) is getattr(mod, name), name

@@ -893,6 +893,10 @@ def test_singular_homology_budget_partial_results():
     assert singular_homology(X, 1, budget=102) == [FGAbelianGroup(1), None]
     assert singular_homology(X, 1, budget=103) == [
         FGAbelianGroup(1), FGAbelianGroup(1)]
+    # degree 1 of path3 is over a budget of 3 cubes: H_0 needs it, so no
+    # group is given, and no pass runs below degree 0
+    assert singular_homology(helpers.path3(), 1, budget=3) == [None, None]
+    assert singular_homology(helpers.path3(), 2, budget=3) == [None, None, None]
 
 
 def test_streamed_top_degree_saturates_within_a_small_budget():
