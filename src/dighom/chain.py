@@ -1052,36 +1052,28 @@ def quotient_complex(C, sub_labels):
             if lab not in idx:
                 raise NotSubcomplex(f"label {lab!r} is not in degree {q}")
         chosen[q] = labs
-    for q in range(1, C.max_degree + 1):
-        picked = chosen.get(q, set())
-        below = chosen.get(q - 1, set())
-        idx = C.index(q)
-        lower = C.basis(q - 1)
-        M = C.boundary_matrix(q)
-        for lab in picked:
-            for i in M.columns[idx[lab]]:
-                if lower[i] not in below:
-                    raise NotSubcomplex(
-                        f"boundary of {lab!r} leaves the subcomplex at {lower[i]!r}"
-                    )
+    # degree by degree: the kept positions of q, then, for q >= 1, the
+    # closure of the chosen labels of q and d_q, both read through rmap, the
+    # kept positions of degree q-1 to their new ones
     new_bases = []
-    keep_pos = []
+    new_mats = []
     for q in range(C.max_degree + 1):
         picked = chosen.get(q, set())
-        keep = [i for i, lab in enumerate(C.basis(q)) if lab not in picked]
-        keep_pos.append({old: new for new, old in enumerate(keep)})
-        new_bases.append(tuple(C.basis(q)[i] for i in keep))
-    new_mats = []
-    for q in range(1, C.max_degree + 1):
-        M = C.boundary_matrix(q)
-        rmap = keep_pos[q - 1]
-        cols = []
-        for i, lab in enumerate(C.basis(q)):
-            if lab in chosen.get(q, set()):
-                continue
-            col = M.columns[i]
-            cols.append({rmap[r]: v for r, v in col.items() if r in rmap})
-        new_mats.append(SparseIntMatrix._trusted(len(new_bases[q - 1]), len(new_bases[q]), cols))
+        basis = C.basis(q)
+        keep = [i for i, lab in enumerate(basis) if lab not in picked]
+        if q:
+            idx = C.index(q)
+            cols = C.boundary_matrix(q).columns
+            for lab in picked:
+                for i in cols[idx[lab]]:
+                    if i in rmap:  # row i is kept in degree q-1: it is not chosen
+                        raise NotSubcomplex(
+                            f"boundary of {lab!r} leaves the subcomplex at {C.basis(q - 1)[i]!r}"
+                        )
+            kept = [{rmap[r]: v for r, v in cols[i].items() if r in rmap} for i in keep]
+            new_mats.append(SparseIntMatrix._trusted(len(rmap), len(keep), kept))
+        rmap = {old: new for new, old in enumerate(keep)}
+        new_bases.append(tuple(basis[i] for i in keep))
     return (ChainComplex._trusted if C._library else ChainComplex)(new_bases, new_mats)
 
 

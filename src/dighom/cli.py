@@ -92,23 +92,15 @@ def build_parser():
                     help="compute homology relative to this subimage")
     add_format(sp)
 
-    sp = sub.add_parser("singular", help="normalized singular homology")
-    sp.add_argument("image")
-    sp.add_argument("--max-q", type=_nonnegative_int, default=1)
-    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    add_format(sp)
-
-    sp = sub.add_parser("compare", help="compare both homology pipelines")
-    sp.add_argument("image")
-    sp.add_argument("--max-q", type=_nonnegative_int, default=1)
-    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    add_format(sp)
-
-    sp = sub.add_parser("classify", help="histogram of near-injective cube types")
-    sp.add_argument("image")
-    sp.add_argument("--max-q", type=_nonnegative_int, default=2)
-    sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    add_format(sp)
+    # the commands over singular cubes: an image, a top degree and a budget
+    for name, text, max_q in (("singular", "normalized singular homology", 1),
+                              ("compare", "compare both homology pipelines", 1),
+                              ("classify", "histogram of near-injective cube types", 2)):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("image")
+        sp.add_argument("--max-q", type=_nonnegative_int, default=max_q)
+        sp.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+        add_format(sp)
 
     sp = sub.add_parser("induced", help="matrices induced by a map between images")
     sp.add_argument("domain")
@@ -139,6 +131,15 @@ def _group_json(q, g):
     return {"q": q, "rank": g.rank, "torsion": list(g.torsion)}
 
 
+def _report_groups(args, groups):
+    """Report the groups H_0, H_1, ..., None for a degree over budget, and
+    give the exit code: EXIT_BUDGET if some degree is over budget."""
+    lines = [f"H_{q} = ? (budget exceeded)" if g is None else f"H_{q} = {g}"
+             for q, g in enumerate(groups)]
+    _emit(args, lines, {"groups": [_group_json(q, g) for q, g in enumerate(groups)]})
+    return EXIT_BUDGET if any(g is None for g in groups) else EXIT_OK
+
+
 def cmd_homology(args):
     X = load_image(args.image)
     # H_k needs d_{k+1}, so the complex goes one degree above the report
@@ -148,20 +149,12 @@ def cmd_homology(args):
     else:
         C = build_c1_complex(X, above).complex
     top = args.max_dim if args.max_dim is not None else C.max_degree
-    groups = homology_through(C, top)
-    lines = [f"H_{q} = {g}" for q, g in enumerate(groups)]
-    _emit(args, lines, {"groups": [_group_json(q, g) for q, g in enumerate(groups)]})
-    return EXIT_OK
+    return _report_groups(args, homology_through(C, top))
 
 
 def cmd_singular(args):
     X = load_image(args.image)
-    groups = singular_homology(X, args.max_q, args.budget)
-    lines = []
-    for q, g in enumerate(groups):
-        lines.append(f"H_{q} = ? (budget exceeded)" if g is None else f"H_{q} = {g}")
-    _emit(args, lines, {"groups": [_group_json(q, g) for q, g in enumerate(groups)]})
-    return EXIT_BUDGET if any(g is None for g in groups) else EXIT_OK
+    return _report_groups(args, singular_homology(X, args.max_q, args.budget))
 
 
 def cmd_compare(args):

@@ -14,7 +14,7 @@ construction and parse time.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 
 from .errors import DimensionMismatch, ParseError, PointNotInImage
 
@@ -172,6 +172,19 @@ def open_neighborhood(X, xs):
     return closed_neighborhood(X, pts) - set(pts)
 
 
+def _walk(X, start):
+    """The points of start's component of X in breadth-first order from
+    start, the neighbors of each point taken in sorted order."""
+    seq = [start]
+    seen = {start}
+    for p in seq:  # seq grows as the walk goes: it is its own queue
+        for t in X.neighbors(p):
+            if t not in seen:
+                seen.add(t)
+                seq.append(t)
+    return seq
+
+
 def components(X):
     """The c1-connected components of X, as a list of frozensets.
 
@@ -180,18 +193,10 @@ def components(X):
     seen = set()
     out = []
     for start in X.sorted_points:
-        if start in seen:
-            continue
-        block = {start}
-        queue = deque([start])
-        while queue:
-            p = queue.popleft()
-            for t in X.neighbors(p):
-                if t not in block:
-                    block.add(t)
-                    queue.append(t)
-        seen |= block
-        out.append(frozenset(block))
+        if start not in seen:
+            block = frozenset(_walk(X, start))
+            seen |= block
+            out.append(block)
     return out
 
 
@@ -256,18 +261,22 @@ def compose(g, f):
     return PointMap(f.domain, g.codomain, {p: g(f(p)) for p in f.domain})
 
 
-def is_continuous(f):
-    """True iff every adjacent pair of the domain maps to equal or adjacent points."""
-    X = f.domain
+def _continuous(X, g):
+    """True iff g maps every adjacent pair of points of X to equal or adjacent points."""
     for x in X.sorted_points:
-        fx = f(x)
+        gx = g(x)
         for y in X.neighbors(x):
             if y < x:
                 continue  # each unordered pair once
-            fy = f(y)
-            if fx != fy and not adjacent(fx, fy):
+            gy = g(y)
+            if gx != gy and not adjacent(gx, gy):
                 return False
     return True
+
+
+def is_continuous(f):
+    """True iff every adjacent pair of the domain maps to equal or adjacent points."""
+    return _continuous(f.domain, f)
 
 
 class HomotopyTable:
@@ -328,16 +337,7 @@ def is_homotopy(H, f, g):
             a, b = H(x, t), H(x, t + 1)
             if a != b and not adjacent(a, b):
                 return False
-    for t in range(k + 1):
-        for x in X.sorted_points:
-            hx = H(x, t)
-            for y in X.neighbors(x):
-                if y < x:
-                    continue
-                hy = H(y, t)
-                if hx != hy and not adjacent(hx, hy):
-                    return False
-    return True
+    return all(_continuous(X, lambda x, t=t: H(x, t)) for t in range(k + 1))
 
 
 def interior(X, A, i=1):
@@ -373,19 +373,7 @@ def random_continuous_map(domain, codomain, rng, tries=100):
         table = {}
         dead = False
         for block in components(domain):
-            order = sorted(block)
-            start = rng.choice(order)
-            seen = {start}
-            queue = deque([start])
-            seq = [start]
-            while queue:
-                p = queue.popleft()
-                for t in domain.neighbors(p):
-                    if t in block and t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-                        seq.append(t)
-            for x in seq:
+            for x in _walk(domain, rng.choice(sorted(block))):
                 assigned = [table[nb] for nb in domain.neighbors(x) if nb in table]
                 if not assigned:
                     table[x] = rng.choice(cod)

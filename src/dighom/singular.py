@@ -637,11 +637,11 @@ class _Ladder:
         level k, over the row index rows of the k-cubes, as a function of x
         and y.  The face at t_i = s is the table (f[x], f[y]) for i <= k, f a
         face array of level k, and x or y for i = k+1; its coefficient is
-        (-1)^i if s = 0, else -(-1)^i.  A face not in rows is degenerate and
-        dropped, and coinciding faces merge, possibly to zero."""
-        faces = self.faces(k)
-        signed = [(f, (-1) ** (j // 2 + 1) * (1 - j % 2 * 2)) for j, f in enumerate(faces)]
-        sx, sy = (-1) ** (k + 1), -(-1) ** (k + 1)
+        (-1)^i if s = 0, else -(-1)^i, the sign of _signed_face_maps(k + 1).
+        A face not in rows is degenerate and dropped, and coinciding faces
+        merge, possibly to zero."""
+        *signs, sx, sy = (sgn for _, sgn in _signed_face_maps(k + 1))
+        signed = list(zip(self.faces(k), signs))
         front, back = self.levels[k][2:4]
         n, get = self._base(k), rows.get
 

@@ -6,11 +6,20 @@ between the two implementations is meaningful evidence of correctness.
 """
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, product
 
-from dighom import DigitalImage, ElementaryCube, SingularCube, is_continuous, is_degenerate
+from dighom import (
+    DigitalImage,
+    ElementaryCube,
+    PointMap,
+    SingularCube,
+    adjacent,
+    closed_neighborhood,
+    is_continuous,
+    is_degenerate,
+)
 from dighom.singular import _counter, _Ladder
 
 
@@ -216,6 +225,63 @@ def components_oracle(image):
         remaining -= comp
     comps.sort(key=lambda c: min(c))
     return comps
+
+
+def random_continuous_map_oracle(domain, codomain, rng, tries=100):
+    """random_continuous_map written with its own queue: each component, in
+    order of its smallest point, is walked breadth-first from a random start,
+    neighbors in sorted order, and each point draws from rng as the library
+    does, so that one seeded rng gives both the same table."""
+    if len(codomain) == 0:
+        if len(domain) == 0:
+            return PointMap(domain, codomain, {})
+        raise ValueError("codomain is empty")
+    cod = codomain.sorted_points
+    for _ in range(tries):
+        table = {}
+        dead = False
+        for block in components_oracle(domain):
+            order = sorted(block)
+            start = rng.choice(order)
+            seen = {start}
+            queue = deque([start])
+            seq = [start]
+            while queue:
+                p = queue.popleft()
+                for t in domain.neighbors(p):
+                    if t in block and t not in seen:
+                        seen.add(t)
+                        queue.append(t)
+                        seq.append(t)
+            for x in seq:
+                assigned = [table[nb] for nb in domain.neighbors(x) if nb in table]
+                if not assigned:
+                    table[x] = rng.choice(cod)
+                    continue
+                cands = closed_neighborhood(codomain, assigned)
+                if not cands:
+                    dead = True
+                    break
+                table[x] = rng.choice(sorted(cands))
+            if dead:
+                break
+        if not dead:
+            return PointMap(domain, codomain, table)
+    c = rng.choice(cod)
+    return PointMap(domain, codomain, {p: c for p in domain})
+
+
+def homotopy_reference(H, f, g):
+    """is_homotopy(H, f, g) read off its definition: H(., 0) = f and
+    H(., steps) = g, every track t -> H(x, t) moves by at most one step, and
+    every slice x -> H(x, t) is a continuous PointMap."""
+    X, k = H.domain, H.steps
+    ends = all(H(x, 0) == f(x) and H(x, k) == g(x) for x in X)
+    tracks = all(H(x, t) == H(x, t + 1) or adjacent(H(x, t), H(x, t + 1))
+                 for x in X for t in range(k))
+    slices = all(is_continuous(PointMap(X, H.codomain, {x: H(x, t) for x in X}))
+                 for t in range(k + 1))
+    return ends and tracks and slices
 
 
 def elementary_cubes_by_vertex_test(image, q):

@@ -953,6 +953,24 @@ def test_quotient_complex_requires_closure():
         quotient_complex(C, {1: {"e"}})
     with pytest.raises(NotSubcomplex):
         quotient_complex(C, {0: {"zzz"}})
+    # a missing label is reported before the edge that leaves the subcomplex
+    with pytest.raises(NotSubcomplex, match=r"^label 'zzz' is not in degree 0$"):
+        quotient_complex(C, {1: {"e"}, 0: {"zzz"}})
+
+
+def test_quotient_complex_reports_the_lowest_degree_it_leaves():
+    # two edges e, f from a to b and a disc s with boundary e - f: the
+    # choice leaves the subcomplex in degree 1 (at a) and in degree 2 (at f)
+    C = ChainComplex(
+        bases=[("a", "b"), ("e", "f"), ("s",)],
+        boundaries=[SparseIntMatrix.from_dense([[-1, -1], [1, 1]]),
+                    SparseIntMatrix.from_dense([[1], [-1]])],
+    )
+    assert C.is_complex()
+    with pytest.raises(NotSubcomplex, match=r"^boundary of 'e' leaves the subcomplex at 'a'$"):
+        quotient_complex(C, {2: {"s"}, 1: {"e"}})
+    with pytest.raises(NotSubcomplex, match=r"^boundary of 's' leaves the subcomplex at 'f'$"):
+        quotient_complex(C, {0: {"a", "b"}, 1: {"e"}, 2: {"s"}})
 
 
 def test_quotient_by_everything_is_zero():

@@ -7,7 +7,8 @@ c1 complex must have the cubes of a brute-force vertex test as its bases
 (also on images in 1-4 dimensions spread out by offsets near +-10^12, whose
 translates must be those of a direct lookup of p + e_d), cube_boundary as
 its columns, dimension() as its top degree, and the
-quotient by the cubes inside a subimage as its relative complex.  beta on
+quotient by the cubes inside a subimage as its relative complex.
+is_homotopy must be its definition: ends, tracks and continuous slices.  beta on
 singular keys must be public beta on the decoded cubes, and its sign the
 determinant of the edge vectors.  Each level
 of the ladder of appended tables must list the continuous corner tables of a
@@ -67,6 +68,8 @@ from dighom import (
     ChainComplex,
     DigitalImage,
     FGAbelianGroup,
+    HomotopyTable,
+    PointMap,
     SingularCube,
     SparseIntMatrix,
     apply_operator,
@@ -80,6 +83,7 @@ from dighom import (
     enumerate_singular_cubes,
     homology,
     homology_through,
+    is_homotopy,
     load_image,
     quotient_complex,
     rank_and_invariant_factors,
@@ -294,6 +298,25 @@ def test_relative_c1_complex_is_the_quotient_by_cubes_in_A(X, data):
                if all(v in A for v in helpers.decode(X, q, key).vertices())]
            for q in range(C.max_degree + 1)}
     assert relative_c1_complex(X, A) == quotient_complex(C, sub)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_is_homotopy_is_its_definition(data):
+    # a random table H: X x {0..k} -> Y, and f and g each either the end of
+    # H or a random table, so that each condition holds on some draws and
+    # fails on others
+    X = data.draw(st.one_of(images((4,)), images((2, 2)), images((2, 3))))
+    Y = data.draw(st.one_of(images((3,)), images((2, 2)), images((3, 3), max_size=4)))
+    k = data.draw(st.integers(0, 2))
+    ys = st.sampled_from(Y.sorted_points)
+    H = HomotopyTable(X, Y, k, {(x, t): data.draw(ys) for x in X for t in range(k + 1)})
+    ends = [PointMap(X, Y, data.draw(st.one_of(
+        st.just({x: H(x, t) for x in X}), st.fixed_dictionaries({x: ys for x in X}))))
+        for t in (0, k)]
+    expected = helpers.homotopy_reference(H, *ends)
+    event(f"homotopy: {expected}")
+    assert is_homotopy(H, *ends) == expected
 
 
 @settings(derandomize=True, deadline=None)
