@@ -112,6 +112,7 @@ only such columns or those the library built, and checks none again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import BudgetExceeded, NotAComplex, NotSubcomplex, ShapeMismatch
 
@@ -510,8 +511,10 @@ def smith_normal_form(M, ncols=None):
     factors = tuple(S[i][i] for i in range(rank))
 
     # certification: recompute U * orig * V and compare entrywise with S
-    UM = [[sum(U[i][k] * orig[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
-    UMV = [[sum(UM[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
+    cols = list(zip(*orig))
+    UM = [[sum(map(mul, row, col)) for col in cols] for row in U]
+    cols = list(zip(*V))
+    UMV = [[sum(map(mul, row, col)) for col in cols] for row in UM]
     if UMV != S:
         raise RuntimeError("Smith normal form certification failed: U*M*V != S")
     for i in range(rank):

@@ -20,7 +20,7 @@ import sys
 
 from .bridge import beta, beta_matrices, verify_isomorphism
 from .chain import homology_through, rank_and_invariant_factors, smith_normal_form, verify_chain_map
-from .elementary import build_c1_complex, dimension, induced_map, relative_c1_complex
+from .elementary import _induced_maps, build_c1_complex, dimension, relative_c1_complex
 from .errors import (
     BudgetExceeded,
     DighomError,
@@ -211,7 +211,7 @@ def cmd_induced(args):
         top = args.max_q
     else:
         top = dimension(X) if len(X) else 0
-    mats = [induced_map(f, q) for q in range(top + 1)]
+    mats = _induced_maps(f, range(top + 1))
     CX = build_c1_complex(X, top).complex
     CY = build_c1_complex(Y, top).complex
     ok = verify_chain_map(mats, CX, CY)
@@ -291,24 +291,28 @@ def _suite_neighborhood(rng, fx):
 
 def _operator_identities(s):
     q = s.q
-    for j in range(1, q + 1):
-        if flip(flip(s, j), j) != s:
+    idx = range(1, q + 1)
+    # every identity that names flip(s, j) or swap(s, i, j) reads one value
+    flips = {j: flip(s, j) for j in idx}
+    swaps = {(i, j): swap(s, i, j) for i in idx for j in idx}
+    for j in idx:
+        if flip(flips[j], j) != s:
             return False
-        if rotate(s, j, j) != flip(s, j):
+        if rotate(s, j, j) != flips[j]:
             return False
-        for i in range(1, q + 1):
-            if swap(swap(s, i, j), i, j) != s:
+        for i in idx:
+            if swap(swaps[i, j], i, j) != s:
                 return False
-            if swap(s, i, j) != swap(s, j, i):
+            if swaps[i, j] != swaps[j, i]:
                 return False
             if rotate(rotate(s, i, j), j, i) != s:
                 return False
-            for k in range(1, q + 1):
+            for k in idx:
                 if k != i and k != j:
-                    if flip(swap(s, i, j), k) != swap(flip(s, k), i, j):
+                    if flip(swaps[i, j], k) != swap(flips[k], i, j):
                         return False
-    for i in range(1, q + 1):
-        for j in range(1, q + 1):
+    for i in idx:
+        for j in idx:
             t = s
             if i < j:
                 for a in range(j - 1, i - 1, -1):
@@ -394,15 +398,14 @@ def _suite_functorial(rng, fx):
             f = random_continuous_map(X, Y, rng)
             g = random_continuous_map(Y, X, rng)
             top = 2
-            mf = [induced_map(f, q) for q in range(top + 1)]
-            mg = [induced_map(g, q) for q in range(top + 1)]
+            mf = _induced_maps(f, range(top + 1))
+            mg = _induced_maps(g, range(top + 1))
             CX = build_c1_complex(X, top).complex
             CY = build_c1_complex(Y, top).complex
             if not verify_chain_map(mf, CX, CY) or not verify_chain_map(mg, CY, CX):
                 return False, "induced matrices are not a chain map"
-            gf = compose(g, f)
-            for q in range(top + 1):
-                if induced_map(gf, q) != mg[q] @ mf[q]:
+            for q, mgf in enumerate(_induced_maps(compose(g, f), range(top + 1))):
+                if mgf != mg[q] @ mf[q]:
                     return False, "composition law failed"
             done += 2
     return True, f"{done} random maps"

@@ -173,21 +173,24 @@ def _levels(X, top=None):
     return tr, levels, rows
 
 
-def _level(X, q):
-    """(tr, keys, rows) of degree q in _levels(X, q): the level's key list and
-    its position index; none of either for q out of range, and ValueError
-    for a q that is not an int."""
+def _degree(q):
+    """q, checked: ValueError for a q that is not an int."""
     if type(q) is not int:
         raise ValueError(f"q {q!r} must be an int")
-    tr, levels, rows = _levels(X, max(q, 0))
-    return (tr, levels[q], rows[q]) if 0 <= q < len(levels) else (tr, [], {})
+    return q
+
+
+def _level(levels, q):
+    """The keys levels[q] of degree q, none for a q out of range."""
+    return levels[q] if 0 <= q < len(levels) else []
 
 
 def enumerate_elementary_cubes(X, q):
     """All elementary q-cubes whose vertices lie in X, in (min_corner, extent)
     lexicographic order.  Out-of-range q gives the empty list; a q that is
     not an int raises ValueError."""
-    return [ElementaryCube(X.sorted_points[i], ext) for i, ext in _level(X, q)[1]]
+    levels = _levels(X, max(_degree(q), 0))[1]
+    return [ElementaryCube(X.sorted_points[i], ext) for i, ext in _level(levels, q)]
 
 
 def c1_faces(Q, i):
@@ -288,17 +291,28 @@ def induced_map(f, q):
     image vertices; any other cube maps to zero: beta of f composed with the
     cube's canonical embedding, whose corner c has bit b set iff it bumps ext[b].
     """
+    return _induced_maps(f, (q,))[0]
+
+
+def _induced_maps(f, degrees):
+    """[induced_map(f, q) for q in degrees], with f checked once and the c1
+    levels of its domain and codomain built once each."""
     if not is_continuous(f):
         raise NotContinuous("map is not continuous")
-    tr, xlevel, _ = _level(f.domain, q)
-    _, ylevel, yrows = _level(f.codomain, q)
+    top = max(0, *map(_degree, degrees))
+    tr, xlevels, _ = _levels(f.domain, top)
+    _, ylevels, yrows = _levels(f.codomain, top)
     xpts, ypts = f.domain.sorted_points, f.codomain.sorted_points
     at = {p: i for i, p in enumerate(ypts)}
-    cols = []
-    for i, ext in xlevel:
-        corners = [i]
-        for j in ext:
-            corners += [tr[j - 1][a] for a in corners]
-        b = _beta_key(tuple(at[f(xpts[a])] for a in corners), ypts)
-        cols.append({} if b is None else {yrows[b[1][1]][b[1][0]]: b[0]})
-    return SparseIntMatrix._trusted(len(ylevel), len(xlevel), cols)
+    mats = []
+    for q in degrees:
+        xlevel, ylevel = _level(xlevels, q), _level(ylevels, q)
+        cols = []
+        for i, ext in xlevel:
+            corners = [i]
+            for j in ext:
+                corners += [tr[j - 1][a] for a in corners]
+            b = _beta_key(tuple(at[f(xpts[a])] for a in corners), ypts)
+            cols.append({} if b is None else {yrows[q][b[1][1]][b[1][0]]: b[0]})
+        mats.append(SparseIntMatrix._trusted(len(ylevel), len(xlevel), cols))
+    return mats

@@ -369,10 +369,11 @@ def random_continuous_map(domain, codomain, rng, tries=100):
             return PointMap(domain, codomain, {})
         raise ValueError("codomain is empty")
     cod = codomain.sorted_points
+    blocks = components(domain)
     for _ in range(tries):
         table = {}
         dead = False
-        for block in components(domain):
+        for block in blocks:
             for x in _walk(domain, rng.choice(sorted(block))):
                 assigned = [table[nb] for nb in domain.neighbors(x) if nb in table]
                 if not assigned:

@@ -102,8 +102,19 @@ DEFAULT_BUDGET = 2_000_000
 class SingularCube:
     """A continuous map I^q -> Z^n as a corner table of length 2^q."""
 
+    # not slots=True: it makes a new class, whose frozen __setattr__ raises
+    # TypeError instead of FrozenInstanceError for a name that is not a field
+    __slots__ = ("q", "corners")
     q: int
     corners: tuple
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.q == other.q and self.corners == other.corners
+
+    def __reduce__(self):  # the frozen __setattr__ refuses pickle's slot state
+        return SingularCube, (self.q, self.corners)
 
     @property
     def ambient_dim(self):
@@ -111,6 +122,16 @@ class SingularCube:
 
     def __str__(self):
         return f"I^{self.q}->{list(self.corners)}"
+
+
+def _cube(q, corners, new=object.__new__, set_q=SingularCube.q.__set__,
+          set_corners=SingularCube.corners.__set__):
+    """SingularCube(q, corners) for a corner table the library has just made,
+    its two slots set directly, past the frozen __setattr__."""
+    s = new(SingularCube)
+    set_q(s, q)
+    set_corners(s, corners)
+    return s
 
 
 def make_cube(points):
@@ -183,7 +204,7 @@ def face(sigma, side, i):
     if type(i) is not int or not 1 <= i <= sigma.q:
         raise NoSuchFace(f"no coordinate {i!r} in a {sigma.q}-cube")
     get, _ = _signed_face_maps(sigma.q)[2 * i - 2 + (side == "back")]
-    return SingularCube(sigma.q - 1, get(sigma.corners))
+    return _cube(sigma.q - 1, get(sigma.corners))
 
 
 def boundary(sigma):
@@ -200,9 +221,14 @@ def boundary(sigma):
 
 # --- coordinate operators ---------------------------------------------------
 
-def _check_index(q, i):
-    if type(i) is not int or not 1 <= i <= q:
-        raise IndexOutOfRange(f"coordinate index {i!r} outside 1..{q}")
+def _check_index(q, *indices):
+    """Raise IndexOutOfRange for the first index that is not an int in 1..q.
+
+    The operators test their indices inline and call this only to raise.
+    """
+    for i in indices:
+        if type(i) is not int or not 1 <= i <= q:
+            raise IndexOutOfRange(f"coordinate index {i!r} outside 1..{q}")
 
 
 @lru_cache(maxsize=None)
@@ -225,17 +251,20 @@ def _precomposition(q, i, j, mask, shifted=False):
 
 def flip(sigma, j):
     """Precompose with the reflection t_j -> 1 - t_j."""
-    _check_index(sigma.q, j)
-    return SingularCube(sigma.q, _precomposition(sigma.q, j, j, 1 << (j - 1))(sigma.corners))
+    q = sigma.q
+    if type(j) is not int or not 0 < j <= q:
+        _check_index(q, j)
+    return _cube(q, _precomposition(q, j, j, 1 << (j - 1))(sigma.corners))
 
 
 def swap(sigma, i, j):
     """Precompose with the transposition of t_i and t_j."""
-    _check_index(sigma.q, i)
-    _check_index(sigma.q, j)
+    q = sigma.q
+    if type(i) is not int or type(j) is not int or not (0 < i <= q and 0 < j <= q):
+        _check_index(q, i, j)
     if i == j:
         return sigma
-    return SingularCube(sigma.q, _precomposition(sigma.q, i, j, 0)(sigma.corners))
+    return _cube(q, _precomposition(q, i, j, 0)(sigma.corners))
 
 
 def shift(sigma, i, j):
@@ -244,11 +273,12 @@ def shift(sigma, i, j):
     For i < j the variables strictly between slide down one slot; for i > j
     they slide up.  Equal indices give the identity.
     """
-    _check_index(sigma.q, i)
-    _check_index(sigma.q, j)
+    q = sigma.q
+    if type(i) is not int or type(j) is not int or not (0 < i <= q and 0 < j <= q):
+        _check_index(q, i, j)
     if i == j:
         return sigma
-    return SingularCube(sigma.q, _precomposition(sigma.q, i, j, 0, True)(sigma.corners))
+    return _cube(q, _precomposition(q, i, j, 0, True)(sigma.corners))
 
 
 def rotate(sigma, i, j):
@@ -256,9 +286,10 @@ def rotate(sigma, i, j):
 
     With i == j this degenerates to the flip of t_i.
     """
-    _check_index(sigma.q, i)
-    _check_index(sigma.q, j)
-    return SingularCube(sigma.q, _precomposition(sigma.q, i, j, 1 << (j - 1))(sigma.corners))
+    q = sigma.q
+    if type(i) is not int or type(j) is not int or not (0 < i <= q and 0 < j <= q):
+        _check_index(q, i, j)
+    return _cube(q, _precomposition(q, i, j, 1 << (j - 1))(sigma.corners))
 
 
 _OPERATORS = {"F": (flip, 1), "C": (swap, 2), "S": (shift, 2), "R": (rotate, 2)}
@@ -292,7 +323,7 @@ def append(sigma, gamma):
     if not compatible(sigma, gamma):
         raise NotCompatible(f"{sigma} and {gamma} differ in degree or ambient "
                             "dimension, or in corners neither equal nor adjacent")
-    return SingularCube(sigma.q + 1, sigma.corners + gamma.corners)
+    return _cube(sigma.q + 1, sigma.corners + gamma.corners)
 
 
 # --- injectivity, classification, orientation --------------------------------
@@ -829,7 +860,7 @@ def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
     if q and not ladder.edges:
         return []
     pts = X.sorted_points
-    return [SingularCube(q, tuple(map(pts.__getitem__, key)))
+    return [_cube(q, tuple(map(pts.__getitem__, key)))
             for key, m in zip(*ladder.level(q, q, budget)[:2]) if not m]
 
 

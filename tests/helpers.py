@@ -384,6 +384,21 @@ def decode(X, q, key):
     return SingularCube(q, tuple(pts[a] for a in key))
 
 
+def alpha(X, key):
+    """The corner table of the canonical embedding of the elementary cube of
+    a c1 key (i, ext): corner c is the minimal corner pts[i] moved one step
+    up each coordinate ext[b] at a set bit b of c.  The section alpha of
+    beta sends the cube to this singular cube, with beta(alpha(Q)) = +Q."""
+    i, ext = key
+    table = []
+    for c in range(1 << len(ext)):
+        p = list(X.sorted_points[i])
+        for b, j in enumerate(ext):
+            p[j - 1] += c >> b & 1
+        table.append(tuple(p))
+    return tuple(table)
+
+
 def stream(X, q, budget, ladder=None):
     """(keys, cofaces) of the nondegenerate q-cubes on X, lazily, as keys of
     build_singular_complex.  Degree 0 lists the points, and a degree q >= 1

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from dighom import cli
+from dighom import cli, elementary, singular
 from dighom.cli import build_parser, main
 
 import helpers
@@ -371,6 +371,36 @@ def test_induced_map_of_the_wrong_shape(run, tmp_path, doc):
     assert out == "" and err.startswith("error:")
 
 
+def counting_levels(monkeypatch):
+    """A list that gets the image of each call of elementary._levels."""
+    calls = []
+    levels = elementary._levels
+    monkeypatch.setattr(elementary, "_levels", lambda X, *rest: calls.append(X) or levels(X, *rest))
+    return calls
+
+
+def test_induced_builds_the_levels_of_each_image_once(run, tmp_path, monkeypatch):
+    # the quarter turn of the ring to degree 2: the induced matrices of the
+    # three degrees build the levels of the domain and the codomain once,
+    # and the two c1 complexes of the chain-map check build their own
+    ring = helpers.ring()
+    path = write_image(tmp_path, "ring.txt", ring, as_text=True)
+    mp = write_map(tmp_path, "rot.json", [[[x, y], [2 - y, x]] for x, y in ring.sorted_points])
+    calls = counting_levels(monkeypatch)
+    rc, out, _ = run(["induced", path, path, mp, "--max-q", "2"])
+    assert rc == 0 and out.endswith("chain map: OK\n")
+    assert len(calls) == 4
+
+
+def test_functorial_suite_builds_the_levels_of_each_image_once_per_map(run, monkeypatch):
+    # 8 rounds of the suite each take f, g, g after f and the two c1
+    # complexes: one _levels call per image of each
+    calls = counting_levels(monkeypatch)
+    rc, out, _ = run(["verify", "functorial", "--seed", "1"])
+    assert (rc, out) == (0, "functorial: ok (16 random maps)\n")
+    assert len(calls) == 64
+
+
 # --- verify ---------------------------------------------------------------------
 
 def test_verify_all_suites(run):
@@ -437,6 +467,26 @@ def test_verify_lists_each_fixture_degree_once_per_run(run, monkeypatch):
             else:
                 suites = [s for _, out1, _ in alone for s in json.loads(out1)["suites"]]
                 assert json.loads(out) == {"suites": suites, "all_ok": True}
+
+
+def broken_at(op, index, wrong):
+    """op with wrong(sigma, *index) in place of its value at this one index tuple."""
+    return lambda sigma, *idx: wrong(sigma, *idx) if idx == index else op(sigma, *idx)
+
+
+@pytest.mark.parametrize("name, index, wrong", [
+    pytest.param("flip", (2,), lambda s, j: singular.flip(s, 1), id="flip"),
+    pytest.param("swap", (1, 2), lambda s, i, j: s, id="swap"),
+    pytest.param("shift", (1, 3), lambda s, i, j: singular.swap(s, i, j), id="shift"),
+    pytest.param("rotate", (1, 2), lambda s, i, j: singular.rotate(s, j, i), id="rotate"),
+])
+def test_an_operator_broken_at_one_index_fails_the_operators_suite(run, monkeypatch, name,
+                                                                    index, wrong):
+    monkeypatch.setattr(cli, name, broken_at(getattr(singular, name), index, wrong))
+    for seed in ("0", "1", "2"):
+        rc, out, err = run(["verify", "operators", "--seed", seed])
+        assert (rc, err) == (1, "")
+        assert out.startswith("operators: FAIL (identity failed on I^")
 
 
 # --- general ---------------------------------------------------------------------

@@ -457,6 +457,23 @@ def test_seeded_random_maps_match_the_breadth_first_oracle():
         assert ours.random() == theirs.random()
 
 
+def test_random_continuous_map_lists_the_components_once(monkeypatch):
+    # a retry after a dead end walks the same components: the 240 seeded
+    # maps of the oracle test take one components() call each
+    from dighom import image
+
+    calls = []
+    components = image.components
+    monkeypatch.setattr(image, "components", lambda X: calls.append(X) or components(X))
+    for seed in range(240):
+        rng = random.Random(seed)
+        n = 2 + seed % 2
+        X = helpers.random_image(rng, n, (4, 3)[n - 2], 0.7)
+        Y = helpers.random_image(rng, n, (4, 3)[n - 2], 0.6) or DigitalImage(n, [(0,) * n])
+        random_continuous_map(X, Y, random.Random(seed))
+    assert len(calls) == 240
+
+
 def test_random_continuous_map_empty_codomain():
     X = helpers.edge()
     empty = DigitalImage(1, [])

@@ -74,6 +74,7 @@ from dighom import (
     SparseIntMatrix,
     apply_operator,
     beta,
+    beta_matrices,
     boundary,
     build_c1_complex,
     build_singular_complex,
@@ -89,6 +90,7 @@ from dighom import (
     rank_and_invariant_factors,
     relative_c1_complex,
     singular_homology,
+    verify_chain_map,
 )
 from dighom import chain, cli
 from dighom.chain import _ColumnReducer
@@ -120,6 +122,38 @@ def test_pipelines_agree(X):
     groups = singular_homology(X, 1)
     assert groups == homology_through(build_singular_complex(X, 1), 1)
     assert groups == homology_through(build_c1_complex(X).complex, 1)
+
+
+def alpha_matrices(X, S, C, top):
+    """alpha_0..alpha_top from the c1 complex C of X into the singular
+    complex S over X: the column of a c1 key is +1 at the row of the key of
+    its canonical embedding, from helpers.alpha."""
+    at = {p: a for a, p in enumerate(X.sorted_points)}
+    mats = []
+    for q in range(top + 1):
+        rows = {key: r for r, key in enumerate(S.basis(q))}
+        cols = [{rows[tuple(map(at.get, helpers.alpha(X, key)))]: 1} for key in C.basis(q)]
+        mats.append(SparseIntMatrix(len(S.basis(q)), len(cols), cols))
+    return mats
+
+
+@settings(derandomize=True, deadline=None)
+@given(IMAGES)
+def test_alpha_is_a_chain_map_and_a_section_of_beta(X):
+    # the canonical embeddings of the c1 cubes through degree 2 commute with
+    # the boundaries, and beta takes each back to its c1 cube with sign +1
+    bm = beta_matrices(X, 1)  # singular degrees 0..2
+    S, C = bm.singular, bm.elementary.complex
+    event(f"c1 cubes of degree 2: {bool(C.basis(2))}")
+    alpha = alpha_matrices(X, S, C, 2)
+    assert verify_chain_map(alpha, C, S) is True
+    for q, (a, b) in enumerate(zip(alpha, bm.matrices)):
+        assert (b @ a).columns == [{j: 1} for j in range(len(C.basis(q)))]
+    # a chain-map check that fails returns False: one column of alpha_1
+    # negated no longer commutes with the boundary of an edge
+    if C.basis(1):
+        alpha[1].columns[0] = {r: -v for r, v in alpha[1].columns[0].items()}
+        assert verify_chain_map(alpha, C, S) is False
 
 
 def reference_homology(C):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import time
 import tracemalloc
@@ -49,6 +51,7 @@ from dighom import (
 from dighom.singular import (
     DEFAULT_BUDGET,
     _Ladder,
+    _cube,
     _materialize,
     _signed_face_maps,
 )
@@ -269,6 +272,65 @@ def test_operators_refuse_a_bad_index_before_any_lookup(op, bad):
     # index is refused as out of range, never a TypeError of the cache
     with pytest.raises(IndexOutOfRange):
         op(id_cube(3), bad)
+
+
+@pytest.mark.parametrize("op, args, bad", [
+    (flip, (0,), 0), (flip, (4,), 4), (flip, (True,), True), (flip, (2.0,), 2.0),
+    *[(op, args, bad) for op in (swap, shift, rotate)
+      for args, bad in (((0, 5), 0), ((1, 4), 4), ((True, 1), True), ((2, True), True),
+                        (("2", 2), "2"), ((None, 9), None))],
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_bad_index_is_named_in_the_message(op, args, bad):
+    # the first index that is not an int in 1..q, a bool included, is named
+    with pytest.raises(IndexOutOfRange) as info:
+        op(id_cube(3), *args)
+    assert str(info.value) == f"coordinate index {bad!r} outside 1..3"
+
+
+def library_made_cubes():
+    """Cubes of _cube and of every library path that builds one from a
+    corner table it has just made: enumeration, the four operators, face
+    and append."""
+    cubes = enumerate_singular_cubes(helpers.square(), 2)[:6] + [id_cube(3)]
+    yield _cube(1, ((0, 0), (0, 1)))
+    for s in cubes:
+        yield s
+        q = s.q
+        yield from (flip(s, j) for j in range(1, q + 1))
+        for i, j in product(range(1, q + 1), repeat=2):
+            yield from (swap(s, i, j), shift(s, i, j), rotate(s, i, j))
+        yield from (face(s, side, i) for side in ("front", "back") for i in range(1, q + 1))
+        yield append(s, s)
+
+
+def test_library_made_cubes_are_constructed_cubes():
+    # a cube set up past __init__ equals, hashes, prints and compares as the
+    # cube that SingularCube(q, corners) builds from the same table
+    for s in library_made_cubes():
+        built = SingularCube(s.q, s.corners)
+        assert type(s) is SingularCube and 1 << s.q == len(s.corners)
+        assert s == built and built == s and not s != built
+        assert hash(s) == hash(built)
+        assert (str(s), repr(s)) == (str(built), repr(built))
+        assert s != SingularCube(s.q, s.corners[::-1]) or s.corners == s.corners[::-1]
+        assert s != SingularCube(s.q + 1, s.corners)
+
+
+def test_singular_cube_stays_a_frozen_dataclass():
+    s = flip(id_cube(2), 1)
+    for name in ("q", "corners", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del s.q
+    assert [(f.name, f.type) for f in dataclasses.fields(SingularCube)] == \
+        [("q", "int"), ("corners", "tuple")]
+    for cube in (s, SingularCube(s.q, s.corners)):
+        back = pickle.loads(pickle.dumps(cube))
+        assert type(back) is SingularCube and back == cube and hash(back) == hash(cube)
+    # a cube equals no other kind of value, also one with the same fields
+    for other in (None, 2, s.corners, (s.q, s.corners), dataclasses.astuple(s)):
+        assert (s == other, other == s, s != other) == (False, False, True)
 
 
 def test_operators_commute_on_disjoint_indices():
