@@ -426,9 +426,8 @@ def cmd_verify(args):
     names = args.suites or sorted(_SUITES)
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
-        print(f"error: unknown suite(s) {', '.join(unknown)}; "
-              f"available: {', '.join(sorted(_SUITES))}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError(f"unknown suite(s) {', '.join(unknown)}; "
+                         f"available: {', '.join(sorted(_SUITES))}")
     fx = _fixtures()
     results = []
     for name in names:

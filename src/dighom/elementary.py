@@ -106,12 +106,11 @@ class ElementaryCube:
                 raise ValueError(f"vertex set spreads {d} in coordinate {k + 1}")
             if d == 1:
                 ext.append(k + 1)
+        # a spread of at most 1 leaves each coordinate of a point at lo or
+        # hi: the points are vertices of the spanned box, all of them if
+        # there are as many
         if len(pts) != 1 << len(ext):
             raise ValueError("vertex count does not match the spanned box")
-        for p in pts:
-            for k in range(n):
-                if p[k] != lo[k] and p[k] != hi[k]:
-                    raise ValueError(f"{p} is not a vertex of the spanned box")
         return cls(lo, tuple(ext))
 
     def __str__(self):

@@ -31,10 +31,11 @@ those front faces, moved to each face position, are those.
 
 Boundary columns are built from table indices, never from corner tables.
 The face of a cube (x, y) at t_q is x or y, and its face at t_i, i < q, is
-the pair of the faces of x and y at t_i, read from face arrays per level;
-each degree has one row index, from the code of each of its tables as a
-pair of the level below to its row.  The cofaces are found the same way,
-the coordinate moves of the levels below kept as arrays.  The public
+the pair of the faces of x and y at t_i, read from face arrays per level,
+and its row comes from its code as a pair of the level below.  The cofaces
+of a table are the cubes with it as front face, moved by the coordinate
+operators: each half of such a cube is moved by the operators' own corner
+permutation and found by bisection in the keys of its level.  The public
 boundary() works on corner tables and is the independent check of these
 columns.
 """
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import enum
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
@@ -333,26 +335,14 @@ def is_injective(sigma):
 
 
 def is_embedding(sigma):
-    """True iff the cube maps I^q bijectively onto an elementary q-cube."""
+    """True iff the cube maps I^q bijectively onto an elementary q-cube: it
+    is injective, and its corners spread at most 1 in each coordinate, q in
+    all.  Such a spread leaves each coordinate of a corner at its min or its
+    max, so the corners are 2^q vertices of the spanned box, all of them."""
     if not is_injective(sigma):
         return False
-    pts = sigma.corners
-    n = sigma.ambient_dim
-    lo = tuple(min(p[k] for p in pts) for k in range(n))
-    hi = tuple(max(p[k] for p in pts) for k in range(n))
-    spread = 0
-    for k in range(n):
-        d = hi[k] - lo[k]
-        if d > 1:
-            return False
-        spread += d
-    if spread != sigma.q:
-        return False
-    for p in pts:
-        for k in range(n):
-            if p[k] != lo[k] and p[k] != hi[k]:
-                return False
-    return True
+    spreads = [max(c) - min(c) for c in zip(*sigma.corners)]
+    return set(spreads) <= {0, 1} and sum(spreads) == sigma.q
 
 
 @lru_cache(maxsize=65536)
@@ -499,10 +489,9 @@ class _Ladder:
     Faces are table indices too.  The face of t = (x, y) at t_k = s is x or
     y, and its face at t_i = s, i < k, is the table (f[x], f[y]) of level
     k-1, f the face array of level k-1 at t_i = s, found by index; faces(k)
-    builds these arrays once.  The code of a table (u, v) of level k is u *
-    N + v, N the number of tables of level k-1 (1 below level 0): a row
-    index maps the code of each k-cube to its row, so a face is found from
-    its pair, without its own index.
+    builds these arrays once, and column reads them.  A table moved by a
+    coordinate operator is found from its key, by bisection in keys (see
+    cofaces).
     """
 
     def __init__(self, X):
@@ -513,7 +502,7 @@ class _Ladder:
                 for a, p in enumerate(pts)}
         self.edges = any(len(c) > 1 for c in memo.values())
         self.levels = [([(a,) for a in range(n)], [0] * n, [0] * n, range(n), (0, 1), memo, {}, {})]
-        self.face_arrays, self.move_arrays = {0: []}, {}
+        self.face_arrays = {0: []}
         self.listed = {}
 
     def _index(self, k, u):
@@ -635,10 +624,6 @@ class _Ladder:
                 return
             live = zip(*kept)
 
-    def _base(self, k):
-        """N of the codes of level k: the number of tables of level k-1."""
-        return len(self.levels[k - 1][0]) if k else 1
-
     def faces(self, k):
         """The face arrays of level k, for t_1 = 0, t_1 = 1, ..., t_k = 1 in
         turn: entry t of each is the face of table t, a table of level k-1.
@@ -657,24 +642,22 @@ class _Ladder:
             out = self.face_arrays[k] = out + [front, back]
         return out
 
-    def rows(self, k, tables):
-        """The row index of the k-cubes tables: the code of each -> its position."""
-        front, back = self.levels[k][2:4]
-        n = self._base(k)
-        return {front[t] * n + back[t]: r for r, t in enumerate(tables)}
-
-    def column(self, k, rows):
+    def column(self, k, tables):
         """The boundary column of a (k+1)-cube (x, y), x and y tables of
-        level k, over the row index rows of the k-cubes, as a function of x
-        and y.  The face at t_i = s is the table (f[x], f[y]) for i <= k, f a
-        face array of level k, and x or y for i = k+1; its coefficient is
-        (-1)^i if s = 0, else -(-1)^i, the sign of _signed_face_maps(k + 1).
-        A face not in rows is degenerate and dropped, and coinciding faces
-        merge, possibly to zero."""
+        level k, over the rows of the k-cubes tables, as a function of x and
+        y.  The code of a table (u, v) of level k is u * N + v, N the number
+        of tables of level k-1 (1 at level 0): the row index maps the code of
+        each of tables to its row, so a face is found from its pair, without
+        its own index.  The face at t_i = s is the table (f[x], f[y]) for i
+        <= k, f a face array of level k, and x or y for i = k+1; its
+        coefficient is (-1)^i if s = 0, else -(-1)^i, the sign of
+        _signed_face_maps(k + 1).  A face not in tables is degenerate and
+        dropped, and coinciding faces merge, possibly to zero."""
         *signs, sx, sy = (sgn for _, sgn in _signed_face_maps(k + 1))
         signed = list(zip(self.faces(k), signs))
         front, back = self.levels[k][2:4]
-        n, get = self._base(k), rows.get
+        n = len(self.levels[k - 1][0]) if k else 1
+        get = {front[t] * n + back[t]: r for r, t in enumerate(tables)}.get
 
         def column(x, y):
             col = {}
@@ -701,43 +684,26 @@ class _Ladder:
 
         return column
 
-    def _mover(self, k, i, s):
-        """The map of tables t of level k to t with its t_k moved into slot
-        i <= k, the coordinates from t_i on moving up one, and reflected if
-        s.  For i < k, the faces of the result at t_k are those of t at
-        t_{k-1}, moved in level k-1 (see _moves)."""
-        front, back = self.levels[k][2:4]
-        index = self._index
-        if i == k:
-            return (lambda t: index(k, back[t])[front[t]]) if s else (lambda t: t)
-        f0, f1, moved = *self.faces(k)[2 * k - 4:2 * k - 2], self._moves(k - 1, i, s)
-        return lambda t: index(k, moved[f0[t]])[moved[f1[t]]]
-
-    def _moves(self, k, i, s):
-        """_mover(k, i, s) of every table of level k, as an array, built once."""
-        moved = self.move_arrays.get((k, i, s))
-        if moved is None:
-            moved = self.move_arrays[k, i, s] = array(
-                "i", map(self._mover(k, i, s), range(len(self.levels[k][0]))))
-        return moved
-
     def cofaces(self, k, fronts):
         """Each (k+1)-cube with a face in fronts, tables of level k, once, as
         a pair (x, y) of tables of level k.  Cube b has face f at t_i = s
         exactly when it is a cube a with front face f, from rounds(k,
         fronts), precomposed to move t_{k+1} to t_i, reflected if s; so b's
-        faces at t_{k+1} are those of a at t_k, moved to have t_k at t_i.
-        The cubes are listed a by a, moves for i = 1..k+1 and s = 0, 1 in
-        turn."""
-        front, back, index = *self.levels[k][2:4], self.levels[k][6]
-        movers = [self._mover(k, i, s) for i in range(1, k + 1) for s in (0, 1)]
+        faces at t_{k+1} are the halves of a, its faces at t_k, reflected in
+        t_k if s and then shifted to have t_k at t_i: the corner map of
+        shift(flip(h, k) if s else h, i, k), found by bisection in the keys
+        of level k, which are in lex order.  The cubes are listed a by a,
+        moves for i = 1..k+1 and s = 0, 1 in turn."""
+        keys, _, front, back, _, _, index = self.levels[k][:7]
+        getters = [_precomposition(k, i, k, s << (k - 1), True)
+                   for i in range(1, k + 1) for s in (0, 1)]
         moved = {}  # table -> its moves, for the halves met so far
 
         def moves(u, v):
             h = (index.get(u) or self._index(k, u))[v]
             found = moved.get(h)
             if found is None:
-                found = moved[h] = [mv(h) for mv in movers]
+                found = moved[h] = [bisect_left(keys, get(keys[h])) for get in getters]
             return found
 
         seen = set()
@@ -827,7 +793,7 @@ def _materialize(top, budget, ladder, lazy=False):
     for q in range(1, len(keys)):
         cols = []
         if keys[q]:
-            column = ladder.column(q - 1, ladder.rows(q - 1, ladder.cubes(q - 1, budget)))
+            column = ladder.column(q - 1, ladder.cubes(q - 1, budget))
             tables, (front, back) = ladder.cubes(q, budget), ladder.levels[q][2:4]
             cols = (_Columns(column, front, back, tables) if lazy and q == len(keys) - 1
                     else list(map(column, map(front.__getitem__, tables),
@@ -914,7 +880,7 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
         if not ladder.edges:  # degree m+1 has no cube
             return homology_through(trunc, m)
         tables = ladder.cubes(m, budget)
-        column = ladder.column(m, ladder.rows(m, tables))  # for the stream and cofaces
+        column = ladder.column(m, tables)  # for the stream and cofaces
         counted = _counter(m + 1, budget)
         cubes = counted(ladder.rounds(m, range(len(ladder.levels[m][0]))))
 

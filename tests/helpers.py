@@ -20,7 +20,7 @@ from dighom import (
     is_continuous,
     is_degenerate,
 )
-from dighom.singular import _counter, _Ladder
+from dighom.singular import _counter, _Ladder, _precomposition
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +421,23 @@ def stream(X, q, budget, ladder=None):
 
     return (keyed(ladder.rounds(q - 1, range(len(keys)))),
             lambda fronts: keyed(ladder.cofaces(q - 1, [bisect_left(keys, f) for f in fronts])))
+
+
+def cofaces_oracle(ladder, k, fronts):
+    """_Ladder.cofaces(k, fronts) in its order, from full keys: each cube a
+    of rounds(k, fronts), in turn, precomposed to move t_{k+1} to t_i and
+    reflected there if s, for i = 1..k+1 and s = 0, 1 in turn, as the pair
+    of its halves, found by bisection in the keys of level k; each listed
+    where it first appears."""
+    keys, half = ladder.levels[k][0], 1 << k
+    moves = [_precomposition(k + 1, i, k + 1, s << k, True)
+             for i in range(1, k + 2) for s in (0, 1)]
+    found = {}
+    for x, y in ladder.rounds(k, fronts):
+        for move in moves:
+            b = move(keys[x] + keys[y])
+            found.setdefault((bisect_left(keys, b[:half]), bisect_left(keys, b[half:])))
+    return list(found)
 
 
 def chain_groups(X, complex_, q):

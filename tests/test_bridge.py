@@ -1,4 +1,7 @@
 import json
+from itertools import permutations, product
+
+import pytest
 
 from dighom import (
     DigitalImage,
@@ -7,6 +10,7 @@ from dighom import (
     beta,
     beta_matrices,
     build_c1_complex,
+    components,
     dimension,
     enumerate_elementary_cubes,
     enumerate_singular_cubes,
@@ -104,6 +108,36 @@ def test_verify_isomorphism_empty_image():
     rep = verify_isomorphism(DigitalImage(1, []), 1)
     assert rep.all_ok
     assert rep.comparisons[0].singular == FGAbelianGroup(0)
+
+
+def census(box):
+    """One image per class of the nonempty subsets of the box of sides box
+    under its symmetries, the coordinate permutations and reflections: the
+    least of its images under them, as a sorted point tuple."""
+    cells = list(product(*map(range, box)))
+    moves = [(perm, flips) for perm in permutations(range(len(box)))
+             if all(box[i] == box[j] for i, j in enumerate(perm))
+             for flips in product((False, True), repeat=len(box))]
+    classes = set()
+    for bits in range(1, 1 << len(cells)):
+        pts = [p for b, p in enumerate(cells) if bits >> b & 1]
+        classes.add(min(tuple(sorted(tuple(box[i] - 1 - p[i] if f else p[i]
+                                           for i, f in zip(perm, flips)) for p in pts))
+                        for perm, flips in moves))
+    return sorted(classes)
+
+
+@pytest.mark.parametrize("box, count", [((3, 3), 101), ((2, 2, 2), 21)], ids=["3x3", "2x2x2"])
+def test_census_of_small_boxes(box, count):
+    # every class of subsets of the box: the two pipelines agree through
+    # q=2, and H_0 is free on the components
+    classes = census(box)
+    assert len(classes) == count
+    for pts in classes:
+        X = DigitalImage(len(box), pts)
+        rep = verify_isomorphism(X, 2)
+        assert rep.all_ok
+        assert rep.comparisons[0].singular == FGAbelianGroup(len(components(X)))
 
 
 def test_iso_report_json_schema():

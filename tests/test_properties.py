@@ -20,7 +20,10 @@ Each degree of a materialized singular complex, taken from its own level,
 must be that listing, or both must refuse the same degree over budget.
 Every boundary column built from table indices (of a materialized degree,
 of the lazily built top boundary, of the stream and of its cofaces) must be
-the public boundary() of its cube, which works on corner tables.
+the public boundary() of its cube, which works on corner tables.  The
+cofaces, moved half by half, must be those of the full keys moved by the
+coordinate operators, in the same order.  is_embedding must be a
+brute-force check that the corners are the vertices of an elementary cube.
 The coordinate operators must precompose with the maps that an oracle
 evaluates point by point.  Images written as JSON and as text files must
 parse back equal, and each class of malformed image file must end the CLI
@@ -55,7 +58,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import chain as chain_from, islice, product
+from itertools import chain as chain_from, combinations, islice, product
 from unittest.mock import patch
 
 import pytest
@@ -67,6 +70,7 @@ from dighom import (
     BudgetExceeded,
     ChainComplex,
     DigitalImage,
+    ElementaryCube,
     FGAbelianGroup,
     HomotopyTable,
     PointMap,
@@ -84,6 +88,7 @@ from dighom import (
     enumerate_singular_cubes,
     homology,
     homology_through,
+    is_embedding,
     is_homotopy,
     load_image,
     quotient_complex,
@@ -483,11 +488,59 @@ def test_index_columns_are_the_boundaries_of_the_cubes(X):
     if not ladder.edges:
         return
     tables, level = ladder.cubes(2, DEFAULT_BUDGET), ladder.levels[2][0]
-    column = ladder.column(2, ladder.rows(2, tables))
+    column = ladder.column(2, tables)
     cubes = ladder.rounds(2, range(len(level)))
     fronts = list(tables[::7])
     for x, y in chain_from(islice(cubes, 300), ladder.cofaces(2, fronts)):
         assert column(x, y) == boundary_through(X, 3, level[x] + level[y], keys[2])
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(images((5,), 5), images((3, 3), 5), images((2, 2, 2), 4)), st.integers(0, 2),
+       st.randoms(use_true_random=False))
+def test_cofaces_are_listed_in_the_order_of_their_moves(X, k, rnd):
+    # the cofaces moved half by half are those of the full keys, in order
+    ladder = _Ladder(X)
+    n = len(ladder.level(k, k, DEFAULT_BUDGET)[0])
+    fronts = sorted(rnd.sample(range(n), rnd.randint(0, min(n, 12))))
+    assert list(ladder.cofaces(k, fronts)) == helpers.cofaces_oracle(ladder, k, fronts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.lists(st.integers(0, 2651), max_size=4, unique=True).map(sorted))
+def test_cofaces_of_square_3_tables_are_listed_in_the_order_of_their_moves(fronts):
+    ladder = _Ladder(helpers.square())
+    assert len(ladder.level(3, 3, DEFAULT_BUDGET)[0]) == 2652
+    assert list(ladder.cofaces(3, fronts)) == helpers.cofaces_oracle(ladder, 3, fronts)
+
+
+@st.composite
+def corner_tables(draw):
+    """A raw SingularCube, q <= 3, continuous or not, its corners all of one
+    length: half the time the vertices of an elementary cube in some order,
+    one of them perhaps moved."""
+    q, n = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-1, 2)] * n)
+    if q <= n and draw(st.booleans()):
+        ext = sorted(draw(st.sets(st.integers(1, n), min_size=q, max_size=q)))
+        corners = draw(st.permutations(ElementaryCube(draw(point), tuple(ext)).vertices()))
+        if draw(st.booleans()):
+            corners[draw(st.integers(0, len(corners) - 1))] = draw(point)
+    else:
+        corners = draw(st.lists(point, min_size=1 << q, max_size=1 << q))
+    return SingularCube(q, tuple(corners))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(corner_tables())
+def test_an_embedding_has_the_vertices_of_an_elementary_cube(sigma):
+    # brute force: the 2^q corners are the vertices of an elementary q-cube,
+    # whose least corner is theirs
+    corners = sigma.corners
+    lo = tuple(map(min, zip(*corners)))
+    vertex_sets = (set(ElementaryCube(lo, ext).vertices())
+                   for ext in combinations(range(1, len(lo) + 1), sigma.q))
+    assert is_embedding(sigma) == (set(corners) in vertex_sets)
 
 
 @st.composite

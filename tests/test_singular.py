@@ -823,8 +823,8 @@ def test_top_stored_boundary_is_built_only_where_it_is_read(monkeypatch):
     built = Counter()
     column = _Ladder.column
 
-    def counting(ladder, k, rows):
-        build = column(ladder, k, rows)
+    def counting(ladder, k, tables):
+        build = column(ladder, k, tables)
 
         def counted(x, y):
             if k == 2:  # a 3-cube, the pair (x, y) of tables of level 2
