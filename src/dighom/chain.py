@@ -52,7 +52,10 @@ unit pivot rows of d_{q+1}, which would only reduce to zero.
 
 A stream that cannot saturate (H_top != 0) reduces most of its columns to
 zero, each through a cascade of pivot steps, until the witness rows below
-replace that reduction.
+replace that reduction.  Given a certified lower bound t on the rank of
+H_top, it stops instead at rank dim ker d_top - t with unit pivots: its span
+then has the rank of im d_{top+1}, which is at most that, and is a direct
+summand, so it is all of im d_{top+1}.
 
 Once the pivots of d_{top+1} are all units, with span S of rank r, a
 cheaper test replaces most of that reduction.  Let t = dim ker d_top - r and
@@ -950,14 +953,17 @@ def _cycles(columns, d, sampled=False):
         yield col
 
 
-def _homology(C, lo, top, columns_in=None, cofaces=None):
+def _homology(C, lo, top, columns_in=None, cofaces=None, free=0):
     """[H_lo, ..., H_top] of C in one pass from the top degree down, with the
     columns of d_{top+1} read from columns_in if given: a lazy stream of a
     degree beyond C, rows as in C.basis(top), sampled to be cycles.  If
     given, cofaces(R) gives the columns of that degree with an entry at a
     row in R, sampled in the same way, to finish a stream that does not
-    saturate.  If the stream or its cofaces raise BudgetExceeded, H_top
-    comes back as None, and the groups below it from the reductions of the
+    saturate.  A free > 0 is a certified lower bound on the rank of H_top,
+    given without cofaces: the stream then stops at rank dim ker d_top -
+    free with unit pivots, without witness rows, and is otherwise read in
+    full.  If the stream or its cofaces raise BudgetExceeded, H_top comes
+    back as None, and the groups below it from the reductions of the
     boundaries below, as they stand.
 
     A complex built by the library is checked to have d_{q-1} c = 0 for
@@ -999,7 +1005,7 @@ def _homology(C, lo, top, columns_in=None, cofaces=None):
     columns = read(top + 1) if columns_in is None else _cycles(columns_in, d, sampled=True)
     finish = cofaces and (lambda rows: _cycles(cofaces(rows), d, sampled=True))
     try:
-        above = _reduce(columns, n - reds[top].rank, d, finish)
+        above = _reduce(columns, n - reds[top].rank - free, None if free else d, finish)
     except BudgetExceeded:  # only a stream counts toward a budget
         above = None
     groups = []

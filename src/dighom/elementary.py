@@ -247,22 +247,37 @@ def build_c1_complex(X, max_dim=None):
     if max_dim is not None and (type(max_dim) is not int or max_dim < 0):
         raise ValueError("max_dim must be a nonnegative int")
     tr, levels, rows = _levels(X, max_dim)
-    mats = []
-    for q in range(1, len(levels)):
-        at = rows[q - 1]
-        faces = {}  # extent -> its (array of rest, translate, sign) per p
-        cols = []
-        for i, ext in levels[q]:
-            if ext not in faces:
-                faces[ext] = [(at[ext[:p - 1] + ext[p:]], tr[j - 1], (-1) ** p)
-                              for p, j in enumerate(ext, 1)]
-            col = {}
-            for row, t, s in faces[ext]:
-                col[row[i]] = s
-                col[row[t[i]]] = -s
-            cols.append(col)
-        mats.append(SparseIntMatrix._trusted(len(levels[q - 1]), len(levels[q]), cols))
+    mats = [SparseIntMatrix._trusted(len(levels[q - 1]), len(levels[q]),
+                                     _boundary_columns(tr, levels, rows, q))
+            for q in range(1, len(levels))]
     return C1Complex(X, ChainComplex._trusted(levels, mats))
+
+
+def _boundary_columns(tr, levels, rows, q):
+    """The columns of d_q over the keys of _levels (see build_c1_complex)."""
+    at = rows[q - 1]
+    faces = {}  # extent -> its (array of rest, translate, sign) per p
+    cols = []
+    for i, ext in levels[q]:
+        if ext not in faces:
+            faces[ext] = [(at[ext[:p - 1] + ext[p:]], tr[j - 1], (-1) ** p)
+                          for p, j in enumerate(ext, 1)]
+        col = {}
+        for row, t, s in faces[ext]:
+            col[row[i]] = s
+            col[row[t[i]]] = -s
+        cols.append(col)
+    return cols
+
+
+def _alpha_key(tr, i, ext):
+    """The singular key of alpha(Q), the canonical embedding of the c1 cube
+    Q of key (i, ext) from _levels: corner c is point i moved one step up
+    each coordinate ext[b] at a set bit b of c, so beta(alpha(Q)) = +Q."""
+    corners = [i]
+    for j in ext:
+        corners += [tr[j - 1][a] for a in corners]
+    return tuple(corners)
 
 
 def relative_c1_complex(X, A, max_dim=None):
@@ -308,10 +323,7 @@ def _induced_maps(f, degrees):
         xlevel, ylevel = _level(xlevels, q), _level(ylevels, q)
         cols = []
         for i, ext in xlevel:
-            corners = [i]
-            for j in ext:
-                corners += [tr[j - 1][a] for a in corners]
-            b = _beta_key(tuple(at[f(xpts[a])] for a in corners), ypts)
+            b = _beta_key(tuple(at[f(xpts[a])] for a in _alpha_key(tr, i, ext)), ypts)
             cols.append({} if b is None else {yrows[q][b[1][1]][b[1][0]]: b[0]})
         mats.append(SparseIntMatrix._trusted(len(ylevel), len(xlevel), cols))
     return mats

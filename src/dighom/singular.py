@@ -24,10 +24,14 @@ a column of the top stored boundary is built only once something reads it.
 The degree above the top of singular_homology is streamed in that order as
 pairs of tables, without building its level, and its boundary columns go
 lazily to the top-boundary reduction of chain.py, which stops once their
-span saturates the cycles below.  A stream that cannot saturate stops once
-the reduction has chosen its witness rows: only a cube with a face at one of
-the few rows of their residuals can then grow the span, and the cubes with
-those front faces, moved to each face position, are those.
+span saturates the cycles below.  A stream that cannot saturate stops
+earlier when the top is the c1 top degree of the image: cycles pushed
+through alpha and cocycles pulled back through beta certify a lower bound t
+on the rank of the top group, and the stream stops once its span leaves
+room for t.  Otherwise it stops once the reduction has chosen its witness
+rows: only a cube with a face at one of the few rows of their residuals can
+then grow the span, and the cubes with those front faces, moved to each face
+position, are those.
 
 Boundary columns are built from table indices, never from corner tables.
 The face of a cube (x, y) at t_q is x or y, and its face at t_i, i < q, is
@@ -47,7 +51,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress, islice, repeat, starmap
+from itertools import accumulate, chain, combinations, compress, islice, permutations, repeat, starmap
 from math import prod
 from operator import itemgetter, not_
 
@@ -55,6 +59,8 @@ from .chain import (
     Chain,
     ChainComplex,
     SparseIntMatrix,
+    _apply,
+    _ColumnReducer,
     _homology,
     homology_through,
 )
@@ -247,8 +253,21 @@ def _precomposition(q, i, j, mask, shifted=False):
         src.insert(j - 1, src.pop(i - 1))
     else:
         src[i - 1], src[j - 1] = j - 1, i - 1
+    return _corner_map(src, mask)
+
+
+def _corner_map(src, mask):
+    """Getter of corner m ^ mask for each corner c, where bit b of m is bit
+    src[b] of c: the one copy of the corner permutation of the operators."""
     return itemgetter(*[sum((c >> s & 1) << b for b, s in enumerate(src)) ^ mask
-                        for c in range(1 << q)])
+                        for c in range(1 << len(src))])
+
+
+@lru_cache(maxsize=None)
+def _symmetries(q):
+    """Corner maps of the 2^q q! symmetries of I^q, q >= 1, each a
+    permutation of the coordinates and then a reflection of some of them."""
+    return [_corner_map(src, mask) for src in permutations(range(q)) for mask in range(1 << q)]
 
 
 def flip(sigma, j):
@@ -802,6 +821,63 @@ def _materialize(top, budget, ladder, lazy=False):
     return keys, mats, err
 
 
+def _certificate(X, m, ladder, tables):
+    """(cycles, cocycles) of degree m >= 1 when it is the c1 top degree of
+    X, as dicts over the rows of the m-cubes tables; both empty otherwise.
+
+    Cycle i is alpha(c_i), where c_1..c_t is a Z-basis of ker d_m of the c1
+    complex: the pivots of a _ColumnReducer over the columns of d_m stacked
+    on an identity block, numbered below them, whose lowest row is in that
+    block.  Cocycle i is the indicator of Q_i, the c1 cube at the pivot row
+    of c_i, pulled back through beta: the orientation sign on each of the
+    2^m m! cubes g(alpha(Q_i)), g a symmetry of I^m, the injective cubes
+    onto the vertices of Q_i, and zero elsewhere.
+    """
+    from .elementary import _alpha_key, _boundary_columns, _levels  # elementary imports this module
+    tr, levels, rows = _levels(X, m + 1)
+    if len(levels) != m + 1:  # a c1 (m+1)-cube, or no c1 m-cube
+        return [], []
+    n = len(levels[m])
+    red = _ColumnReducer()
+    for j, col in enumerate(_boundary_columns(tr, levels, rows, m)):
+        red.add({j: 1, **{n + r: v for r, v in col.items()}})
+    keys, pts = ladder.levels[m][0], X.sorted_points
+    row = dict(zip(tables, range(len(tables))))  # table -> its row
+    cycles, cocycles = [], []
+    for r, c in sorted(red.pivots.items()):
+        if r < n:
+            cycles.append({row[bisect_left(keys, _alpha_key(tr, *levels[m][k]))]: v
+                           for k, v in c.items()})
+            a = _alpha_key(tr, *levels[m][r])
+            cocycles.append({row[bisect_left(keys, key)]: _orientation(key, pts)[2]
+                             for key in (g(a) for g in _symmetries(m))})
+    return cycles, cocycles
+
+
+def _certified_rank(X, m, ladder, tables, column, counted, d):
+    """t when H_m has rank at least t by the cycles and cocycles of
+    _certificate, else 0: each cycle has zero boundary under the columns d
+    of d_m, each cocycle is zero on the boundary of every cofaces(m) of its
+    support, and the t x t pairing of cocycles and cycles is nonsingular.
+    The cofaces count toward the budget of degree m+1 through counted; once
+    they run over it, nothing is certified."""
+    cycles, cocycles = _certificate(X, m, ladder, tables)
+    if not cycles or any(_apply(d, z) for z in cycles):
+        return 0
+    try:
+        for x, y in counted(ladder.cofaces(m, [tables[r] for r in set().union(*cocycles)])):
+            col = column(x, y)
+            if any(sum(v * f[r] for r, v in col.items() if r in f) for f in cocycles):
+                return 0
+    except BudgetExceeded:
+        return 0
+    pairing = _ColumnReducer()
+    for z in cycles:
+        pairing.add({i: p for i, f in enumerate(cocycles)
+                     if (p := sum(v * f[r] for r, v in z.items() if r in f))})
+    return len(cycles) if pairing.rank == len(cycles) else 0
+
+
 def _check_degree_and_budget(name, q, budget):
     """Refuse a degree q that is not an int >= 0 and a budget, the most
     cubes enumerated in one degree, that is not an int >= 1."""
@@ -858,16 +934,30 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     streamed into it as pairs of tables of level max_q, round-robin over
     their front faces (see _Ladder.rounds), and it stops reading them once
     their span saturates the cycles of degree max_q; those cubes are never
-    stored.  When H_max_q is not zero the span cannot saturate, and
-    the stream stops once witness rows are chosen instead: the columns of
-    the cofaces of the rows of their residuals finish the reduction, exactly,
-    as every later column outside the span has an entry at such a row (see
-    the chain module and _Ladder.cofaces).  These cofaces count toward the
-    budget of degree max_q+1 after the streamed cubes read.  If the
+    stored.  When H_max_q is not zero the span cannot saturate.
+
+    If max_q >= 1 is the c1 top degree of X (no c1 (max_q+1)-cube), H_m, m
+    = max_q, is first shown to have rank at least t on the singular side.
+    The t cycles alpha(c_i) of a Z-basis c_i of the c1 cycles must have zero
+    boundary; each cocycle phi_i, the indicator of a c1 cube Q_i pulled back
+    through beta, must be zero on the boundary of every coface of its
+    support; and the pairing phi_i(alpha(c_j)) must be nonsingular (see
+    _certificate and _certified_rank).  The stream then stops at rank dim
+    ker d_m - t with unit pivots, which is exact: its span S lies in the
+    boundaries B_m, whose rank is at most dim ker d_m - t, so S has the rank
+    of B_m, and with unit pivots S is a direct summand, so S = B_m.  A
+    stream that ends before that rank was read in full.  Otherwise, and when
+    a check fails or t = 0, the stream stops once witness rows are chosen:
+    the columns of the cofaces of the rows of their residuals finish the
+    reduction, exactly, as every later column outside the span has an entry
+    at such a row (see the chain module and _Ladder.cofaces).
+
+    The cofaces of either kind count toward the budget of degree max_q+1
+    with the streamed cubes read, those of the certificate first.  If the
     enumeration budget is exhausted at degree j, every group needing that
-    degree (q >= j-1) comes back as None instead of a group.  The groups below come from the
-    same pass when j = max_q+1, from the reductions it already made, and
-    otherwise from a pass through degree j-2.
+    degree (q >= j-1) comes back as None instead of a group.  The groups
+    below come from the same pass when j = max_q+1, from the reductions it
+    already made, and otherwise from a pass through degree j-2.
     """
     _check_degree_and_budget("max_q", max_q, budget)
     ladder = _Ladder(X)
@@ -882,11 +972,12 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
         tables = ladder.cubes(m, budget)
         column = ladder.column(m, tables)  # for the stream and cofaces
         counted = _counter(m + 1, budget)
+        free = m and _certified_rank(X, m, ladder, tables, column, counted, mats[-1].columns)
         cubes = counted(ladder.rounds(m, range(len(ladder.levels[m][0]))))
 
         def finish(R):
             cubes.close()  # the rest of the stream stays unread: free its live fronts
             return starmap(column, counted(ladder.cofaces(m, [tables[r] for r in R])))
 
-        return _homology(trunc, 0, m, starmap(column, cubes), finish)
+        return _homology(trunc, 0, m, starmap(column, cubes), None if free else finish, free)
     return (homology_through(trunc, m - 1) if m else []) + [None] * (max_q - m + 1)

@@ -75,6 +75,17 @@ def tailed_ring():
                             (3, 0), (3, 1), (3, 2), (3, 3)])
 
 
+def ring_with_square():
+    # the ring with the unit square on (2, 0), (2, 1), (3, 0) and (3, 1):
+    # dimension 2, so its streamed degree 1 is below its c1 top, H_1 = Z
+    return DigitalImage(2, list(ring().points) + [(3, 0), (3, 1)])
+
+
+def tailed_ring_with_square():
+    # the tailed ring with the unit square on its tail (3, 0)-(3, 1)
+    return DigitalImage(2, list(tailed_ring().points) + [(4, 0), (4, 1)])
+
+
 def shell():
     pts = [p for p in product(range(3), repeat=3) if p != (1, 1, 1)]
     return DigitalImage(3, pts)

@@ -541,26 +541,25 @@ def recording_reads(monkeypatch):
 
 
 def test_unsaturating_stream_is_finished_by_its_cofaces_without_interreduction(monkeypatch):
-    # H_2 = Z, so the streamed degree 3 never spans ker d_2: at rank 1128
-    # its columns only reduce to zero.  The materialized d_1 (rank 25) is a
-    # graph's incidence matrix, ranked by a spanning forest with no column
-    # reducer.  Once the extra pivot steps of the slow zero columns of d_2
-    # (rank 71) and of the stream since their last pivot outnumber the
-    # columns of the boundary below (96 and 1,200), each chooses its witness
-    # row by a triangular solve.  The stream of 77,616 columns then stops
-    # after 1,862, and the cofaces of the rows of the residuals, 1,080,
-    # finish it
+    # H_1 = Z, so the streamed degree 2 never spans ker d_1: at rank 12 its
+    # columns only reduce to zero.  The unit square puts the c1 top at 2,
+    # above the stream's degree 1, so no certificate lowers its stop.  The
+    # materialized d_1 is a graph's incidence matrix, ranked by a spanning
+    # forest.  Once the slow zero columns of the stream since its last pivot
+    # outnumber its rank, it chooses its witness row by a triangular solve:
+    # the stream of 174 columns then stops after 110, and the cofaces of the
+    # rows of the residuals, 22, finish it
     read = recording_reads(monkeypatch)
-    assert singular_homology(helpers.shell(), 2) == [
-        FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
+    assert singular_homology(helpers.ring_with_square(), 1) == [
+        FGAbelianGroup(1), FGAbelianGroup(1)]
     [(streamed, finished)] = [r for r in read if type(r) is tuple]
-    assert streamed == 1862
-    assert finished == 1080
+    assert streamed == 110
+    assert finished == 22
 
 
-def test_shell_stream_solves_its_witness_row_on_pivots_as_they_stand(monkeypatch):
-    # the witness row of the shell's stream comes from its pivots as they
-    # stand: choosing the row changes no pivot entry
+def test_unsaturating_stream_solves_its_witness_row_on_pivots_as_they_stand(monkeypatch):
+    # the witness row of the stream comes from its pivots as they stand:
+    # choosing the row changes no pivot entry
     chosen = []
     choose = chain._ColumnReducer._choose_witness
 
@@ -570,15 +569,20 @@ def test_shell_stream_solves_its_witness_row_on_pivots_as_they_stand(monkeypatch
         chosen.append((len(red.d), len(red.witness), red.pivots == before))
 
     monkeypatch.setattr(chain._ColumnReducer, "_choose_witness", choosing)
+    singular_homology(helpers.ring_with_square(), 1)
+    assert chosen == [(22, 1, True)]
+    # the shell's d_2 chooses one while it reduces to saturation, against
+    # the 96 columns of d_1; its certified stream chooses none
+    chosen.clear()
     singular_homology(helpers.shell(), 2)
-    assert chosen == [(96, 1, True), (1200, 1, True)]
+    assert chosen == [(96, 1, True)]
 
 
 def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
-    # once the shell's stream has chosen its witness row, the columns that
-    # it shows to be in the span skip add().  The stream reads under 3,000
-    # columns; its span is then already that of all 77,616, so none of the
-    # cofaces that finish it reaches add()
+    # once the stream has chosen its witness row, the columns that it shows
+    # to be in the span skip add().  The stream reads 110 of its 174
+    # columns; its span is then already that of all of them, so none of the
+    # 22 cofaces that finish it reaches add()
     reads = []
     adds = 0
     reduce, add = chain._reduce, chain._ColumnReducer.add
@@ -604,11 +608,10 @@ def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
 
     monkeypatch.setattr(chain, "_reduce", counting)
     monkeypatch.setattr(chain._ColumnReducer, "add", counting_adds)
-    assert singular_homology(helpers.shell(), 2) == [
-        FGAbelianGroup(1), ZERO_GROUP, FGAbelianGroup(1)]
+    assert singular_homology(helpers.ring_with_square(), 1) == [
+        FGAbelianGroup(1), FGAbelianGroup(1)]
     [(streamed, added, [before])] = [r for r in reads if r[2]]
-    assert streamed < 3000
-    assert added < 3000
+    assert streamed == 110
     assert added == before
 
 
@@ -770,16 +773,24 @@ def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncol
     # d_2 (64) in full, then d_3 to saturation (83 of 2,432), the stream,
     # and d_1, d_0 cleared
     (helpers.square(), 3, [64, 83, 2651, 3, 1]),
-    # H_1 = 0: d_2 saturates after 348 of its 1,200 columns
-    (helpers.shell(), 2, [96, 348, (1862, 1080), 1]),
-    # at top 1, d_1 is read in full, as H_0 != 0: 85 stream cubes and 18
-    # cofaces, the 103 of the CI budget check
-    (helpers.ring(), 1, [16, (85, 18), 1]),
-    # H_1 = Z: 13 slow zero columns outnumber the stream's rank, 12, while
-    # their 21 extra pivot steps do not yet outnumber the 24 columns of d_1,
-    # and it chooses its witness row there, after 116 cubes
-    (helpers.tailed_ring(), 1, [24, (116, 18), 1]),
-], ids=["square", "shell", "ring", "tailed_ring"])
+    # H_1 = 0: d_2 saturates after 348 of its 1,200 columns.  H_2 = Z is
+    # certified through alpha and beta, as the c1 top is 2, so the stream
+    # stops at rank 1,128 = dim ker d_2 - 1, after 1,417 columns
+    (helpers.shell(), 2, [96, 348, 1417, 1]),
+    # at top 1, d_1 is read in full, as H_0 != 0; H_1 = Z is certified with
+    # 18 cofaces, and the stream stops after 21 cubes: the 39 of the CI
+    # budget check
+    (helpers.ring(), 1, [16, 21, 1]),
+    (helpers.tailed_ring(), 1, [24, 33, 1]),
+    # the c1 top is 2, so the stream of degree 2 takes the witness rows: 13
+    # slow zero columns outnumber its rank, 12, and it chooses its witness
+    # row there, after 110 cubes, with 22 cofaces to finish it
+    (helpers.ring_with_square(), 1, [22, (110, 22), 1]),
+    # 17 slow zero columns outnumber the stream's rank, 16, while their 28
+    # extra pivot steps do not yet outnumber the 30 columns of d_1, and it
+    # chooses its witness row there, after 118 cubes
+    (helpers.tailed_ring_with_square(), 1, [30, (118, 18), 1]),
+], ids=["square", "shell", "ring", "tailed_ring", "ring_with_square", "tailed_ring_with_square"])
 def test_singular_top_boundaries_are_read_to_saturation(monkeypatch, X, q, reads):
     recorded = recording_reads(monkeypatch)
     singular_homology(X, q)
@@ -787,12 +798,15 @@ def test_singular_top_boundaries_are_read_to_saturation(monkeypatch, X, q, reads
 
 
 @pytest.mark.parametrize("X, q, budget, groups, reads", [
-    # the stream and cofaces of degree 3 need 2,942 reads: d_1 and d_2 are
-    # reduced once, and H_1 comes from d_2 as it stood before the stream
-    (helpers.shell(), 2, 2941, [FGAbelianGroup(1), ZERO_GROUP, None], [96, 348, 1]),
-    # 85 stream cubes and 18 cofaces, one over: d_1 is read once, in full
-    (helpers.ring(), 1, 102, [FGAbelianGroup(1), None], [16, 1]),
-], ids=["shell", "ring"])
+    # the certificate's cofaces and the stream of degree 3 need 1,080 +
+    # 1,417 = 2,497 reads: d_1 and d_2 are reduced once, and H_1 comes from
+    # d_2 as it stood before the stream
+    (helpers.shell(), 2, 2496, [FGAbelianGroup(1), ZERO_GROUP, None], [96, 348, 1]),
+    # 18 cofaces and 21 stream cubes, one over: d_1 is read once, in full
+    (helpers.ring(), 1, 38, [FGAbelianGroup(1), None], [16, 1]),
+    # 110 stream cubes and 22 cofaces of its witness rows, one over
+    (helpers.ring_with_square(), 1, 131, [FGAbelianGroup(1), None], [22, 1]),
+], ids=["shell", "ring", "ring_with_square"])
 def test_budget_fallback_keeps_the_reductions_below_the_stream(monkeypatch, X, q, budget,
                                                                groups, reads):
     # the stream's own reduction raises BudgetExceeded and is not recorded

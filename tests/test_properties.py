@@ -51,6 +51,11 @@ pivots interreduced.  The
 reduction that leaves its stream unread once witness rows are chosen, and
 reads the cofaces of the rows of their residuals instead, must find every
 other column in its span and match the reduction of the whole stream.
+alpha must be a chain map and a section of beta, and the library's key map
+of alpha that of an oracle.  Where the streamed degree sits on the c1 top,
+the singular groups certified through alpha and beta must be those with the
+certificate refused and those of c1, and a certificate with a cycle that is
+not one, a cocycle that is not one or a singular pairing must be refused.
 """
 
 import io
@@ -62,7 +67,7 @@ from itertools import chain as chain_from, combinations, islice, product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -97,9 +102,9 @@ from dighom import (
     singular_homology,
     verify_chain_map,
 )
-from dighom import chain, cli
+from dighom import chain, cli, singular
 from dighom.chain import _ColumnReducer
-from dighom.elementary import _levels
+from dighom.elementary import _alpha_key, _levels
 from dighom.singular import (
     DEFAULT_BUDGET,
     _Ladder,
@@ -151,6 +156,10 @@ def test_alpha_is_a_chain_map_and_a_section_of_beta(X):
     S, C = bm.singular, bm.elementary.complex
     event(f"c1 cubes of degree 2: {bool(C.basis(2))}")
     alpha = alpha_matrices(X, S, C, 2)
+    # the library's key map, which certifies a top degree, is helpers.alpha
+    tr = _levels(X)[0]
+    assert all(tuple(X.sorted_points[a] for a in _alpha_key(tr, *key)) == helpers.alpha(X, key)
+               for q in range(3) for key in C.basis(q))
     assert verify_chain_map(alpha, C, S) is True
     for q, (a, b) in enumerate(zip(alpha, bm.matrices)):
         assert (b @ a).columns == [{j: 1} for j in range(len(C.basis(q)))]
@@ -159,6 +168,77 @@ def test_alpha_is_a_chain_map_and_a_section_of_beta(X):
     if C.basis(1):
         alpha[1].columns[0] = {r: -v for r, v in alpha[1].columns[0].items()}
         assert verify_chain_map(alpha, C, S) is False
+
+
+def top_images():
+    """Images with a c1 top degree of 1 or 2: a 2D or 3D box, all its cells,
+    those with an even coordinate (walls, no unit cube) or those with at
+    most one odd one (a frame of edges), with up to three cells taken out."""
+    def image(box, kind, out):
+        cells = [p for p in product(*map(range, box))
+                 if kind == "all" or sum(c % 2 for c in p) < (len(box) if kind == "walls" else 2)]
+        return DigitalImage(len(box), [p for i, p in enumerate(cells) if i not in out])
+
+    return st.builds(image, st.sampled_from([(3, 3), (3, 5), (5, 5), (3, 3, 3), (2, 3, 3), (3, 3, 5)]),
+                     st.sampled_from(["all", "walls", "frame"]),
+                     st.sets(st.integers(0, 44), max_size=3))
+
+
+def boundary_cycle(cycles, cocycles, ladder, tables, m):
+    """The first cycle replaced by the first nonzero boundary of the
+    stream: still a cycle, but zero on every cocycle, so the pairing is
+    singular."""
+    column = ladder.column(m, tables)
+    first = next(c for c in (column(x, y) for x, y in ladder.rounds(m, tables)) if c)
+    return [first] + cycles[1:], cocycles
+
+
+def changed_cycle(cycles, cocycles, *_):
+    """One entry of alpha(c_1) plus 1: no longer a cycle."""
+    r, v = next(iter(cycles[0].items()))
+    return [{**cycles[0], r: v + 1}] + cycles[1:], cocycles
+
+
+def negated_cocycle(cycles, cocycles, *_):
+    """One value of the first cocycle negated: no longer a cocycle."""
+    r, v = next(iter(cocycles[0].items()))
+    return cycles, [{**cocycles[0], r: -v}] + cocycles[1:]
+
+
+@settings(derandomize=True, deadline=None)
+@given(top_images())
+@example(helpers.shell())
+def test_a_certified_top_degree_keeps_the_groups(X):
+    # the streamed degree m + 1 sits on the c1 top m: with the certificate,
+    # with it refused and in c1 the groups are the same.  A certificate
+    # with a bad cycle, a bad cocycle or a singular pairing is refused, and
+    # the stream then keeps the groups in the same way
+    m = dimension(X) if len(X) else 0
+    assume(1 <= m <= 2)
+    found = []
+    certify, certificate = singular._certified_rank, singular._certificate
+
+    def recording(*args):
+        found.append(certify(*args))
+        return found[-1]
+
+    with patch.object(singular, "_certified_rank", recording):
+        groups = singular_homology(X, m)
+    with patch.object(singular, "_certified_rank", lambda *args: 0):
+        assert singular_homology(X, m) == groups
+    assert groups == homology_through(build_c1_complex(X).complex, m)
+    assert found == [groups[m].rank]
+    event(f"degree {m}, certified rank {min(found[0], 2)}")
+    if not found[0]:
+        return
+    for mutant in (boundary_cycle, changed_cycle, negated_cocycle):
+        found.clear()
+        with patch.object(singular, "_certified_rank", recording), \
+                patch.object(singular, "_certificate",
+                             lambda X, m, ladder, tables, mutant=mutant:
+                             mutant(*certificate(X, m, ladder, tables), ladder, tables, m)):
+            assert singular_homology(X, m) == groups
+        assert found == [0]
 
 
 def reference_homology(C):

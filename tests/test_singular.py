@@ -54,6 +54,7 @@ from dighom.singular import (
     _cube,
     _materialize,
     _signed_face_maps,
+    _symmetries,
 )
 
 import helpers
@@ -841,10 +842,10 @@ def test_top_stored_boundary_is_built_only_where_it_is_read(monkeypatch):
 
 
 def test_the_stream_is_closed_once_its_cofaces_start(monkeypatch):
-    # H_2 of the shell is Z, so its streamed degree 3 is finished by the
-    # cofaces of its witness rows; the stream's listing, with its live
-    # fronts, is closed before they start, though the reduction still holds
-    # the stream
+    # H_1 of the ring with a square is Z and its c1 top is 2, so its
+    # streamed degree 2 is finished by the cofaces of its witness rows; the
+    # stream's listing, with its live fronts, is closed before they start,
+    # though the reduction still holds the stream
     events = []
     rounds = _Ladder.rounds
 
@@ -857,9 +858,23 @@ def test_the_stream_is_closed_once_its_cofaces_start(monkeypatch):
             events.append(("end", kind))
 
     monkeypatch.setattr(_Ladder, "rounds", recording)
-    assert singular_homology(helpers.shell(), 2) == [
-        FGAbelianGroup(1), FGAbelianGroup(0), FGAbelianGroup(1)]
+    assert singular_homology(helpers.ring_with_square(), 1) == [
+        FGAbelianGroup(1), FGAbelianGroup(1)]
     assert events == [("start", "stream"), ("end", "stream"), ("start", "cofaces"), ("end", "cofaces")]
+
+
+@pytest.mark.parametrize("name, q", [("edge", 1), ("square", 2), ("block", 3)])
+def test_the_symmetries_move_a_cube_onto_every_injective_cube_with_its_vertices(name, q):
+    # a top-degree cocycle is supported on the symmetries of I^q applied to
+    # the canonical embedding of one c1 cube: those must be all 2^q q! of
+    # the injective cubes onto its vertices, transpositions included, which
+    # shifts of one coordinate alone do not give for q >= 3
+    X = getattr(helpers, name)()
+    embedding = helpers.alpha(X, (0, tuple(range(1, q + 1))))  # of the one c1 q-cube
+    injective = {c.corners for c in enumerate_singular_cubes(X, q) if is_injective(c)}
+    moved = {g(embedding) for g in _symmetries(q)}
+    assert len(_symmetries(q)) == len(moved) == len(injective)
+    assert moved == injective
 
 
 @pytest.mark.parametrize("name, q", [("ring", 1), ("ring", 2), ("block", 2), ("square", 3)])
@@ -950,10 +965,11 @@ def test_singular_homology_budget_partial_results():
     assert singular_homology(X, 1, budget=20) == [FGAbelianGroup(1), None]
     assert singular_homology(X, 1, budget=112) == [
         FGAbelianGroup(1), FGAbelianGroup(1)]
-    # H_1 = Z, so the streamed degree 2 cannot saturate: it reads 85 cubes,
-    # then 18 cofaces finish it, and all 103 count toward the budget
-    assert singular_homology(X, 1, budget=102) == [FGAbelianGroup(1), None]
-    assert singular_homology(X, 1, budget=103) == [
+    # H_1 = Z, so the streamed degree 2 cannot saturate: 18 cofaces certify
+    # that H_1 has rank at least 1, then the stream stops after 21 cubes at
+    # the rank that leaves it, and all 39 count toward the budget
+    assert singular_homology(X, 1, budget=38) == [FGAbelianGroup(1), None]
+    assert singular_homology(X, 1, budget=39) == [
         FGAbelianGroup(1), FGAbelianGroup(1)]
     # degree 1 of path3 is over a budget of 3 cubes: H_0 needs it, so no
     # group is given, and no pass runs below degree 0
