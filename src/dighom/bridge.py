@@ -13,14 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import ChainComplex, FGAbelianGroup, SparseIntMatrix, groups_isomorphic, homology_through
-from .elementary import C1Complex, ElementaryCube, build_c1_complex
+from .elementary import C1Complex, ElementaryCube, _c1_complex, _levels, build_c1_complex
 from .singular import (
     DEFAULT_BUDGET,
     _beta_key,
+    _check_degree_and_budget,
+    _singular_homology,
     build_singular_complex,
     is_injective,
     orientation,
-    singular_homology,
+    singular_homology,  # bound here too, as before, for tracers that wrap it by name
 )
 
 __all__ = [
@@ -55,17 +57,19 @@ class BetaMatrix:
 
 
 def beta_matrices(X, max_q, budget=DEFAULT_BUDGET):
-    """Matrices of beta for degrees 0..max_q+1 over the keys of both complexes."""
+    """Matrices of beta for degrees 0..max_q+1 over the keys of both
+    complexes.  A degree with no c1 cube gets zero columns, and no key of it
+    is evaluated."""
     sing = build_singular_complex(X, max_q, budget)
     elem = build_c1_complex(X)
     pts = X.sorted_points
     mats = []
     for q in range(max_q + 2):
-        yindex = elem.complex.index(q)
-        cols = []
-        for key in sing.basis(q):
-            b = _beta_key(key, pts)
-            cols.append({} if b is None else {yindex[b[1]]: b[0]})
+        if yindex := elem.complex.index(q):
+            cols = [{} if (b := _beta_key(key, pts)) is None else {yindex[b[1]]: b[0]}
+                    for key in sing.basis(q)]
+        else:
+            cols = [{} for _ in sing.basis(q)]
         mats.append(SparseIntMatrix._trusted(len(yindex), len(cols), cols))
     return BetaMatrix(tuple(mats), sing, elem)
 
@@ -120,10 +124,14 @@ class IsoReport:
 def verify_isomorphism(X, max_q, budget=DEFAULT_BUDGET):
     """Compute both homologies independently and compare them degreewise.
 
+    The c1 levels are built once, for the c1 complex and for the
+    certificate of the singular top degree (see singular_homology).
     Budget-starved singular degrees are reported as skipped, never guessed.
     """
-    sing = singular_homology(X, max_q, budget)
-    c1 = homology_through(build_c1_complex(X, max_q + 1).complex, max_q)
+    _check_degree_and_budget("max_q", max_q, budget)
+    found = _levels(X, max_q + 1)  # the c1 levels, for both sides
+    sing = _singular_homology(X, max_q, budget, found)
+    c1 = homology_through(_c1_complex(X, found).complex, max_q)
     comps = []
     for q in range(max_q + 1):
         s = sing[q]

@@ -100,7 +100,8 @@ Composites (``is_complex``, ``verify_chain_map``) are checked column by
 column with ``_apply``, the one matrix-times-column product, up to the first
 nonzero or unequal column; no product matrix is built.  ``verify_chain_map``
 checks every pair of columns, but a pair zero on both sides by its support
-(see its docstring) needs no ``_apply``.  Homology calls
+(see its docstring) needs no ``_apply``, and on a lazy top boundary of the
+library its column is never built.  Homology calls
 ``is_complex`` only on complexes built by the caller.  On one the library
 built (``ChainComplex._trusted``), each stored column of d_q, q >= 2, that a
 reduction reads is checked to have d_{q-1} c = 0 as it is read, and a
@@ -1091,19 +1092,27 @@ def verify_chain_map(phi, C, D):
 
     phi[q] must be |D_q| x |C_q|; commutation d^D_q @ phi[q] == phi[q-1] @ d^C_q
     is required for 1 <= q <= k, and is checked column by column up to the
-    first unequal one; a pair that is zero on both sides by its support, a
-    zero column of phi[q] and one of d^C_q with no row at a live (nonzero)
-    column of phi[q-1], needs no product.  Shape errors raise ShapeMismatch;
-    a failed commutation just returns False.
+    first unequal one.  Only the pairs with a nonzero column of phi[q] or a
+    column of d^C_q with a row at a live (nonzero) column of phi[q-1] are
+    composed: every other pair is zero on both sides by its support.  The
+    second kind are found by a scan of d^C_q, or, when d^C_q is a lazy
+    boundary of the library that lists the columns meeting given rows
+    (meeting, see singular._Columns), from that list, so that no other
+    column of it is built.  Shape errors raise ShapeMismatch; a failed
+    commutation just returns False.
     """
     mats = [_as_matrix(M, len(D.basis(q)), len(C.basis(q)), f"phi[{q}]").columns
             for q, M in enumerate(phi)]
     for q in range(1, len(mats)):
         d_D, d_C = D.boundary_matrix(q).columns, C.boundary_matrix(q).columns
-        below = mats[q - 1]
+        above, below = mats[q], mats[q - 1]
         live = {j for j, col in enumerate(below) if col}
-        if any((a or not live.isdisjoint(b)) and _apply(d_D, a) != _apply(below, b)
-               for a, b in zip(mats[q], d_C)):
+        meeting = getattr(d_C, "meeting", None)
+        if meeting is None:
+            js = (j for j, b in enumerate(d_C) if above[j] or not live.isdisjoint(b))
+        else:
+            js = sorted({j for j, a in enumerate(above) if a}.union(meeting(live)))
+        if any(_apply(d_D, above[j]) != _apply(below, d_C[j]) for j in js):
             return False
     return True
 

@@ -246,7 +246,12 @@ def build_c1_complex(X, max_dim=None):
     """
     if max_dim is not None and (type(max_dim) is not int or max_dim < 0):
         raise ValueError("max_dim must be a nonnegative int")
-    tr, levels, rows = _levels(X, max_dim)
+    return _c1_complex(X, _levels(X, max_dim))
+
+
+def _c1_complex(X, found):
+    """The C1Complex of X over found = _levels(X, top)."""
+    tr, levels, rows = found
     mats = [SparseIntMatrix._trusted(len(levels[q - 1]), len(levels[q]),
                                      _boundary_columns(tr, levels, rows, q))
             for q in range(1, len(levels))]

@@ -19,8 +19,10 @@ cubes of a degree, and a level over it is refused before any of it is
 stored.  Every degree q >= 1 is listed round-robin over its front faces, the
 tables of level q-1, so that the reduction of its boundary saturates the
 cycles below early.  A materialized degree q is that order over the tables
-of level q, labelled by the level's own key tuples, and in singular_homology
-a column of the top stored boundary is built only once something reads it.
+of level q, labelled by the level's own key tuples.  Every degree is listed
+before any column is built, and a column of the top stored boundary is
+built only once something reads it: a reduction, up to saturation, or the
+chain-map check, at the cofaces of the rows it needs.
 The degree above the top of singular_homology is streamed in that order as
 pairs of tables, without building its level, and its boundary columns go
 lazily to the top-boundary reduction of chain.py, which stops once their
@@ -769,36 +771,79 @@ def _boundary_column(key, rowindex):
 
 
 class _Columns:
-    """The boundary columns of the tables of a level, as a sequence: each
-    is column(front[t], back[t]) of its table t, built the first time it is
-    read, by index or in order, and kept."""
+    """The boundary columns of the q-cubes of a ladder, over the rows of its
+    (q-1)-cubes, as a read-only sequence: column j is that of the table
+    cubes(q)[j], built the first time it is read and kept.  A slice, ==, +
+    and repr read each column they cover, as iteration does, and a pickle
+    is the plain list of the columns.  meeting(R) lists the columns that
+    may have an entry at a row in R without building any of them."""
 
-    def __init__(self, column, front, back, tables):
-        self.column, self.front, self.back, self.tables = column, front, back, tables
-        self.cols = [None] * len(tables)
+    __slots__ = ("ladder", "q", "column", "front", "back", "tables", "cols", "at")
+
+    def __init__(self, ladder, q):
+        self.ladder, self.q, self.tables = ladder, q, ladder.listed[q]
+        self.column = ladder.column(q - 1, ladder.listed[q - 1])
+        self.front, self.back = ladder.levels[q][2:4]
+        self.cols = [None] * len(self.tables)
+        self.at = None  # table -> its column, once meeting needs it
 
     def __len__(self):
         return len(self.cols)
 
     def __getitem__(self, j):
-        col = self.cols[j]  # IndexError past the end stops iteration
+        col = self.cols[j]  # IndexError past the end; a slice gives a list
         if col is None:
             t = self.tables[j]
             col = self.cols[j] = self.column(self.front[t], self.back[t])
+        elif col.__class__ is list:
+            return list(map(self.__getitem__, range(len(self.cols))[j]))
         return col
 
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.cols)))
 
-def _materialize(top, budget, ladder, lazy=False):
+    def __eq__(self, other):
+        if isinstance(other, (list, _Columns)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        return list(self) + other
+
+    def __radd__(self, other):
+        return other + list(self)
+
+    def __repr__(self):
+        return repr(list(self))
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+    def meeting(self, rows):
+        """The indices of the columns with an entry at a row in rows, and
+        perhaps of others: the cofaces of the (q-1)-cubes at those rows
+        (see _Ladder.cofaces), each found as a table of level q."""
+        ladder, k = self.ladder, self.q - 1
+        if self.at is None:
+            self.at = dict(zip(self.tables, range(len(self.tables))))
+        at, below = self.at, ladder.listed[k]
+        return [at[ladder._index(k + 1, x)[y]] for x, y in ladder.cofaces(k, [below[r] for r in rows])]
+
+
+def _materialize(top, budget, ladder):
     """(keys, mats, err) for degrees 0..top, stopping short of the first
     degree over budget.
 
     keys[q] lists the q-cube keys of the one ladder given, the tuples of the
     tables of _Ladder.cubes(q) in its order: degree 0 the points, and every
     degree q >= 1 round-robin over its front faces (see _Ladder.rounds).
-    mats[q-1] is the boundary of degree q over them, built by
-    _Ladder.column; if lazy, that of the top degree listed builds each
-    column only once it is read (see _Columns).  err is the BudgetExceeded
-    that cut keys short, or None when every degree fit.
+    Every degree is listed, and counted toward the budget, before any
+    column is built.  mats[q-1] is the boundary of degree q over them, built
+    by _Ladder.column; that of the top degree listed builds each column only
+    once it is read (see _Columns).  err is the BudgetExceeded that cut keys
+    short, or None when every degree fit.
     """
     keys, err = [], None
     for q in range(top + 1):
@@ -810,20 +855,16 @@ def _materialize(top, budget, ladder, lazy=False):
         keys.append(list(map(ladder.levels[q][0].__getitem__, tables)) if tables else [])
     mats = []
     for q in range(1, len(keys)):
-        cols = []
-        if keys[q]:
-            column = ladder.column(q - 1, ladder.cubes(q - 1, budget))
-            tables, (front, back) = ladder.cubes(q, budget), ladder.levels[q][2:4]
-            cols = (_Columns(column, front, back, tables) if lazy and q == len(keys) - 1
-                    else list(map(column, map(front.__getitem__, tables),
-                                  map(back.__getitem__, tables))))
-        mats.append(SparseIntMatrix._trusted(len(keys[q - 1]), len(keys[q]), cols))
+        cols = _Columns(ladder, q) if keys[q] else []
+        mats.append(SparseIntMatrix._trusted(len(keys[q - 1]), len(keys[q]),
+                                             cols if q == len(keys) - 1 else list(cols)))
     return keys, mats, err
 
 
-def _certificate(X, m, ladder, tables):
+def _certificate(X, m, ladder, tables, found):
     """(cycles, cocycles) of degree m >= 1 when it is the c1 top degree of
     X, as dicts over the rows of the m-cubes tables; both empty otherwise.
+    found is elementary._levels(X, m + 1), or None to build it here.
 
     Cycle i is alpha(c_i), where c_1..c_t is a Z-basis of ker d_m of the c1
     complex: the pivots of a _ColumnReducer over the columns of d_m stacked
@@ -834,7 +875,7 @@ def _certificate(X, m, ladder, tables):
     onto the vertices of Q_i, and zero elsewhere.
     """
     from .elementary import _alpha_key, _boundary_columns, _levels  # elementary imports this module
-    tr, levels, rows = _levels(X, m + 1)
+    tr, levels, rows = found or _levels(X, m + 1)
     if len(levels) != m + 1:  # a c1 (m+1)-cube, or no c1 m-cube
         return [], []
     n = len(levels[m])
@@ -854,14 +895,15 @@ def _certificate(X, m, ladder, tables):
     return cycles, cocycles
 
 
-def _certified_rank(X, m, ladder, tables, column, counted, d):
+def _certified_rank(X, m, ladder, tables, column, counted, d, found):
     """t when H_m has rank at least t by the cycles and cocycles of
     _certificate, else 0: each cycle has zero boundary under the columns d
     of d_m, each cocycle is zero on the boundary of every cofaces(m) of its
     support, and the t x t pairing of cocycles and cycles is nonsingular.
     The cofaces count toward the budget of degree m+1 through counted; once
-    they run over it, nothing is certified."""
-    cycles, cocycles = _certificate(X, m, ladder, tables)
+    they run over it, nothing is certified.  found is passed on to
+    _certificate."""
+    cycles, cocycles = _certificate(X, m, ladder, tables, found)
     if not cycles or any(_apply(d, z) for z in cycles):
         return 0
     try:
@@ -914,7 +956,11 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     corners: SingularCube(q, tuple(pts[a] for a in key)) is the cube.
     Degree 0 lists the points, and every degree q >= 1 is round-robin by
     front face (see _Ladder.cubes), so its boundary saturates early; the
-    order of a degree does not depend on max_q.
+    order of a degree does not depend on max_q.  Every degree is listed,
+    and counted toward the budget, before any column is built.  The columns
+    of the top boundary d_{max_q+1} are built as they are read, and kept
+    (see _Columns): homology reads them up to saturation, and
+    verify_chain_map those at the cofaces of the rows it needs.
     """
     _check_degree_and_budget("max_q", max_q, budget)
     keys, mats, err = _materialize(max_q + 1, budget, _Ladder(X))
@@ -960,8 +1006,14 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     already made, and otherwise from a pass through degree j-2.
     """
     _check_degree_and_budget("max_q", max_q, budget)
+    return _singular_homology(X, max_q, budget)
+
+
+def _singular_homology(X, max_q, budget, found=None):
+    """singular_homology with its arguments checked; found, if given, is
+    elementary._levels(X, max_q + 1), for the certificate."""
     ladder = _Ladder(X)
-    keys, mats, err = _materialize(max_q, budget, ladder, lazy=True)
+    keys, mats, err = _materialize(max_q, budget, ladder)
     m = len(keys) - 1  # top materialized degree
     if m < 0:
         return [None] * (max_q + 1)
@@ -972,7 +1024,7 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
         tables = ladder.cubes(m, budget)
         column = ladder.column(m, tables)  # for the stream and cofaces
         counted = _counter(m + 1, budget)
-        free = m and _certified_rank(X, m, ladder, tables, column, counted, mats[-1].columns)
+        free = m and _certified_rank(X, m, ladder, tables, column, counted, mats[-1].columns, found)
         cubes = counted(ladder.rounds(m, range(len(ladder.levels[m][0]))))
 
         def finish(R):

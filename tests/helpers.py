@@ -20,6 +20,7 @@ from dighom import (
     is_continuous,
     is_degenerate,
 )
+from dighom.chain import _apply
 from dighom.singular import _counter, _Ladder, _precomposition
 
 
@@ -455,3 +456,12 @@ def chain_groups(X, complex_, q):
     """Basis labels of a complex built on X, decoded to cubes, as a list for
     readable assertions."""
     return [decode(X, q, key) for key in complex_.basis(q)]
+
+
+def chain_map_by_every_product(phi, C, D):
+    """verify_chain_map without its support test: both sides of every pair
+    of columns composed, every column of C's boundaries read."""
+    mats = [M.columns for M in phi]
+    return all(_apply(D.boundary_matrix(q).columns, a) == _apply(mats[q - 1], b)
+               for q in range(1, len(mats))
+               for a, b in zip(mats[q], C.boundary_matrix(q).columns))

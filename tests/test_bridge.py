@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from dighom import bridge
 from dighom import (
     DigitalImage,
     ElementaryCube,
@@ -78,6 +79,28 @@ def test_beta_hits_every_elementary_cube_positively():
             for Q in enumerate_elementary_cubes(X, q):
                 sigma = make_cube(Q.vertices())
                 assert beta(sigma) == (1, Q)
+
+
+def test_beta_above_the_c1_top_is_zero_without_a_key(monkeypatch):
+    # the square has no c1 3-cube: beta_3 maps into an empty basis, so no
+    # 3-cube goes through _beta_key
+    keys = []
+    beta_key = bridge._beta_key
+    monkeypatch.setattr(bridge, "_beta_key", lambda key, pts: keys.append(len(key)) or beta_key(key, pts))
+    bm = beta_matrices(helpers.square(), 2)
+    assert [(M.nrows, M.ncols) for M in bm.matrices] == [(4, 4), (4, 8), (1, 64), (0, 2432)]
+    assert sorted(set(keys)) == [1, 2, 4] and bm.matrices[3].is_zero()
+
+
+def test_the_chain_map_check_builds_the_top_columns_at_live_rows():
+    # of the 2,432 columns of d_3 of the square, the check of beta builds
+    # the 648 of the cofaces of the 8 injective 2-cubes, the live columns
+    # of beta_2, and composes only those
+    bm = beta_matrices(helpers.square(), 2)
+    d3 = bm.singular.boundaries[2].columns
+    assert sum(1 for col in bm.matrices[2].columns if col) == 8
+    assert verify_chain_map(bm.matrices, bm.singular, bm.elementary.complex)
+    assert (len(d3) - d3.cols.count(None), len(d3)) == (648, 2432)
 
 
 def test_verify_isomorphism_ring():

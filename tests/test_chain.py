@@ -1029,15 +1029,6 @@ def test_composite_checks_reach_the_last_column():
     assert not verify_chain_map(negated, CS, CE)
 
 
-def _chain_map_by_every_product(phi, C, D):
-    """verify_chain_map without its support test: both sides of every pair
-    of columns composed."""
-    mats = [M.columns for M in phi]
-    return all(chain._apply(D.boundary_matrix(q).columns, a) == chain._apply(mats[q - 1], b)
-               for q in range(1, len(mats))
-               for a, b in zip(mats[q], C.boundary_matrix(q).columns))
-
-
 def test_verify_chain_map_skips_only_pairs_zero_by_support():
     bm = beta_matrices(helpers.square(), 1)
     CS, CE = bm.singular, bm.elementary.complex
@@ -1069,7 +1060,7 @@ def test_verify_chain_map_skips_only_pairs_zero_by_support():
         j = rng.randrange(b2.ncols)
         col = rng.choice([{}, {0: rng.choice([-1, 1])}, dict(b2.columns[j])])
         phi = with_column(j, col)
-        assert verify_chain_map(phi, CS, CE) == _chain_map_by_every_product(phi, CS, CE)
+        assert verify_chain_map(phi, CS, CE) == helpers.chain_map_by_every_product(phi, CS, CE)
 
 
 def test_verify_chain_map_shape_mismatch():

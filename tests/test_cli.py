@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from dighom import cli, elementary, singular
+from dighom import bridge, cli, elementary, singular
 from dighom.cli import build_parser, main
 
 import helpers
@@ -262,6 +262,24 @@ def test_compare_json_roundtrip(run, tmp_path):
     assert doc["all_ok"] is True
     assert [c["verdict"] for c in doc["comparisons"]] == ["ok"] * 3
     assert doc["comparisons"][0]["singular"] == {"rank": 1, "torsion": []}
+
+
+@pytest.mark.parametrize("name, q", [("ring", 1), ("square", 2), ("shell", 2), ("path3", 1)])
+def test_compare_builds_the_c1_levels_once(run, tmp_path, monkeypatch, name, q):
+    # the c1 side and the certificate of the singular top degree read the
+    # levels of one build
+    calls = []
+    levels = elementary._levels
+
+    def counting(X, top=None):
+        calls.append(top)
+        return levels(X, top)
+
+    monkeypatch.setattr(elementary, "_levels", counting)
+    monkeypatch.setattr(bridge, "_levels", counting)
+    path = write_image(tmp_path, f"{name}.json", getattr(helpers, name)())
+    rc, out, _ = run(["compare", path, "--max-q", str(q)])
+    assert rc == 0 and "MISMATCH" not in out and calls == [q + 1]
 
 
 # --- classify -------------------------------------------------------------------

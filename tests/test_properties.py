@@ -235,8 +235,8 @@ def test_a_certified_top_degree_keeps_the_groups(X):
         found.clear()
         with patch.object(singular, "_certified_rank", recording), \
                 patch.object(singular, "_certificate",
-                             lambda X, m, ladder, tables, mutant=mutant:
-                             mutant(*certificate(X, m, ladder, tables), ladder, tables, m)):
+                             lambda X, m, ladder, tables, found, mutant=mutant:
+                             mutant(*certificate(X, m, ladder, tables, found), ladder, tables, m)):
             assert singular_homology(X, m) == groups
         assert found == [0]
 
@@ -560,7 +560,7 @@ def test_index_columns_are_the_boundaries_of_the_cubes(X):
     # streamed degree 3 and the cofaces of some of its rows come from table
     # indices; boundary() finds the faces of each cube from its corners
     ladder = _Ladder(X)
-    keys, mats, err = _materialize(2, DEFAULT_BUDGET, ladder, lazy=True)
+    keys, mats, err = _materialize(2, DEFAULT_BUDGET, ladder)
     assert err is None
     for q in (1, 2):
         for j, key in enumerate(keys[q]):
@@ -592,6 +592,72 @@ def test_cofaces_of_square_3_tables_are_listed_in_the_order_of_their_moves(front
     ladder = _Ladder(helpers.square())
     assert len(ladder.level(3, 3, DEFAULT_BUDGET)[0]) == 2652
     assert list(ladder.cofaces(3, fronts)) == helpers.cofaces_oracle(ladder, 3, fronts)
+
+
+def box_without(box, fewest, most):
+    """The cells of a box with fewest to most of them taken out."""
+    cells = list(product(*map(range, box)))
+    return st.sets(st.sampled_from(cells), min_size=fewest, max_size=most).map(
+        lambda out: DigitalImage(len(box), [p for p in cells if p not in out]))
+
+
+# 1D-3D images, most with edges and squares, small enough that a full scan
+# of d_3 stays cheap: at most 5,590 3-cubes
+SMALL_IMAGES = st.one_of(box_without((5,), 0, 3), box_without((3, 3), 3, 5),
+                         box_without((2, 2, 2), 2, 4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(SMALL_IMAGES, st.integers(0, 2), st.randoms(use_true_random=False))
+def test_the_columns_listed_for_rows_include_every_column_meeting_them(X, k, rnd):
+    # the lazy top boundary d_{k+1} lists, from the cofaces of the rows R,
+    # every column with an entry in R that a full scan finds, building none
+    C = build_singular_complex(X, k)
+    d = C.boundaries[k].columns
+    if not d:  # no (k+1)-cube: a plain empty list
+        return
+    n = len(C.basis(k))
+    R = set(rnd.sample(range(n), rnd.randint(0, min(n, 12))))
+    listed = d.meeting(R)
+    assert d.cols.count(None) == len(d)
+    assert len(set(listed)) == len(listed)
+    assert {j for j, col in enumerate(d) if not R.isdisjoint(col)} <= set(listed)
+    event(f"k={k}, listed {'all' if len(listed) == len(d) else 'some'} columns")
+
+
+def beta_mutant(bm, q, j, col):
+    """bm.matrices with column j of beta_q replaced by col."""
+    M = bm.matrices[q]
+    cols = list(M.columns)
+    cols[j] = col
+    return bm.matrices[:q] + (SparseIntMatrix(M.nrows, M.ncols, cols),) + bm.matrices[q + 1:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(SMALL_IMAGES, st.integers(0, 2))
+@example(helpers.square(), 1)
+@example(helpers.square(), 2)
+@example(helpers.block(), 2)
+def test_the_chain_map_check_through_cofaces_keeps_its_verdicts(X, k):
+    # beta through degree k+1, its top boundary lazy, is a chain map by the
+    # columns that verify_chain_map reads, and by every product.  A negated
+    # live column of beta_2, or a nonzero column of beta_3 on a 3-cube that
+    # beta sends to zero, makes it fail either way
+    bm = beta_matrices(X, k)
+    CS, CE = bm.singular, bm.elementary.complex
+    assert verify_chain_map(bm.matrices, CS, CE)
+    mutants = []
+    if k >= 1 and (live := [j for j, col in enumerate(bm.matrices[2].columns) if col]):
+        j = live[len(live) // 2]
+        mutants.append(beta_mutant(bm, 2, j, {i: -v for i, v in bm.matrices[2].columns[j].items()}))
+    if k == 2 and bm.matrices[3].nrows:  # a c1 3-cube: beta_3 has rows
+        j = next(j for j, col in enumerate(bm.matrices[3].columns) if not col)
+        mutants.append(beta_mutant(bm, 3, j, {0: 1}))
+    for phi in mutants:
+        assert not verify_chain_map(phi, CS, CE)
+    event(f"k={k}, {len(mutants)} mutants")
+    for phi in [bm.matrices, *mutants]:  # reads every column
+        assert helpers.chain_map_by_every_product(phi, CS, CE) == (phi is bm.matrices)
 
 
 @st.composite

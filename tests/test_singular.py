@@ -12,6 +12,7 @@ import pytest
 from dighom import (
     BudgetExceeded,
     Chain,
+    ChainComplex,
     CubeClass,
     CubeType,
     DigitalImage,
@@ -24,6 +25,7 @@ from dighom import (
     NotInjective,
     PreconditionViolated,
     SingularCube,
+    SparseIntMatrix,
     UnclassifiableCube,
     append,
     apply_operator,
@@ -51,6 +53,7 @@ from dighom import (
 from dighom.singular import (
     DEFAULT_BUDGET,
     _Ladder,
+    _boundary_column,
     _cube,
     _materialize,
     _signed_face_maps,
@@ -920,6 +923,58 @@ def test_build_singular_complex_shape():
     assert [len(C.basis(q)) for q in (0, 1, 2)] == [2, 2, 10]
     assert C.is_complex()
     assert homology_through(C, 1) == [FGAbelianGroup(1), FGAbelianGroup(0)]
+
+
+def eager_copy(C):
+    """C checked anew, each boundary a plain list of the columns that
+    _boundary_column, the path of boundary(), builds from the keys."""
+    mats = []
+    for q, M in enumerate(C.boundaries, 1):
+        rows = {key: r for r, key in enumerate(C.basis(q - 1))}
+        mats.append(SparseIntMatrix(M.nrows, M.ncols, [_boundary_column(key, rows) for key in C.basis(q)]))
+    return ChainComplex(C.bases, mats)
+
+
+def test_the_lazy_top_boundary_reads_like_a_list():
+    # d_3 of the square is built column by column as it is read; each read
+    # that a list allows gives what the eager copy gives
+    X = helpers.square()
+    C, eager = build_singular_complex(X, 2), eager_copy(build_singular_complex(X, 2))
+    d3, e3 = C.boundaries[2].columns, eager.boundaries[2].columns
+    assert type(e3) is list and type(d3) is not list and len(d3) == len(e3) == 2432
+    assert d3[-1] == e3[-1] and d3[-2432] == e3[0] and d3[7] == e3[7]
+    assert len(d3) - d3.cols.count(None) == 3  # only the columns read are built
+    for s in (slice(None, 5), slice(-3, None), slice(10, 2), slice(None, None, 97), slice(-1, 3, -7)):
+        assert d3[s] == e3[s]
+    for j in (2432, -2433):
+        with pytest.raises(IndexError):
+            d3[j]
+    last = {**e3[-1], 0: 1}
+    assert d3[:-1] + [last] == e3[:-1] + [last]
+    assert d3 + [last] == e3 + [last] and [last] + d3 == [last] + e3
+    assert list(d3) == e3 and d3 == e3 and e3 == d3 and d3 != e3[:-1] and d3 != tuple(e3)
+    assert e3[5] in d3 and list(reversed(d3)) == e3[::-1]
+    assert repr(d3) == repr(e3) and repr(C.boundaries[2]) == repr(eager.boundaries[2])
+    assert C.boundaries[2] == eager.boundaries[2] and C == eager and eager == C
+
+
+def test_a_pickled_singular_complex_has_plain_list_columns():
+    C = build_singular_complex(helpers.square(), 2)
+    loaded = pickle.loads(pickle.dumps(C))
+    assert [type(M.columns) for M in loaded.boundaries] == [list] * 3
+    assert loaded == C == eager_copy(C)
+    assert homology_through(loaded, 2) == homology_through(C, 2)
+
+
+def test_beta_matrices_read_like_an_eager_copy():
+    # the singular complex of beta_matrices compares equal to the eager
+    # copy, and its beta_3 maps into the empty basis of the c1 degree 3
+    X = helpers.square()
+    bm = beta_matrices(X, 2)
+    assert bm.singular == eager_copy(build_singular_complex(X, 2))
+    assert bm.matrices[3] == SparseIntMatrix.zeros(0, 2432)
+    d3 = bm.singular.boundaries[2].columns
+    assert d3[:-1] + [d3[-1]] == list(d3) and bm.singular.is_complex()
 
 
 def test_streaming_agrees_with_materialized():
