@@ -60,11 +60,15 @@ def beta_matrices(X, max_q, budget=DEFAULT_BUDGET):
     """Matrices of beta for degrees 0..max_q+1 over the keys of both
     complexes.  A degree with no c1 cube gets zero columns, and no key of it
     is evaluated."""
-    sing = build_singular_complex(X, max_q, budget)
-    elem = build_c1_complex(X)
+    return _beta_matrices(X, build_singular_complex(X, max_q, budget), build_c1_complex(X))
+
+
+def _beta_matrices(X, sing, elem):
+    """beta_matrices over sing, the singular complex of X through some
+    degree, and elem, the C1Complex of X in every degree."""
     pts = X.sorted_points
     mats = []
-    for q in range(max_q + 2):
+    for q in range(len(sing.bases)):
         if yindex := elem.complex.index(q):
             cols = [{} if (b := _beta_key(key, pts)) is None else {yindex[b[1]]: b[0]}
                     for key in sing.basis(q)]

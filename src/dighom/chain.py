@@ -400,16 +400,22 @@ class SNFResult:
 def smith_normal_form(M, ncols=None):
     """Certified Smith normal form of a dense or sparse integer matrix.
 
-    Accepts a SparseIntMatrix or dense rows, read by
-    SparseIntMatrix.from_dense(M, ncols=ncols): ncols, if given, is the
-    length of every row and the column count of a matrix with no rows.
+    Accepts a SparseIntMatrix or dense rows, checked in place as
+    SparseIntMatrix.from_dense(M, ncols=ncols) checks them, with its errors:
+    ncols, if given, is the length of every row and the column count of a
+    matrix with no rows.
     Returns SNFResult with U*M*V == S rechecked against the original input;
     a failed recheck raises RuntimeError rather than returning silently.
     """
-    if not isinstance(M, SparseIntMatrix):
-        M = SparseIntMatrix.from_dense(M, ncols=ncols)
-    orig = M.to_dense()
-    m, n = M.nrows, M.ncols
+    if isinstance(M, SparseIntMatrix):
+        orig, n = M.to_dense(), M.ncols
+    else:
+        orig = [list(r) for r in M]
+        n = ncols if ncols is not None else len(orig[0]) if orig else 0
+        if (type(n) is not int or n < 0 or any(len(r) != n for r in orig)
+                or not all(type(v) is int for r in orig for v in r)):
+            SparseIntMatrix.from_dense(orig, ncols=ncols)  # raises its error
+    m = len(orig)
     S = [row[:] for row in orig]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -18,9 +18,10 @@ import json
 import random
 import sys
 
-from .bridge import beta, beta_matrices, verify_isomorphism
+from . import elementary  # its _levels is looked up at call time
+from .bridge import _beta_matrices, beta, verify_isomorphism
 from .chain import homology_through, rank_and_invariant_factors, smith_normal_form, verify_chain_map
-from .elementary import _induced_maps, build_c1_complex, dimension, relative_c1_complex
+from .elementary import _c1_complex, _induced_maps, build_c1_complex, relative_c1_complex
 from .errors import (
     BudgetExceeded,
     DighomError,
@@ -39,9 +40,11 @@ from .image import (
 )
 from .singular import (
     DEFAULT_BUDGET,
+    _enumerate,
+    _Ladder,
+    _singular_complex,
     classify,
     degree_of_injectivity,
-    enumerate_singular_cubes,
     flip,
     is_injective,
     rotate,
@@ -173,12 +176,13 @@ def cmd_compare(args):
 
 def cmd_classify(args):
     X = load_image(args.image)
+    ladder = _Ladder(X)
     rows = []
     bad = []
     for q in range(2, args.max_q + 1):
         counts = {1: 0, 2: 0, 3: 0}
         total = 0
-        for s in enumerate_singular_cubes(X, q, args.budget):
+        for s in _enumerate(X, q, args.budget, ladder):
             if degree_of_injectivity(s) != q - 1:
                 continue
             total += 1
@@ -207,13 +211,12 @@ def cmd_induced(args):
     X = load_image(args.domain)
     Y = load_image(args.codomain)
     f = load_point_map(args.map, X, Y)
-    if args.max_q is not None:
-        top = args.max_q
-    else:
-        top = dimension(X) if len(X) else 0
-    mats = _induced_maps(f, range(top + 1))
-    CX = build_c1_complex(X, top).complex
-    CY = build_c1_complex(Y, top).complex
+    xfound = elementary._levels(X, args.max_q)  # by default every degree, to the dimension of X
+    top = len(xfound[1]) - 1 if args.max_q is None else args.max_q
+    yfound = elementary._levels(Y, top)
+    mats = _induced_maps(f, range(top + 1), xfound, yfound)
+    CX = _c1_complex(X, xfound).complex
+    CY = _c1_complex(Y, yfound).complex
     ok = verify_chain_map(mats, CX, CY)
     lines = []
     rows_json = []
@@ -230,14 +233,23 @@ def cmd_induced(args):
 # --- verify suites ----------------------------------------------------------
 
 class _Fixtures(dict):
-    """The fixture images of one verify run by name; fx[name, q] lists the
-    singular q-cubes of one, the first time a suite of the run asks, for
-    the later suites of that run to share.  Nothing is kept between runs."""
+    """The fixture images of one verify run by name.  fx[name, "ladder"] is
+    the _Ladder of one, fx[name, "levels"] its c1 levels in every degree,
+    and fx[name, q] lists its singular q-cubes in lex order from level q of
+    that ladder.  Each is made the first time a suite of the run asks, for
+    the later suites of that run to share, and goes when the run ends."""
 
     def __missing__(self, key):
         name, q = key
-        cubes = self[key] = enumerate_singular_cubes(self[name], q)
-        return cubes
+        X = self[name]
+        if q == "ladder":
+            made = _Ladder(X)
+        elif q == "levels":
+            made = elementary._levels(X)
+        else:
+            made = _enumerate(X, q, DEFAULT_BUDGET, self[name, "ladder"])
+        self[key] = made
+        return made
 
 
 def _fixtures():
@@ -369,9 +381,10 @@ def _suite_signs(rng, fx):
 
 def _suite_chainmap(rng, fx):
     for name in ("edge", "tall_edge", "path3", "square", "ring"):
-        X = fx[name]
-        top = dimension(X)
-        bm = beta_matrices(X, top)
+        X, found = fx[name], fx[name, "levels"]
+        top = len(found[1]) - 1  # dimension(X)
+        sing = _singular_complex(top, DEFAULT_BUDGET, fx[name, "ladder"])
+        bm = _beta_matrices(X, sing, _c1_complex(X, found))
         if not verify_chain_map(bm.matrices, bm.singular, bm.elementary.complex):
             return False, f"chain map failed on {name}"
     return True, "5 fixtures"
@@ -390,21 +403,21 @@ def _suite_classify(rng, fx):
 
 
 def _suite_functorial(rng, fx):
-    pairs = [(fx["square"], fx["ring"]), (fx["ring"], fx["square"]),
-             (fx["path3"], fx["square"]), (fx["square"], fx["square"])]
+    # the fixtures have no c1 3-cube: their levels in every degree are
+    # those through degree 2
+    degrees = range(3)
     done = 0
-    for X, Y in pairs:
+    for a, b in (("square", "ring"), ("ring", "square"), ("path3", "square"), ("square", "square")):
+        X, Y, xfound, yfound = fx[a], fx[b], fx[a, "levels"], fx[b, "levels"]
+        CX, CY = _c1_complex(X, xfound).complex, _c1_complex(Y, yfound).complex
         for _ in range(2):
             f = random_continuous_map(X, Y, rng)
             g = random_continuous_map(Y, X, rng)
-            top = 2
-            mf = _induced_maps(f, range(top + 1))
-            mg = _induced_maps(g, range(top + 1))
-            CX = build_c1_complex(X, top).complex
-            CY = build_c1_complex(Y, top).complex
+            mf = _induced_maps(f, degrees, xfound, yfound)
+            mg = _induced_maps(g, degrees, yfound, xfound)
             if not verify_chain_map(mf, CX, CY) or not verify_chain_map(mg, CY, CX):
                 return False, "induced matrices are not a chain map"
-            for q, mgf in enumerate(_induced_maps(compose(g, f), range(top + 1))):
+            for q, mgf in enumerate(_induced_maps(compose(g, f), degrees, xfound, xfound)):
                 if mgf != mg[q] @ mf[q]:
                     return False, "composition law failed"
             done += 2

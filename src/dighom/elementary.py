@@ -313,14 +313,16 @@ def induced_map(f, q):
     return _induced_maps(f, (q,))[0]
 
 
-def _induced_maps(f, degrees):
+def _induced_maps(f, degrees, xfound=None, yfound=None):
     """[induced_map(f, q) for q in degrees], with f checked once and the c1
-    levels of its domain and codomain built once each."""
+    levels of its domain and codomain built once each, unless they are
+    given: xfound and yfound are _levels of each through the top degree or
+    further."""
     if not is_continuous(f):
         raise NotContinuous("map is not continuous")
     top = max(0, *map(_degree, degrees))
-    tr, xlevels, _ = _levels(f.domain, top)
-    _, ylevels, yrows = _levels(f.codomain, top)
+    tr, xlevels, _ = xfound or _levels(f.domain, top)
+    _, ylevels, yrows = yfound or _levels(f.codomain, top)
     xpts, ypts = f.domain.sorted_points, f.codomain.sorted_points
     at = {p: i for i, p in enumerate(ypts)}
     mats = []

@@ -53,7 +53,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, compress, islice, permutations, repeat, starmap
+from itertools import chain, combinations, compress, islice, permutations, repeat, starmap
 from math import prod
 from operator import itemgetter, not_
 
@@ -560,26 +560,33 @@ class _Ladder:
 
     def level(self, k, q, budget):
         """Level k, building the levels up to it.  A level is sized before it
-        is stored: unless its chunk lengths show that it has at most budget
-        tables, its nondegenerate tables are counted, and more than budget
-        raise BudgetExceeded for degree q with nothing of the level stored.
-        Level 0, the points, is stored from the start, and for degree 0 more
-        than budget points raise BudgetExceeded."""
+        is stored: the partners of its fronts are collected, in one pass,
+        until their chunk lengths pass budget; then its nondegenerate tables
+        are counted, and more than budget raise BudgetExceeded for degree q
+        with nothing of the level stored.  Level 0, the points, is stored
+        from the start, and for degree 0 more than budget points raise
+        BudgetExceeded."""
         if not q and len(self.levels[0][0]) > budget:
             raise BudgetExceeded(q, budget)
         while len(self.levels) <= k:
             j = len(self.levels) - 1
             keys, masks = self.levels[j][:2]
-            xs = range(len(keys))
-            if any(n > budget for n in accumulate(
-                    len(c) for x in xs for _, c in self._partners(j, x))):
-                nondeg = (y for x in xs for lo, c in self._partners(j, x) for y in c
-                          if y + lo != x and not masks[y + lo] & masks[x])
+            partners, size = [], 0
+            for x in range(len(keys)):
+                if size > budget:
+                    break
+                partners.append(p := self._partners(j, x))
+                size += sum(len(c) for _, c in p)
+            if size > budget:  # the fronts past those collected are counted, not kept
+                todo = range(len(partners), len(keys))
+                nondeg = (y for x, p in enumerate(chain(partners, map(self._partners, repeat(j), todo)))
+                          for lo, c in p for y in c if y + lo != x and not masks[y + lo] & masks[x])
                 if next(islice(nondeg, budget, None), None) is not None:
                     raise BudgetExceeded(q, budget)
+                partners += map(self._partners, repeat(j), todo)
             new = nkeys, nmasks, nfront, nback, nstart = [], [], [], [], [0]
             for x, key in enumerate(keys):
-                for lo, chunk in self._partners(j, x):
+                for lo, chunk in partners[x]:
                     for y in chunk:
                         y += lo
                         nkeys.append(key + keys[y])
@@ -940,7 +947,12 @@ def enumerate_singular_cubes(X, q, budget=DEFAULT_BUDGET):
     level is built.
     """
     _check_degree_and_budget("q", q, budget)
-    ladder = _Ladder(X)
+    return _enumerate(X, q, budget, _Ladder(X))
+
+
+def _enumerate(X, q, budget, ladder):
+    """enumerate_singular_cubes with its arguments checked, from level q of
+    ladder, a _Ladder of X."""
     if q and not ladder.edges:
         return []
     pts = X.sorted_points
@@ -963,7 +975,13 @@ def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
     verify_chain_map those at the cofaces of the rows it needs.
     """
     _check_degree_and_budget("max_q", max_q, budget)
-    keys, mats, err = _materialize(max_q + 1, budget, _Ladder(X))
+    return _singular_complex(max_q, budget, _Ladder(X))
+
+
+def _singular_complex(max_q, budget, ladder):
+    """build_singular_complex with its arguments checked, over ladder, a
+    _Ladder of the image."""
+    keys, mats, err = _materialize(max_q + 1, budget, ladder)
     if err is not None:
         raise err
     return ChainComplex._trusted(keys, mats)

@@ -249,6 +249,35 @@ def test_snf_refuses_ragged_rows(rows, ncols):
         smith_normal_form(rows, ncols=ncols)
 
 
+def test_dense_snf_input_gives_the_result_of_the_same_sparse_matrix():
+    # dense rows are checked in place, not turned into a SparseIntMatrix
+    rng = random.Random(36)
+    for _ in range(200):
+        nr, nc = rng.randint(0, 5), rng.randint(0, 5)
+        M = random_dense(rng, nr, nc)
+        rows = [row[:] for row in M]
+        want = smith_normal_form(SparseIntMatrix.from_dense(M, ncols=nc))
+        assert smith_normal_form(rows, ncols=nc) == want
+        assert smith_normal_form((tuple(r) for r in M), ncols=nc) == want
+        assert rows == M  # the input is left as it was
+
+
+@pytest.mark.parametrize("rows, ncols, message", [
+    ([[1, 2], [3]], None, "ragged rows"),
+    ([[1, 2]], 3, "ragged rows"),
+    ([[1, 2.0]], None, "matrix entry 2.0 is not an int"),
+    ([[0, True]], None, "matrix entry True is not an int"),
+    ([[None]], None, "matrix entry None is not an int"),
+    ([], -1, "matrix dimensions 0x-1 must be nonnegative ints"),
+    ([[1]], 1.0, "matrix dimensions 1x1.0 must be nonnegative ints"),
+])
+def test_dense_snf_input_is_refused_with_the_errors_of_from_dense(rows, ncols, message):
+    for check in (SparseIntMatrix.from_dense, smith_normal_form):
+        with pytest.raises(ValueError) as ei:
+            check(rows, ncols=ncols)
+        assert str(ei.value) == message
+
+
 def test_snf_matches_minors_oracle_small():
     rng = random.Random(17)
     for _ in range(60):

@@ -301,6 +301,16 @@ def test_classify_square_q3_sees_all_types(run, tmp_path):
     )
 
 
+def test_classify_lists_every_degree_from_one_ladder(run, tmp_path, monkeypatch):
+    made = []
+    ladder = cli._Ladder
+    monkeypatch.setattr(cli, "_Ladder", lambda X: made.append(X) or ladder(X))
+    path = write_image(tmp_path, "square.json", helpers.square())
+    rc, out, _ = run(["classify", path, "--max-q", "3"])
+    assert rc == 0 and out.endswith("q=3: total=648 Type1=24 Type2=576 Type3=48\n")
+    assert len(made) == 1
+
+
 def test_classify_json(run, tmp_path):
     path = write_image(tmp_path, "edge.json", helpers.edge())
     rc, out, _ = run(["classify", path, "--format", "json"])
@@ -398,25 +408,35 @@ def counting_levels(monkeypatch):
 
 
 def test_induced_builds_the_levels_of_each_image_once(run, tmp_path, monkeypatch):
-    # the quarter turn of the ring to degree 2: the induced matrices of the
-    # three degrees build the levels of the domain and the codomain once,
-    # and the two c1 complexes of the chain-map check build their own
+    # the quarter turn of the ring to degree 2: the levels of the domain and
+    # the codomain are built once each, for the induced matrices of the
+    # three degrees and the two c1 complexes of the chain-map check
     ring = helpers.ring()
     path = write_image(tmp_path, "ring.txt", ring, as_text=True)
     mp = write_map(tmp_path, "rot.json", [[[x, y], [2 - y, x]] for x, y in ring.sorted_points])
     calls = counting_levels(monkeypatch)
     rc, out, _ = run(["induced", path, path, mp, "--max-q", "2"])
     assert rc == 0 and out.endswith("chain map: OK\n")
-    assert len(calls) == 4
+    assert len(calls) == 2
+    # by default the top degree is the dimension of the domain, read from
+    # the levels of the domain themselves
+    calls.clear()
+    rc, out, _ = run(["induced", path, path, mp])
+    assert rc == 0 and out.startswith("q=0: 8x8\n") and "q=2" not in out
+    assert out.endswith("chain map: OK\n") and len(calls) == 2
 
 
-def test_functorial_suite_builds_the_levels_of_each_image_once_per_map(run, monkeypatch):
+def test_functorial_suite_builds_the_levels_of_each_image_once_per_run(run, monkeypatch):
     # 8 rounds of the suite each take f, g, g after f and the two c1
-    # complexes: one _levels call per image of each
+    # complexes, all over the levels of the run's square, ring and path3,
+    # built once per run
     calls = counting_levels(monkeypatch)
-    rc, out, _ = run(["verify", "functorial", "--seed", "1"])
-    assert (rc, out) == (0, "functorial: ok (16 random maps)\n")
-    assert len(calls) == 64
+    fixtures = [helpers.square(), helpers.ring(), helpers.path3()]
+    for _ in range(2):
+        calls.clear()
+        rc, out, _ = run(["verify", "functorial", "--seed", "1"])
+        assert (rc, out) == (0, "functorial: ok (16 random maps)\n")
+        assert sorted(X.sorted_points for X in calls) == sorted(X.sorted_points for X in fixtures)
 
 
 # --- verify ---------------------------------------------------------------------
@@ -455,18 +475,21 @@ def test_verify_is_deterministic(run):
 
 
 def test_verify_lists_each_fixture_degree_once_per_run(run, monkeypatch):
-    # the suites of one run share each listing of singular cubes; a later
-    # run lists them again, and each suite reports as it does alone
-    listed = []
-    enumerate_cubes = cli.enumerate_singular_cubes
+    # the suites of one run share each listing of singular cubes and the
+    # one ladder of each fixture they come from; a later run makes them
+    # again, and each suite reports as it does alone
+    listed, made = [], []
+    enumerate_cubes, ladder = cli._enumerate, cli._Ladder
 
     def recording(X, q, *rest):
         listed.append((X.sorted_points, q))
         return enumerate_cubes(X, q, *rest)
 
-    monkeypatch.setattr(cli, "enumerate_singular_cubes", recording)
+    monkeypatch.setattr(cli, "_enumerate", recording)
+    monkeypatch.setattr(cli, "_Ladder", lambda X: made.append(X.sorted_points) or ladder(X))
     fixtures = {"edge": helpers.edge(), "square": helpers.square(),
-                "tall_edge": helpers.tall_edge(), "ring": helpers.ring()}
+                "tall_edge": helpers.tall_edge(), "ring": helpers.ring(),
+                "path3": helpers.path3()}
     expected = {(fixtures[name].sorted_points, q)
                 for names, qs in ((("edge", "square"), (1, 2, 3)),
                                   (("tall_edge", "ring"), (1, 2)))
@@ -474,9 +497,11 @@ def test_verify_lists_each_fixture_degree_once_per_run(run, monkeypatch):
     for seed in ("1", "2", "3"):
         for fmt in ("text", "json"):
             listed.clear()
+            made.clear()
             rc, out, err = run(["verify", "--seed", seed, "--format", fmt])
             assert (rc, err) == (0, "")
             assert len(listed) == len(set(listed)) and set(listed) == expected
+            assert sorted(made) == sorted(X.sorted_points for X in fixtures.values())
             alone = [run(["verify", name, "--seed", seed, "--format", fmt])
                      for name in sorted(cli._SUITES)]
             assert all((rc1, err1) == (0, "") for rc1, _, err1 in alone)

@@ -802,6 +802,24 @@ def test_a_level_over_budget_is_refused_before_it_is_stored():
     assert peak < 2_000_000  # 20,000 tables of 32 corners take over 6 MB
 
 
+@pytest.mark.parametrize("image, k", [("edge", 4), ("square", 3), ("ring", 2), ("shell", 2)])
+def test_a_level_takes_the_partners_of_each_table_below_once(monkeypatch, image, k):
+    # sizing a level and building it read one pass of partners; a budget
+    # below its table count, at its count of nondegenerate tables, counts
+    # them and builds the same level
+    X = getattr(helpers, image)()
+    ladder = _Ladder(X)
+    ladder.level(k - 1, k - 1, DEFAULT_BUDGET)
+    partners, seen = ladder._partners, []
+    monkeypatch.setattr(ladder, "_partners", lambda j, x: seen.append((j, x)) or partners(j, x))
+    level = ladder.level(k, k, DEFAULT_BUDGET)
+    assert seen == [(k - 1, x) for x in range(len(ladder.levels[k - 1][0]))]
+    assert level[0] == sorted(level[0])
+    nondeg = level[1].count(0)
+    assert nondeg < len(level[0])
+    assert _Ladder(X).level(k, k, nondeg)[:5] == level[:5]
+
+
 def test_a_level_fits_a_budget_of_its_nondegenerate_tables():
     # the square's level 3 has 2,652 tables, 2,432 of them nondegenerate
     assert len(_Ladder(helpers.square()).level(3, 3, 2432)[0]) == 2652
