@@ -51,50 +51,39 @@ one above (the "twist" of Chen and Kerber): it skips the columns at the
 unit pivot rows of d_{q+1}, which would only reduce to zero.
 
 A stream that cannot saturate (H_top != 0) reduces most of its columns to
-zero, each through a cascade of pivot steps, until the witness rows below
-replace that reduction.  Given a certified lower bound t on the rank of
-H_top, it stops instead at rank dim ker d_top - t with unit pivots: its span
-then has the rank of im d_{top+1}, which is at most that, and is a direct
-summand, so it is all of im d_{top+1}.
+zero, each through a cascade of pivot steps.  Once the pivots of d_{top+1}
+are all units, with span S of rank r, a cheaper test replaces most of that
+reduction.  Let t = dim ker d_top - r and N the nonpivot rows; the witness
+rows J are the t indices k in N whose column d_top[k] depends on those at
+earlier indices in N.  The residual of a cycle c is the one vector in c + S,
+over Q, that is zero at every pivot row; at j it is l_j(c) = c[j] - sum
+y_r[j] c[r] over the pivot rows r, where y_r[j] = p_r[j] - sum y_s[j] p_r[s]
+over the pivot rows s < r, a triangular solve against the pivots as they
+stand, from the lowest pivot row up.  l_j depends on S and the pivot rows
+alone, so on interreduced pivots, where y_r[j] = p_r[j], it is the same row;
+the solve changes no pivot.  A later cycle c lies in S exactly when l_j(c) =
+0 for each j in J, which costs t lookups per entry of c instead of a
+cascade.  The test is exact: the residual is a cycle that is zero at every
+pivot row, the cycles supported on N have dimension t, and the columns of
+d_top at N minus J are independent, so such a cycle that is zero at J is
+zero; and S, with unit pivots, is saturated, so a column in S over Q is in S
+over Z.  Saturation is the case t = 0, J empty.  A column with a nonzero
+residual becomes a new pivot, and J is chosen again later.  Like saturation,
+the test takes the columns to be cycles; a pivot that is not one can leave
+more than t witness rows, which raises RuntimeError.  Choosing J reads the
+pivots once, about as much as reducing r columns, and reduces the n - r
+columns of d_top at the nonpivot rows, n the columns of d_top, about as much
+as n pivot steps; _reduce pays for it only once the cascades since the last
+new pivot have cost as much as one of these, as in ski rental.
 
-Once the pivots of d_{top+1} are all units, with span S of rank r, a
-cheaper test replaces most of that reduction.  Let t = dim ker d_top - r and
-N the nonpivot rows; the witness rows J are the t indices k in N whose
-column d_top[k] depends on those at earlier indices in N.  The residual of a
-cycle c is the one vector in c + S, over Q, that is zero at every pivot row;
-at j it is l_j(c) = c[j] - sum y_r[j] c[r] over the pivot rows r, where
-y_r[j] = p_r[j] - sum y_s[j] p_r[s] over the pivot rows s < r, a triangular
-solve against the pivots as they stand, from the lowest pivot row up.  l_j
-depends on S and the pivot rows alone, so on interreduced pivots, where
-y_r[j] = p_r[j], it is the same row; the solve changes no pivot.  A later
-cycle c lies in S exactly when l_j(c) = 0 for each j in J, which costs t
-lookups per entry of c instead of a cascade.  The test is exact: the
-residual is a cycle that is zero at every pivot row, the cycles supported on
-N have dimension t, and the columns of d_top at N minus J are independent,
-so such a cycle that is zero at J is zero; and S, with unit pivots, is
-saturated, so a column in S over Q is in S over Z.  Saturation is the case
-t = 0, J empty.  A column with a nonzero residual becomes a new pivot, and
-J is chosen again, by the rules below.  Like saturation, the test takes the
-streamed columns to be cycles; a pivot that is not one can leave more than
-t witness rows, which raises RuntimeError.
-
-While every pivot is a unit, J is chosen once the slow zero columns since
-the last new pivot, those that took more pivot steps than they had entries,
-outnumber the rank or have taken more steps beyond their entries than d_top
-has columns, n.  Choosing J reads the pivots once, about as much as
-reducing r columns, and reduces the n - r columns of d_top at the nonpivot
-rows, about as much as n such steps; it is paid only once the cascades have
-cost as much as one of these, as in ski rental.
-
-The witness rows also finish a stream that cannot saturate, after the
-implicit coboundary of Ripser (Bauer).  Once J is first chosen, let R be
-the rows of the residuals: J and every pivot row r with y_r[j] != 0 for
-some j in J.  A cycle outside S has l_j(c) != 0 for some j in J, so an
-entry at j or at some such r: it has an entry in R.  S only grows, so a
-later column outside the final span has an entry in R too.  The rest of the
-stream is left unread, and the caller's cofaces(R), every column of that
-degree with an entry in R, is reduced instead: the span, and so the result,
-is that of the whole stream.
+The witness rows also finish a stream, after the implicit coboundary of
+Ripser (Bauer).  Once J is first chosen, let R be the rows of the
+residuals: J and every pivot row r with y_r[j] != 0 for some j in J.  A
+cycle outside S has l_j(c) != 0 for some j in J, so an entry at j or at
+some such r: it has an entry in R.  S only grows, so a later column outside
+the final span has an entry in R too.  So the rest of the stream may be
+left unread, and every column of that degree with an entry in R reduced
+instead: the span, and so the result, is that of the whole stream.
 
 Composites (``is_complex``, ``verify_chain_map``) are checked column by
 column with ``_apply``, the one matrix-times-column product, up to the first
@@ -104,9 +93,8 @@ checks every pair of columns, but a pair zero on both sides by its support
 library its column is never built.  Homology calls
 ``is_complex`` only on complexes built by the caller.  On one the library
 built (``ChainComplex._trusted``), each stored column of d_q, q >= 2, that a
-reduction reads is checked to have d_{q-1} c = 0 as it is read, and a
-streamed one is sampled; so d∘d != 0 on a column that no reduction reads
-goes unnoticed there.
+reduction reads is checked to have d_{q-1} c = 0 as it is read (``_cycles``);
+so d∘d != 0 on a column that no reduction reads goes unnoticed there.
 
 Matrix entries are checked once, where they enter, by ``_check_column``: a
 row index is an int in 0..nrows-1 and an entry an int.  The reducer reads
@@ -118,7 +106,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import BudgetExceeded, NotAComplex, NotSubcomplex, ShapeMismatch
+from .errors import NotAComplex, NotSubcomplex, ShapeMismatch
 
 __all__ = [
     "xgcd",
@@ -553,30 +541,21 @@ class _ColumnReducer:
     saturated sublattice cannot grow further inside a lattice of the same
     rank.
 
-    A stream whose span stops growing (it cannot saturate while the homology
-    it computes is nonzero) reduces each later column to zero, often through
-    a cascade: each pivot subtracted brings in entries at other pivot rows.
-    A zero column that took more steps than it had entries is a slow one.
-    Given the columns d of d_top and saturation = dim ker d_top, a reducer
-    of cycles of d_top chooses witness rows (see the module docstring) while
-    every pivot is a unit, once more than rank slow columns have come since
-    the last new pivot, or once they have taken more pivot steps beyond
-    their entries than d has columns.  The choice reads the pivots once and
-    reduces the columns of d at the nonpivot rows, and it solves each
-    witness row against the pivots as they stand, which changes none of
-    them.  Until the next new pivot, spans(col) tells from the witness rows
-    alone whether col is in the span.
+    A zero column that took more pivot steps than it had entries is a slow
+    one; slow and work count those since the last new pivot and their steps
+    beyond their entries.  _choose_witness(d, saturation) solves the witness
+    rows of the module docstring against the pivots as they stand, and
+    until the next new pivot spans(col) tells from them alone whether col
+    is in the span.
     """
 
-    __slots__ = ("pivots", "nonunit", "slow", "work", "d", "saturation", "witness")
+    __slots__ = ("pivots", "nonunit", "slow", "work", "witness")
 
-    def __init__(self, d=None, saturation=None):
+    def __init__(self):
         self.pivots = {}  # pivot row -> column dict
         self.nonunit = 0
         self.slow = 0  # slow zero columns since the last pivot
         self.work = 0  # their pivot steps beyond their entries, since the last pivot
-        self.d = d  # columns of d_top, when every added column is a cycle of it
-        self.saturation = saturation  # dim ker d_top
         self.witness = None  # witness rows J while the pivots are as when chosen
 
     @property
@@ -633,10 +612,6 @@ class _ColumnReducer:
         if steps > 0:
             self.slow += 1
             self.work += steps
-            d = self.d
-            if (d is not None and not self.nonunit and self.witness is None
-                    and (self.slow > len(pivots) or self.work > len(d))):
-                self._choose_witness()
         return False
 
     def _interreduce(self):
@@ -660,15 +635,16 @@ class _ColumnReducer:
                     else:
                         col.pop(i, None)
 
-    def _choose_witness(self):
-        """The t = saturation - rank nonpivot rows j whose column d[j]
-        depends on those at earlier nonpivot rows, each with its residual as
-        a row, solved against the pivots as they stand from the lowest pivot
-        row up; a pivot that is not a cycle can leave more than t of them."""
-        pivots, d = self.pivots, self.d
+    def _choose_witness(self, d, saturation):
+        """The t = saturation - rank nonpivot rows j whose column d[j] of
+        d_top depends on those at earlier nonpivot rows, saturation = dim ker
+        d_top, each with its residual as a row, solved against the pivots as
+        they stand from the lowest pivot row up; a pivot that is not a cycle
+        can leave more than t of them."""
+        pivots = self.pivots
         red = _ColumnReducer()
         J = [k for k in range(len(d)) if k not in pivots and not red.add(d[k])]
-        if len(J) != self.saturation - len(pivots):
+        if len(J) != saturation - len(pivots):
             raise RuntimeError("witness rows do not match ker d_top: a pivot is not a cycle")
         # j -> its residual as a row: c[j] - sum of y_r[j] * c[r] over the
         # pivot rows r, where y_r[j] = p_r[j] - sum of y_s[j] * p_r[s] over
@@ -807,20 +783,24 @@ class _SpanningForest:
 def _reduce(columns, saturation=None, d=None, cofaces=None):
     """A _ColumnReducer fed the columns, checked or built by the library and
     read as they are; it stops, leaving the rest unread, once its rank is
-    saturation with unit pivots.  Given d, the columns of d_top whose cycles
-    the columns are and saturation = dim ker d_top, a column that the witness
-    rows show to lie in the span skips add().  Given also cofaces, the first
-    time witness rows are chosen the rest of the columns is left unread and
+    saturation with unit pivots.
+
+    Given d, the columns of d_top whose cycles the columns are, and
+    saturation = dim ker d_top, witness rows (see the module docstring) are
+    chosen right after a slow zero column, while every pivot is a unit, once
+    the slow columns since the last new pivot outnumber the rank or their
+    pivot steps beyond their entries outnumber the columns of d; a column
+    that they show to lie in the span skips add().  Given also cofaces, the
+    first time they are chosen the rest of the columns is left unread and
     cofaces(R) is read instead, R the rows of the residuals: it must give
-    every later column with an entry at a row in R, and may give more (see
-    the module docstring).
+    every later column with an entry at a row in R, and may give more.
 
     Signed incidence columns go to a _SpanningForest first, which is
     returned once they are all read and all such, or once its rank is
     saturation.  At the first other column the reducer takes over, fed the
     forest's pivots, which span what was read, and then that column and the
     rest."""
-    red = _ColumnReducer(d, saturation)
+    red = _ColumnReducer()
     columns = iter(columns)
     forest = _SpanningForest()
     if (col := forest.absorb(columns, saturation)) is None:
@@ -829,11 +809,15 @@ def _reduce(columns, saturation=None, d=None, cofaces=None):
         red.add(p)
     while col is not None:
         if not red.spans(col):
+            slow = red.slow
             red.add(col)
+            if (d is not None and red.slow > slow and not red.nonunit and red.witness is None
+                    and (red.slow > red.rank or red.work > len(d))):
+                red._choose_witness(d, saturation)
+                if red.witness and cofaces is not None:
+                    columns, cofaces = iter(cofaces(set().union(*red.witness.values()))), None
             if red.rank == saturation and not red.nonunit:
                 break
-            if red.witness and cofaces is not None:
-                columns, cofaces = iter(cofaces(set().union(*red.witness.values()))), None
         col = next(columns, None)
     return red
 
@@ -960,18 +944,13 @@ def _cycles(columns, d, sampled=False):
         yield col
 
 
-def _homology(C, lo, top, columns_in=None, cofaces=None, free=0):
-    """[H_lo, ..., H_top] of C in one pass from the top degree down, with the
-    columns of d_{top+1} read from columns_in if given: a lazy stream of a
-    degree beyond C, rows as in C.basis(top), sampled to be cycles.  If
-    given, cofaces(R) gives the columns of that degree with an entry at a
-    row in R, sampled in the same way, to finish a stream that does not
-    saturate.  A free > 0 is a certified lower bound on the rank of H_top,
-    given without cofaces: the stream then stops at rank dim ker d_top -
-    free with unit pivots, without witness rows, and is otherwise read in
-    full.  If the stream or its cofaces raise BudgetExceeded, H_top comes
-    back as None, and the groups below it from the reductions of the
-    boundaries below, as they stand.
+def _homology(C, lo, top, stream=None):
+    """[H_lo, ..., H_top] of C in one pass from the top degree down.  Given
+    stream, the reduction of d_{top+1} is stream(saturation, d), d the
+    columns of d_top and saturation = dim ker d_top: the reducer of a degree
+    beyond C, rows as in C.basis(top), or None when H_top cannot be had,
+    which then comes back as None, and the groups below it from the
+    reductions of the boundaries below, as they stand.
 
     A complex built by the library is checked to have d_{q-1} c = 0 for
     each stored column c of d_q, q >= 2, that a reduction reads, as it is
@@ -1008,13 +987,8 @@ def _homology(C, lo, top, columns_in=None, cofaces=None, free=0):
         reds[top] = _reduce(read(top), m - reds[top - 1].rank, C.boundary_matrix(top - 1).columns)
     else:  # d_top in full
         reds = {top: _reduce(read(top))}
-    d = C.boundary_matrix(top).columns
-    columns = read(top + 1) if columns_in is None else _cycles(columns_in, d, sampled=True)
-    finish = cofaces and (lambda rows: _cycles(cofaces(rows), d, sampled=True))
-    try:
-        above = _reduce(columns, n - reds[top].rank - free, None if free else d, finish)
-    except BudgetExceeded:  # only a stream counts toward a budget
-        above = None
+    d, saturation = C.boundary_matrix(top).columns, n - reds[top].rank
+    above = _reduce(read(top + 1), saturation, d) if stream is None else stream(saturation, d)
     groups = []
     for q in range(top, lo - 1, -1):  # degrees not in reds cleared by the one above
         below = reds.get(q) or _reduce(read(q, {r for r, p in above.pivots.items() if p[r] == 1}))

@@ -24,16 +24,8 @@ before any column is built, and a column of the top stored boundary is
 built only once something reads it: a reduction, up to saturation, or the
 chain-map check, at the cofaces of the rows it needs.
 The degree above the top of singular_homology is streamed in that order as
-pairs of tables, without building its level, and its boundary columns go
-lazily to the top-boundary reduction of chain.py, which stops once their
-span saturates the cycles below.  A stream that cannot saturate stops
-earlier when the top is the c1 top degree of the image: cycles pushed
-through alpha and cocycles pulled back through beta certify a lower bound t
-on the rank of the top group, and the stream stops once its span leaves
-room for t.  Otherwise it stops once the reduction has chosen its witness
-rows: only a cube with a face at one of the few rows of their residuals can
-then grow the span, and the cubes with those front faces, moved to each face
-position, are those.
+pairs of tables, without building its level; singular_homology holds the
+rules that stop it.
 
 Boundary columns are built from table indices, never from corner tables.
 The face of a cube (x, y) at t_q is x or y, and its face at t_i, i < q, is
@@ -63,7 +55,9 @@ from .chain import (
     SparseIntMatrix,
     _apply,
     _ColumnReducer,
+    _cycles,
     _homology,
+    _reduce,
     homology_through,
 )
 from .errors import (
@@ -577,13 +571,17 @@ class _Ladder:
                     break
                 partners.append(p := self._partners(j, x))
                 size += sum(len(c) for _, c in p)
-            if size > budget:  # the fronts past those collected are counted, not kept
-                todo = range(len(partners), len(keys))
-                nondeg = (y for x, p in enumerate(chain(partners, map(self._partners, repeat(j), todo)))
+            if size > budget:  # the fronts past those collected are counted, and kept as reached
+
+                def kept(x):
+                    partners.append(p := self._partners(j, x))
+                    return p
+
+                fronts = chain(partners, map(kept, range(len(partners), len(keys))))
+                nondeg = (y for x, p in enumerate(fronts)
                           for lo, c in p for y in c if y + lo != x and not masks[y + lo] & masks[x])
                 if next(islice(nondeg, budget, None), None) is not None:
                     raise BudgetExceeded(q, budget)
-                partners += map(self._partners, repeat(j), todo)
             new = nkeys, nmasks, nfront, nback, nstart = [], [], [], [], [0]
             for x, key in enumerate(keys):
                 for lo, chunk in partners[x]:
@@ -992,13 +990,14 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
 
     Degrees 0..max_q are materialized from their levels of one ladder, and
     one top-down pass of chain.py computes every group.  Each column of the
-    top stored boundary is built the first time the pass reads it: in its
-    reduction, in the sampled check that a streamed column is a cycle, or
-    to choose witness rows.  The boundary columns of degree max_q+1 are
-    streamed into it as pairs of tables of level max_q, round-robin over
-    their front faces (see _Ladder.rounds), and it stops reading them once
-    their span saturates the cycles of degree max_q; those cubes are never
-    stored.  When H_max_q is not zero the span cannot saturate.
+    top stored boundary is built the first time the pass reads it.  The
+    boundary of degree max_q+1 is reduced from a stream, the only policy of
+    which is here: its cubes come as pairs of tables of level max_q,
+    round-robin over their front faces (see _Ladder.rounds), and are never
+    stored.  The first 64 columns of the stream, and every 1024th after, are
+    checked to be cycles of d_max_q, as are those of a finish.  The stream
+    stops once its span saturates the cycles of degree max_q, which it
+    cannot do when H_max_q is not zero.
 
     If max_q >= 1 is the c1 top degree of X (no c1 (max_q+1)-cube), H_m, m
     = max_q, is first shown to have rank at least t on the singular side.
@@ -1011,9 +1010,9 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     boundaries B_m, whose rank is at most dim ker d_m - t, so S has the rank
     of B_m, and with unit pivots S is a direct summand, so S = B_m.  A
     stream that ends before that rank was read in full.  Otherwise, and when
-    a check fails or t = 0, the stream stops once witness rows are chosen:
-    the columns of the cofaces of the rows of their residuals finish the
-    reduction, exactly, as every later column outside the span has an entry
+    a check fails or t = 0, the stream stops once the reduction chooses
+    witness rows: the columns of the cofaces of the rows of their residuals
+    finish it, exactly, as every later column outside the span has an entry
     at such a row (see the chain module and _Ladder.cofaces).
 
     The cofaces of either kind count toward the budget of degree max_q+1
@@ -1036,18 +1035,30 @@ def _singular_homology(X, max_q, budget, found=None):
     if m < 0:
         return [None] * (max_q + 1)
     trunc = ChainComplex._trusted(keys, mats)
-    if err is None:  # H_m needs degree m+1, which may be over budget
-        if not ladder.edges:  # degree m+1 has no cube
-            return homology_through(trunc, m)
-        tables = ladder.cubes(m, budget)
-        column = ladder.column(m, tables)  # for the stream and cofaces
-        counted = _counter(m + 1, budget)
-        free = m and _certified_rank(X, m, ladder, tables, column, counted, mats[-1].columns, found)
+    if err is not None:  # H_m needs degree m+1, which is over budget
+        return (homology_through(trunc, m - 1) if m else []) + [None] * (max_q - m + 1)
+    if not ladder.edges:  # degree m+1 has no cube
+        return homology_through(trunc, m)
+    tables = ladder.cubes(m, budget)
+    column = ladder.column(m, tables)  # for the stream and cofaces
+    counted = _counter(m + 1, budget)
+
+    def stream(saturation, d):
+        """The reduction of d_{m+1} (see singular_homology), or None over budget."""
+        free = m and _certified_rank(X, m, ladder, tables, column, counted, d, found)
         cubes = counted(ladder.rounds(m, range(len(ladder.levels[m][0]))))
 
         def finish(R):
             cubes.close()  # the rest of the stream stays unread: free its live fronts
-            return starmap(column, counted(ladder.cofaces(m, [tables[r] for r in R])))
+            return _cycles(starmap(column, counted(ladder.cofaces(m, [tables[r] for r in R]))),
+                           d, sampled=True)
 
-        return _homology(trunc, 0, m, starmap(column, cubes), None if free else finish, free)
-    return (homology_through(trunc, m - 1) if m else []) + [None] * (max_q - m + 1)
+        columns = _cycles(starmap(column, cubes), d, sampled=True)
+        try:
+            if free:
+                return _reduce(columns, saturation - free)
+            return _reduce(columns, saturation, d, finish)
+        except BudgetExceeded:
+            return None
+
+    return _homology(trunc, 0, m, stream)

@@ -92,6 +92,12 @@ def shell():
     return DigitalImage(3, pts)
 
 
+def sphere():
+    # the hollow 3^4 box, 80 points: a digital 3-sphere
+    pts = [p for p in product(range(3), repeat=4) if p != (1, 1, 1, 1)]
+    return DigitalImage(4, pts)
+
+
 def strip():
     return DigitalImage(2, [(x, y) for x in range(9) for y in (0, 1)])
 

@@ -29,7 +29,7 @@ from dighom import (
     verify_chain_map,
     xgcd,
 )
-from dighom import chain
+from dighom import chain, singular
 
 import helpers
 
@@ -548,7 +548,8 @@ def tallied(columns):
 
 def recording_reads(monkeypatch):
     """The columns read by each reduction from now on, as a count, or as
-    (stream, cofaces) when cofaces finish it."""
+    (stream, cofaces) when cofaces finish it: those of chain.py and the
+    stream of singular_homology."""
     reads = []
     reduce = chain._reduce
 
@@ -566,6 +567,7 @@ def recording_reads(monkeypatch):
         return red
 
     monkeypatch.setattr(chain, "_reduce", counting)
+    monkeypatch.setattr(singular, "_reduce", counting)
     return reads
 
 
@@ -592,10 +594,10 @@ def test_unsaturating_stream_solves_its_witness_row_on_pivots_as_they_stand(monk
     chosen = []
     choose = chain._ColumnReducer._choose_witness
 
-    def choosing(red):
+    def choosing(red, d, saturation):
         before = {r: dict(p) for r, p in red.pivots.items()}
-        choose(red)
-        chosen.append((len(red.d), len(red.witness), red.pivots == before))
+        choose(red, d, saturation)
+        chosen.append((len(d), len(red.witness), red.pivots == before))
 
     monkeypatch.setattr(chain._ColumnReducer, "_choose_witness", choosing)
     singular_homology(helpers.ring_with_square(), 1)
@@ -636,6 +638,7 @@ def test_witness_rows_spare_the_unsaturating_stream_its_cascades(monkeypatch):
         return red
 
     monkeypatch.setattr(chain, "_reduce", counting)
+    monkeypatch.setattr(singular, "_reduce", counting)
     monkeypatch.setattr(chain._ColumnReducer, "add", counting_adds)
     assert singular_homology(helpers.ring_with_square(), 1) == [
         FGAbelianGroup(1), FGAbelianGroup(1)]
@@ -672,8 +675,13 @@ def test_interreduction_keeps_the_torsion_of_a_stream(monkeypatch):
     padding = [{0: 1, 3: 1}, {0: 1, 3: -1}, {0: 2, 3: 2}, {0: -1, 3: 1}, {0: 3, 3: 1},
                {1: 1, 3: -1}]
     chosen = []
-    monkeypatch.setattr(chain._ColumnReducer, "_choose_witness", chosen.append)
-    assert chain._homology(C, 1, 1, iter(path + padding)) == [FGAbelianGroup(1, (2,))]
+    monkeypatch.setattr(chain._ColumnReducer, "_choose_witness",
+                        lambda red, d, saturation: chosen.append(red))
+
+    def stream(saturation, d):
+        return chain._reduce(iter(path + padding), saturation, d)
+
+    assert chain._homology(C, 1, 1, stream) == [FGAbelianGroup(1, (2,))]
     assert chosen == []
 
 
@@ -819,7 +827,13 @@ def test_materialized_top_boundary_stops_at_saturation(monkeypatch, X, top, ncol
     # extra pivot steps do not yet outnumber the 30 columns of d_1, and it
     # chooses its witness row there, after 118 cubes
     (helpers.tailed_ring_with_square(), 1, [30, (118, 18), 1]),
-], ids=["square", "shell", "ring", "tailed_ring", "ring_with_square", "tailed_ring_with_square"])
+    # H_2 = 0, so the stream of degree 3 saturates, but the c1 top is 3 and
+    # nothing is certified at degree 2: the reducer chooses its witness
+    # rows after 9,954 cubes, and the 948 cofaces of the rows of their
+    # residuals finish it, saturated, in place of the rest of the stream
+    (helpers.sphere(), 2, [416, 1411, (9954, 948), 1]),
+], ids=["square", "shell", "ring", "tailed_ring", "ring_with_square", "tailed_ring_with_square",
+        "sphere"])
 def test_singular_top_boundaries_are_read_to_saturation(monkeypatch, X, q, reads):
     recorded = recording_reads(monkeypatch)
     singular_homology(X, q)
@@ -893,15 +907,38 @@ def test_user_complex_is_checked_in_full():
     assert homology_through(ChainComplex._trusted(C.bases, mats), 2) == groups
 
 
-def test_streamed_columns_are_checked_to_be_cycles():
-    # columns handed in for d_2 lie outside is_complex(); the first 64 and
+def test_streamed_columns_are_checked_to_be_cycles(monkeypatch):
+    # columns streamed for d_2 lie outside is_complex(); the first 64 and
     # every 1024th are multiplied out, and e alone has boundary b - a
     C = circle_complex()
+
+    def stream(columns):
+        return lambda saturation, d: chain._reduce(
+            chain._cycles(iter(columns), d, sampled=True), saturation, d)
+
     with pytest.raises(NotAComplex):
-        chain._homology(C, 1, 1, iter([{0: 1}]))
+        chain._homology(C, 1, 1, stream([{0: 1}]))
     with pytest.raises(NotAComplex):
-        chain._homology(C, 1, 1, iter([{}] * 1023 + [{0: 1}]))
-    assert chain._homology(C, 1, 1, iter([{}] * 1023 + [{0: 1, 1: 1}])) == [ZERO_GROUP]
+        chain._homology(C, 1, 1, stream([{}] * 1023 + [{0: 1}]))
+    assert chain._homology(C, 1, 1, stream([{}] * 1023 + [{0: 1, 1: 1}])) == [ZERO_GROUP]
+    # singular_homology streams its columns through that check: on the
+    # ring, with a 1 added at row 0 of every column of degree 2, which the
+    # certificate's cofaces read too, the first streamed column is refused
+    column = singular._Ladder.column
+
+    def broken(ladder, k, tables):
+        col = column(ladder, k, tables)
+
+        def plus_row_0(x, y):
+            c = col(x, y)
+            c[0] = c.get(0, 0) + 1
+            return {r: v for r, v in c.items() if v}
+
+        return plus_row_0 if k == 1 else col
+
+    monkeypatch.setattr(singular._Ladder, "column", broken)
+    with pytest.raises(NotAComplex):
+        singular_homology(helpers.ring(), 1)
 
 
 def test_homology_point():

@@ -972,9 +972,9 @@ def test_witness_rows_keep_the_reduction(case):
     oracle = None
     choose, spans = _ColumnReducer._choose_witness, _ColumnReducer.spans
 
-    def choosing(red):
+    def choosing(red, d, saturation):
         nonlocal chosen, oracle
-        choose(red)
+        choose(red, d, saturation)
         chosen += 1
         rest = [k for k in range(n) if k not in red.pivots and k not in red.witness]
         rows = max((max(d[k]) + 1 for k in rest if d[k]), default=0)
@@ -1014,8 +1014,7 @@ def test_solved_witness_rows_are_those_of_interreduced_pivots(case, data):
     event(f"nonunit pivots: {min(red.nonunit, 1)}")
     if red.nonunit:
         return
-    red.d, red.saturation = d, saturation
-    red._choose_witness()
+    red._choose_witness(d, saturation)
     solved, pivots = red.witness, {r: dict(p) for r, p in red.pivots.items()}
     red._interreduce()
     event(f"interreduction changed the pivots: {red.pivots != pivots}")
@@ -1038,8 +1037,8 @@ def test_coface_finish_keeps_the_reduction(case):
     reducers, fired = [], []
     choose = _ColumnReducer._choose_witness
 
-    def choosing(red):
-        choose(red)
+    def choosing(red, d, saturation):
+        choose(red, d, saturation)
         reducers.append(red)
 
     def cofaces(R):

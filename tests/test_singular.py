@@ -806,18 +806,28 @@ def test_a_level_over_budget_is_refused_before_it_is_stored():
 def test_a_level_takes_the_partners_of_each_table_below_once(monkeypatch, image, k):
     # sizing a level and building it read one pass of partners; a budget
     # below its table count, at its count of nondegenerate tables, counts
-    # them and builds the same level
+    # them, keeping the partners it takes, and builds the same level
     X = getattr(helpers, image)()
-    ladder = _Ladder(X)
-    ladder.level(k - 1, k - 1, DEFAULT_BUDGET)
-    partners, seen = ladder._partners, []
-    monkeypatch.setattr(ladder, "_partners", lambda j, x: seen.append((j, x)) or partners(j, x))
+    seen = []
+
+    def ladder_below():
+        """A ladder built to level k - 1 that records its partners from now on."""
+        ladder = _Ladder(X)
+        ladder.level(k - 1, k - 1, DEFAULT_BUDGET)
+        partners = ladder._partners
+        monkeypatch.setattr(ladder, "_partners", lambda j, x: seen.append((j, x)) or partners(j, x))
+        return ladder
+
+    ladder = ladder_below()
     level = ladder.level(k, k, DEFAULT_BUDGET)
-    assert seen == [(k - 1, x) for x in range(len(ladder.levels[k - 1][0]))]
+    once = [(k - 1, x) for x in range(len(ladder.levels[k - 1][0]))]
+    assert seen == once
     assert level[0] == sorted(level[0])
     nondeg = level[1].count(0)
     assert nondeg < len(level[0])
-    assert _Ladder(X).level(k, k, nondeg)[:5] == level[:5]
+    seen.clear()
+    assert ladder_below().level(k, k, nondeg)[:5] == level[:5]
+    assert seen == once
 
 
 def test_a_level_fits_a_budget_of_its_nondegenerate_tables():
