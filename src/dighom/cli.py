@@ -8,6 +8,10 @@ images plus chain-map verdict), verify (seeded property suites).
 Exit codes: 0 ok, 1 failed check (mismatch, unclassifiable cube, failed
 suite), 2 parse error, 3 precondition violation, 4 enumeration budget
 exceeded.  Identical inputs produce byte-identical reports.
+
+verify spreads its suites over the usable CPUs: this process and forked
+children each claim the next suite and keep fixtures of their own, and the
+report is the one a single process gives.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
+import threading
 
 from . import elementary  # its _levels is looked up at call time
 from .bridge import _beta_matrices, beta, verify_isomorphism
@@ -233,11 +239,12 @@ def cmd_induced(args):
 # --- verify suites ----------------------------------------------------------
 
 class _Fixtures(dict):
-    """The fixture images of one verify run by name.  fx[name, "ladder"] is
-    the _Ladder of one, fx[name, "levels"] its c1 levels in every degree,
+    """The fixture images of one verify worker by name.  fx[name, "ladder"]
+    is the _Ladder of one, fx[name, "levels"] its c1 levels in every degree,
     and fx[name, q] lists its singular q-cubes in lex order from level q of
-    that ladder.  Each is made the first time a suite of the run asks, for
-    the later suites of that run to share, and goes when the run ends."""
+    that ladder.  Each is made the first time a suite of the worker asks,
+    for the later suites of that worker to share, and goes when the run
+    ends."""
 
     def __missing__(self, key):
         name, q = key
@@ -435,20 +442,124 @@ _SUITES = {
 }
 
 
+def _worker(names, seed, indices):
+    """Run the suites names[i] for i in indices, over fixtures of this
+    worker's own, until one raises an exception that is not a DighomError.
+    Returns ({i: (ok, detail)}, (i, exception) of the suite that raised or
+    None)."""
+    fx = _fixtures()
+    done = {}
+    for i in indices:
+        try:
+            ok, detail = _SUITES[names[i]](random.Random(seed), fx)
+        except DighomError as e:
+            ok, detail = False, str(e)
+        except Exception as e:
+            return done, (i, e)
+        done[i] = ok, detail
+    return done, None
+
+
+def _claims(queue, n, workers):
+    """The suite indices one worker claims from the shared queue, a pipe of
+    8-byte indices.  It starts with 0, ..., workers - 1, and each claim of i
+    puts back i + workers, so the pipe never holds more than `workers`
+    indices.  A worker stops at an index >= n, of which there are
+    `workers`, one for each."""
+    r, w = queue
+    while (i := int.from_bytes(os.read(r, 8), "little")) < n:
+        os.write(w, (i + workers).to_bytes(8, "little"))
+        yield i
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _forked(names, seed, workers):
+    """_worker's ({i: (ok, detail)}, (i, exception) or None) over every
+    suite of names, run in this process and workers - 1 forked children,
+    each claiming the next suite from a shared queue.  A child sends its
+    results back pickled and ends with os._exit; the suites before the
+    first that raised whose results do not come back run here."""
+    import pickle  # here, so that the other commands do not load it
+
+    n = len(names)
+    queue = os.pipe()
+    os.write(queue[1], b"".join(i.to_bytes(8, "little") for i in range(workers)))
+    claims = _claims(queue, n, workers)
+    sys.stdout.flush()  # nothing buffered is left for a child to hold
+    children = []
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # fewer workers take every suite
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                try:
+                    data = pickle.dumps(_worker(names, seed, claims))
+                    with os.fdopen(w, "wb") as out:
+                        out.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        done, raised = _worker(names, seed, claims)
+        for _, results in children:
+            try:
+                more, first = pickle.loads(results.read())
+            except Exception:  # a child that died, or sent what does not load
+                continue
+            done.update(more)
+            if first is not None and (raised is None or first[0] < raised[0]):
+                raised = first
+    finally:
+        for pid, results in children:
+            results.close()
+            os.waitpid(pid, 0)
+        os.close(queue[0])
+        os.close(queue[1])
+    missing = [i for i in range(n if raised is None else raised[0]) if i not in done]
+    if missing:
+        more, first = _worker(names, seed, missing)
+        done.update(more)
+        raised = first or raised
+    return done, raised
+
+
+def _run_suites(names, seed):
+    """[(name, ok, detail)] of the suites in order, as running them one
+    after another in this process gives, or what the first of them that
+    raised an exception other than DighomError raised.
+
+    The suites are independent, so they run in min(len(names), usable CPUs)
+    workers.  Nothing is forked for one worker, without os.fork, or while a
+    second thread is alive: this process then claims every suite."""
+    n = len(names)
+    workers = min(n, _usable_cpus())
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        done, raised = _forked(names, seed, workers)
+    else:
+        done, raised = _worker(names, seed, range(n))
+    if raised is not None:
+        raise raised[1]
+    return [(names[i], *done[i]) for i in range(n)]
+
+
 def cmd_verify(args):
     names = args.suites or sorted(_SUITES)
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise ParseError(f"unknown suite(s) {', '.join(unknown)}; "
                          f"available: {', '.join(sorted(_SUITES))}")
-    fx = _fixtures()
-    results = []
-    for name in names:
-        try:
-            ok, detail = _SUITES[name](random.Random(args.seed), fx)
-        except DighomError as e:
-            ok, detail = False, str(e)
-        results.append((name, ok, detail))
+    results = _run_suites(names, args.seed)
     lines = [f"{name}: {'ok' if ok else 'FAIL'} ({detail})" for name, ok, detail in results]
     obj = {
         "suites": [{"name": n, "ok": ok, "detail": d} for n, ok, d in results],

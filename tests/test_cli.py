@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import time
 
 import pytest
@@ -474,10 +476,24 @@ def test_verify_is_deterministic(run):
     assert (rc1, out1) == (rc2, out2)
 
 
+def fixture_expected():
+    """The fixtures of verify by name, and the (points, q) of every listing
+    of singular cubes that its suites read."""
+    fixtures = {"edge": helpers.edge(), "square": helpers.square(),
+                "tall_edge": helpers.tall_edge(), "ring": helpers.ring(),
+                "path3": helpers.path3()}
+    listings = {(fixtures[name].sorted_points, q)
+                for names, qs in ((("edge", "square"), (1, 2, 3)),
+                                  (("tall_edge", "ring"), (1, 2)))
+                for name in names for q in qs}
+    return fixtures, listings
+
+
 def test_verify_lists_each_fixture_degree_once_per_run(run, monkeypatch):
-    # the suites of one run share each listing of singular cubes and the
-    # one ladder of each fixture they come from; a later run makes them
-    # again, and each suite reports as it does alone
+    # in one process, the suites of one run share each listing of singular
+    # cubes and the one ladder of each fixture they come from; a later run
+    # makes them again, and each suite reports as it does alone
+    monkeypatch.delattr(os, "fork")
     listed, made = [], []
     enumerate_cubes, ladder = cli._enumerate, cli._Ladder
 
@@ -487,13 +503,7 @@ def test_verify_lists_each_fixture_degree_once_per_run(run, monkeypatch):
 
     monkeypatch.setattr(cli, "_enumerate", recording)
     monkeypatch.setattr(cli, "_Ladder", lambda X: made.append(X.sorted_points) or ladder(X))
-    fixtures = {"edge": helpers.edge(), "square": helpers.square(),
-                "tall_edge": helpers.tall_edge(), "ring": helpers.ring(),
-                "path3": helpers.path3()}
-    expected = {(fixtures[name].sorted_points, q)
-                for names, qs in ((("edge", "square"), (1, 2, 3)),
-                                  (("tall_edge", "ring"), (1, 2)))
-                for name in names for q in qs}
+    fixtures, expected = fixture_expected()
     for seed in ("1", "2", "3"):
         for fmt in ("text", "json"):
             listed.clear()
@@ -510,6 +520,238 @@ def test_verify_lists_each_fixture_degree_once_per_run(run, monkeypatch):
             else:
                 suites = [s for _, out1, _ in alone for s in json.loads(out1)["suites"]]
                 assert json.loads(out) == {"suites": suites, "all_ok": True}
+
+
+def forking(monkeypatch, cpus):
+    """Let verify take `cpus` workers, whatever this host has."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
+def as_tuples(value):
+    return tuple(map(as_tuples, value)) if isinstance(value, list) else value
+
+
+def per_pid(path):
+    """{pid: [(kind, value), ...]} from the lines that record_in wrote, with
+    JSON lists read back as tuples."""
+    got = {}
+    for line in path.read_text().splitlines():
+        pid, kind, value = json.loads(line)
+        got.setdefault(pid, []).append((kind, as_tuples(value)))
+    return got
+
+
+def record_in(path, kind, value):
+    """Append one line for this process: a record that outlives a child."""
+    with open(path, "a") as fh:
+        fh.write(json.dumps([os.getpid(), kind, value]) + "\n")
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_verify_lists_each_fixture_degree_once_per_worker(run, monkeypatch, tmp_path,
+                                                                 cpus):
+    # each worker makes its own fixtures: it lists each fixture degree and
+    # builds each ladder at most once, and the workers together list every
+    # degree that the suites read
+    forking(monkeypatch, cpus)
+    enumerate_cubes, ladder = cli._enumerate, cli._Ladder
+    log = tmp_path / "log"
+
+    def recording(X, q, *rest):
+        record_in(log, "listed", [X.sorted_points, q])
+        return enumerate_cubes(X, q, *rest)
+
+    def recording_ladder(X):
+        record_in(log, "ladder", [X.sorted_points, None])
+        return ladder(X)
+
+    monkeypatch.setattr(cli, "_enumerate", recording)
+    monkeypatch.setattr(cli, "_Ladder", recording_ladder)
+    fixtures, expected = fixture_expected()
+    points = {X.sorted_points for X in fixtures.values()}
+    for seed in ("1", "2"):
+        log.write_text("")
+        rc, out, err = run(["verify", "--seed", seed])
+        assert (rc, err) == (0, "") and len(out.splitlines()) == len(cli._SUITES)
+        workers = per_pid(log)
+        assert 1 < len(workers) <= cpus
+        union = set()
+        for records in workers.values():
+            listed = [(pts, q) for kind, (pts, q) in records if kind == "listed"]
+            made = [pts for kind, (pts, _) in records if kind == "ladder"]
+            assert len(listed) == len(set(listed)) and len(made) == len(set(made))
+            assert set(made) <= points
+            union.update(listed)
+        assert union == expected
+
+
+def one_worker_and_forked(run, monkeypatch, argv, cpus=3):
+    """(report of one worker, report of `cpus` forked workers) of argv."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        alone = run(argv)
+    with monkeypatch.context() as m:
+        forking(m, cpus)
+        forked = run(argv)
+    return alone, forked
+
+
+@needs_fork
+def test_forked_and_one_worker_reports_are_byte_identical(run, monkeypatch):
+    for seed in range(11):
+        for suites in ([], ["signs", "snf"]):
+            for fmt in ("text", "json"):
+                argv = ["verify", *suites, "--seed", str(seed), "--format", fmt]
+                alone, forked = one_worker_and_forked(run, monkeypatch, argv)
+                assert alone == forked and alone[0] == 0
+
+
+class SuiteFailure(Exception):
+    pass
+
+
+def raising(exc):
+    def suite(rng, fx):
+        raise exc
+    return suite
+
+
+def passing(detail):
+    return lambda rng, fx: (True, detail)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_the_first_suite_in_order_to_raise_gives_the_error(run, monkeypatch, cpus):
+    # whichever worker runs it, the first suite in order that raises gives
+    # its exception, of the same class and with the same message; a
+    # DighomError only fails its suite
+    unsent = ValueError("unsent")
+    unsent.hook = lambda: None  # a child cannot pickle this one
+    monkeypatch.setattr(cli, "_SUITES", {
+        "ok": passing("fine"), "boom": raising(ValueError("boom")),
+        "key": raising(KeyError("k")), "own": raising(SuiteFailure("own")),
+        "unsent": raising(unsent), "dighom": raising(cli.UnclassifiableCube("no type"))})
+    forking(monkeypatch, cpus)
+    cases = [
+        (["ok", "boom", "ok", "key"], (3, "", "error: boom\n")),
+        (["ok", "ok", "ok", "unsent", "boom"], (3, "", "error: unsent\n")),
+        (["ok", "dighom", "ok"], (1, "ok: ok (fine)\ndighom: FAIL (no type)\nok: ok (fine)\n", "")),
+        (["ok", "ok", "key", "boom"], KeyError("k")),
+        (["own", "boom", "own"], SuiteFailure("own")),
+    ]
+    for names, want in cases:
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as info:
+                main(["verify", *names])
+            assert info.value.args == want.args
+        else:
+            assert run(["verify", *names]) == want, names
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_worker_stops_claiming_after_a_suite_raises(run, monkeypatch, tmp_path, cpus):
+    # every suite raises, so each worker runs the one suite it claims first
+    log = tmp_path / "log"
+    log.write_text("")
+
+    def suite(rng, fx):
+        record_in(log, "ran", 0)
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "_SUITES", {"stop": suite})
+    forking(monkeypatch, cpus)
+    rc, out, err = run(["verify", *["stop"] * 20])
+    assert (rc, out, err) == (3, "", "error: stop\n")
+    runs = per_pid(log)
+    assert 1 <= len(runs) <= cpus and all(len(r) == 1 for r in runs.values())
+
+
+@needs_fork
+def test_each_suite_runs_once_over_the_workers(run, monkeypatch, tmp_path):
+    log = tmp_path / "log"
+    log.write_text("")
+
+    def suite(rng, fx):
+        record_in(log, "ran", 0)
+        time.sleep(0.005)  # long enough that every worker claims some
+        return True, "ran"
+
+    monkeypatch.setattr(cli, "_SUITES", {"ran": suite})
+    forking(monkeypatch, 3)
+    assert run(["verify", *["ran"] * 30]) == (0, "ran: ok (ran)\n" * 30, "")
+    runs = per_pid(log)
+    assert len(runs) > 1 and sum(map(len, runs.values())) == 30
+
+
+@needs_fork
+def test_seventy_thousand_suites_finish_in_order(run, monkeypatch, tmp_path):
+    # more indices than one byte holds and more results than a pipe holds,
+    # over more workers than this host has CPUs: each suite runs once
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def counted(ok, detail):
+        return lambda rng, fx: os.write(log, b".") and (ok, detail)
+
+    monkeypatch.setattr(cli, "_SUITES", {"a": counted(True, "1"), "b": counted(True, "2"),
+                                         "c": counted(False, "3")})
+    forking(monkeypatch, 4)
+    names = ["abc"[i * i % 7 % 3] for i in range(70_000)]
+    try:
+        rc, out, err = run(["verify", *names])
+    finally:
+        os.close(log)
+    assert (rc, err) == (1, "")
+    words = {"a": "a: ok (1)", "b": "b: ok (2)", "c": "c: FAIL (3)"}
+    assert out.splitlines() == [words[n] for n in names]
+    assert (tmp_path / "log").stat().st_size == len(names)
+
+
+@needs_fork
+def test_every_child_is_reaped(run, monkeypatch):
+    forking(monkeypatch, 3)
+    rc, _, _ = run(["verify", "--seed", "4"])
+    assert rc == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(cli, "_SUITES", {**cli._SUITES, "bad": lambda rng, fx: (False, "no")})
+    rc, _, _ = run(["verify", "snf", "bad", "signs"])
+    assert rc == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(cli, "_SUITES", {**cli._SUITES, "bad": raising(RuntimeError("x"))})
+    with pytest.raises(RuntimeError, match="^x$"):
+        main(["verify", "snf", "bad", "signs"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_no_child_is_forked_for_one_worker(run, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    forking(monkeypatch, 2)
+    assert run(["verify", "snf", "--seed", "2"])[0] == 0
+    with monkeypatch.context() as m:
+        forking(m, 1)
+        assert run(["verify", "--seed", "2"])[0] == 0
+    release = threading.Event()
+    second = threading.Thread(target=release.wait)
+    second.start()
+    try:
+        assert run(["verify", "--seed", "2"])[0] == 0
+    finally:
+        release.set()
+        second.join()
 
 
 def broken_at(op, index, wrong):
