@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import ChainComplex, FGAbelianGroup, SparseIntMatrix, groups_isomorphic, homology_through
-from .elementary import C1Complex, ElementaryCube, _c1_complex, _levels, build_c1_complex
+from .elementary import C1Complex, ElementaryCube, build_c1_complex
 from .singular import (
     DEFAULT_BUDGET,
     _beta_key,
@@ -128,14 +128,15 @@ class IsoReport:
 def verify_isomorphism(X, max_q, budget=DEFAULT_BUDGET):
     """Compute both homologies independently and compare them degreewise.
 
-    The c1 levels are built once, for the c1 complex and for the
-    certificate of the singular top degree (see singular_homology).
+    The c1 complex is built once, through max_q + 1, for the c1 groups
+    and for the certificate of the singular top degree (see
+    singular_homology).
     Budget-starved singular degrees are reported as skipped, never guessed.
     """
     _check_degree_and_budget("max_q", max_q, budget)
-    found = _levels(X, max_q + 1)  # the c1 levels, for both sides
-    sing = _singular_homology(X, max_q, budget, found)
-    c1 = homology_through(_c1_complex(X, found).complex, max_q)
+    elem = build_c1_complex(X, max_q + 1)  # for both sides
+    sing = _singular_homology(X, max_q, budget, elem)
+    c1 = homology_through(elem.complex, max_q)
     comps = []
     for q in range(max_q + 1):
         s = sing[q]

@@ -7,7 +7,8 @@ images plus chain-map verdict), verify (seeded property suites).
 
 Exit codes: 0 ok, 1 failed check (mismatch, unclassifiable cube, failed
 suite), 2 parse error, 3 precondition violation, 4 enumeration budget
-exceeded.  Identical inputs produce byte-identical reports.
+exceeded.  compare exits 0 when a degree is skipped over budget, as long
+as no degree mismatches.  Identical inputs produce byte-identical reports.
 
 verify spreads its suites over the usable CPUs: this process and forked
 children each claim the next suite and keep fixtures of their own, and the
@@ -24,10 +25,9 @@ import random
 import sys
 import threading
 
-from . import elementary  # its _levels is looked up at call time
 from .bridge import _beta_matrices, beta, verify_isomorphism
 from .chain import homology_through, rank_and_invariant_factors, smith_normal_form, verify_chain_map
-from .elementary import _c1_complex, _induced_maps, build_c1_complex, relative_c1_complex
+from .elementary import _induced_maps, build_c1_complex, relative_c1_complex
 from .errors import (
     BudgetExceeded,
     DighomError,
@@ -217,13 +217,11 @@ def cmd_induced(args):
     X = load_image(args.domain)
     Y = load_image(args.codomain)
     f = load_point_map(args.map, X, Y)
-    xfound = elementary._levels(X, args.max_q)  # by default every degree, to the dimension of X
-    top = len(xfound[1]) - 1 if args.max_q is None else args.max_q
-    yfound = elementary._levels(Y, top)
-    mats = _induced_maps(f, range(top + 1), xfound, yfound)
-    CX = _c1_complex(X, xfound).complex
-    CY = _c1_complex(Y, yfound).complex
-    ok = verify_chain_map(mats, CX, CY)
+    cx = build_c1_complex(X, args.max_q)  # by default every degree, to the dimension of X
+    top = cx.complex.max_degree if args.max_q is None else args.max_q
+    cy = build_c1_complex(Y, top)
+    mats = _induced_maps(f, range(top + 1), cx, cy)
+    ok = verify_chain_map(mats, cx.complex, cy.complex)
     lines = []
     rows_json = []
     for q, M in enumerate(mats):
@@ -240,7 +238,7 @@ def cmd_induced(args):
 
 class _Fixtures(dict):
     """The fixture images of one verify worker by name.  fx[name, "ladder"]
-    is the _Ladder of one, fx[name, "levels"] its c1 levels in every degree,
+    is the _Ladder of one, fx[name, "c1"] its C1Complex in every degree,
     and fx[name, q] lists its singular q-cubes in lex order from level q of
     that ladder.  Each is made the first time a suite of the worker asks,
     for the later suites of that worker to share, and goes when the run
@@ -251,8 +249,8 @@ class _Fixtures(dict):
         X = self[name]
         if q == "ladder":
             made = _Ladder(X)
-        elif q == "levels":
-            made = elementary._levels(X)
+        elif q == "c1":
+            made = build_c1_complex(X)
         else:
             made = _enumerate(X, q, DEFAULT_BUDGET, self[name, "ladder"])
         self[key] = made
@@ -388,10 +386,10 @@ def _suite_signs(rng, fx):
 
 def _suite_chainmap(rng, fx):
     for name in ("edge", "tall_edge", "path3", "square", "ring"):
-        X, found = fx[name], fx[name, "levels"]
-        top = len(found[1]) - 1  # dimension(X)
+        X, c1 = fx[name], fx[name, "c1"]
+        top = c1.complex.max_degree  # dimension(X)
         sing = _singular_complex(top, DEFAULT_BUDGET, fx[name, "ladder"])
-        bm = _beta_matrices(X, sing, _c1_complex(X, found))
+        bm = _beta_matrices(X, sing, c1)
         if not verify_chain_map(bm.matrices, bm.singular, bm.elementary.complex):
             return False, f"chain map failed on {name}"
     return True, "5 fixtures"
@@ -410,21 +408,21 @@ def _suite_classify(rng, fx):
 
 
 def _suite_functorial(rng, fx):
-    # the fixtures have no c1 3-cube: their levels in every degree are
+    # the fixtures have no c1 3-cube: their complexes in every degree are
     # those through degree 2
     degrees = range(3)
     done = 0
     for a, b in (("square", "ring"), ("ring", "square"), ("path3", "square"), ("square", "square")):
-        X, Y, xfound, yfound = fx[a], fx[b], fx[a, "levels"], fx[b, "levels"]
-        CX, CY = _c1_complex(X, xfound).complex, _c1_complex(Y, yfound).complex
+        X, Y, cx, cy = fx[a], fx[b], fx[a, "c1"], fx[b, "c1"]
+        CX, CY = cx.complex, cy.complex
         for _ in range(2):
             f = random_continuous_map(X, Y, rng)
             g = random_continuous_map(Y, X, rng)
-            mf = _induced_maps(f, degrees, xfound, yfound)
-            mg = _induced_maps(g, degrees, yfound, xfound)
+            mf = _induced_maps(f, degrees, cx, cy)
+            mg = _induced_maps(g, degrees, cy, cx)
             if not verify_chain_map(mf, CX, CY) or not verify_chain_map(mg, CY, CX):
                 return False, "induced matrices are not a chain map"
-            for q, mgf in enumerate(_induced_maps(compose(g, f), degrees, xfound, xfound)):
+            for q, mgf in enumerate(_induced_maps(compose(g, f), degrees, cx, cx)):
                 if mgf != mg[q] @ mf[q]:
                     return False, "composition law failed"
             done += 2

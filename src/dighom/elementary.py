@@ -76,16 +76,7 @@ class ElementaryCube:
     def vertices(self):
         """The 2^q vertices in corner-index order: bit b of the index bumps
         the b-th smallest extent coordinate."""
-        base = self.min_corner
-        ext = self.extent
-        out = []
-        for c in range(1 << len(ext)):
-            p = list(base)
-            for b, j in enumerate(ext):
-                if (c >> b) & 1:
-                    p[j - 1] += 1
-            out.append(tuple(p))
-        return out
+        return _alpha_points(self.min_corner, self.extent)
 
     @classmethod
     def from_vertices(cls, points):
@@ -118,6 +109,16 @@ class ElementaryCube:
         for k, a in enumerate(self.min_corner, start=1):
             parts.append(f"[{a},{a + 1}]" if k in self.extent else f"[{a}]")
         return "x".join(parts)
+
+
+def _alpha_points(base, ext):
+    """The corners of alpha(Q), the canonical embedding of the elementary
+    cube Q of minimal corner base and extent ext: corner c is base moved one
+    step up each coordinate ext[b] at a set bit b of c, so beta(alpha(Q)) = +Q."""
+    corners = [base]
+    for j in ext:
+        corners += [p[:j - 1] + (p[j - 1] + 1,) + p[j:] for p in corners]
+    return corners
 
 
 def _levels(X, top=None):
@@ -179,17 +180,13 @@ def _degree(q):
     return q
 
 
-def _level(levels, q):
-    """The keys levels[q] of degree q, none for a q out of range."""
-    return levels[q] if 0 <= q < len(levels) else []
-
-
 def enumerate_elementary_cubes(X, q):
     """All elementary q-cubes whose vertices lie in X, in (min_corner, extent)
     lexicographic order.  Out-of-range q gives the empty list; a q that is
     not an int raises ValueError."""
     levels = _levels(X, max(_degree(q), 0))[1]
-    return [ElementaryCube(X.sorted_points[i], ext) for i, ext in _level(levels, q)]
+    keys = levels[q] if 0 <= q < len(levels) else []
+    return [ElementaryCube(X.sorted_points[i], ext) for i, ext in keys]
 
 
 def c1_faces(Q, i):
@@ -246,12 +243,7 @@ def build_c1_complex(X, max_dim=None):
     """
     if max_dim is not None and (type(max_dim) is not int or max_dim < 0):
         raise ValueError("max_dim must be a nonnegative int")
-    return _c1_complex(X, _levels(X, max_dim))
-
-
-def _c1_complex(X, found):
-    """The C1Complex of X over found = _levels(X, top)."""
-    tr, levels, rows = found
+    tr, levels, rows = _levels(X, max_dim)
     mats = [SparseIntMatrix._trusted(len(levels[q - 1]), len(levels[q]),
                                      _boundary_columns(tr, levels, rows, q))
             for q in range(1, len(levels))]
@@ -273,16 +265,6 @@ def _boundary_columns(tr, levels, rows, q):
             col[row[t[i]]] = -s
         cols.append(col)
     return cols
-
-
-def _alpha_key(tr, i, ext):
-    """The singular key of alpha(Q), the canonical embedding of the c1 cube
-    Q of key (i, ext) from _levels: corner c is point i moved one step up
-    each coordinate ext[b] at a set bit b of c, so beta(alpha(Q)) = +Q."""
-    corners = [i]
-    for j in ext:
-        corners += [tr[j - 1][a] for a in corners]
-    return tuple(corners)
 
 
 def relative_c1_complex(X, A, max_dim=None):
@@ -313,24 +295,23 @@ def induced_map(f, q):
     return _induced_maps(f, (q,))[0]
 
 
-def _induced_maps(f, degrees, xfound=None, yfound=None):
+def _induced_maps(f, degrees, cx=None, cy=None):
     """[induced_map(f, q) for q in degrees], with f checked once and the c1
-    levels of its domain and codomain built once each, unless they are
-    given: xfound and yfound are _levels of each through the top degree or
-    further."""
+    complexes of its domain and codomain built once each, unless they are
+    given: cx and cy are the C1Complex of each through the top degree or
+    further.  Columns run over the basis of cx, rows over the index of cy."""
     if not is_continuous(f):
         raise NotContinuous("map is not continuous")
     top = max(0, *map(_degree, degrees))
-    tr, xlevels, _ = xfound or _levels(f.domain, top)
-    _, ylevels, yrows = yfound or _levels(f.codomain, top)
+    CX = (cx or build_c1_complex(f.domain, top)).complex
+    CY = (cy or build_c1_complex(f.codomain, top)).complex
     xpts, ypts = f.domain.sorted_points, f.codomain.sorted_points
     at = {p: i for i, p in enumerate(ypts)}
     mats = []
     for q in degrees:
-        xlevel, ylevel = _level(xlevels, q), _level(ylevels, q)
-        cols = []
-        for i, ext in xlevel:
-            b = _beta_key(tuple(at[f(xpts[a])] for a in _alpha_key(tr, i, ext)), ypts)
-            cols.append({} if b is None else {yrows[q][b[1][1]][b[1][0]]: b[0]})
-        mats.append(SparseIntMatrix._trusted(len(ylevel), len(xlevel), cols))
+        rows, cols = CY.index(q), []
+        for i, ext in CX.basis(q):
+            b = _beta_key(tuple(at[f(p)] for p in _alpha_points(xpts[i], ext)), ypts)
+            cols.append({} if b is None else {rows[b[1]]: b[0]})
+        mats.append(SparseIntMatrix._trusted(len(rows), len(cols), cols))
     return mats

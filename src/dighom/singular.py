@@ -552,16 +552,16 @@ class _Ladder:
         return [(start[back[t]], self._chunk(j, back[x], back[t]))
                 for t in range(start[front[x]], start[front[x] + 1])]
 
-    def level(self, k, q, budget):
+    def level(self, k, budget):
         """Level k, building the levels up to it.  A level is sized before it
         is stored: the partners of its fronts are collected, in one pass,
         until their chunk lengths pass budget; then its nondegenerate tables
-        are counted, and more than budget raise BudgetExceeded for degree q
+        are counted, and more than budget raise BudgetExceeded for degree k
         with nothing of the level stored.  Level 0, the points, is stored
-        from the start, and for degree 0 more than budget points raise
+        from the start, and for k = 0 more than budget points raise
         BudgetExceeded."""
-        if not q and len(self.levels[0][0]) > budget:
-            raise BudgetExceeded(q, budget)
+        if not k and len(self.levels[0][0]) > budget:
+            raise BudgetExceeded(k, budget)
         while len(self.levels) <= k:
             j = len(self.levels) - 1
             keys, masks = self.levels[j][:2]
@@ -581,7 +581,7 @@ class _Ladder:
                 nondeg = (y for x, p in enumerate(fronts)
                           for lo, c in p for y in c if y + lo != x and not masks[y + lo] & masks[x])
                 if next(islice(nondeg, budget, None), None) is not None:
-                    raise BudgetExceeded(q, budget)
+                    raise BudgetExceeded(k, budget)
             new = nkeys, nmasks, nfront, nback, nstart = [], [], [], [], [0]
             for x, key in enumerate(keys):
                 for lo, chunk in partners[x]:
@@ -605,7 +605,7 @@ class _Ladder:
         per degree."""
         tables = self.listed.get(q)
         if tables is None:
-            keys, masks, front = self.level(q, q, budget)[:3]
+            keys, masks, front = self.level(q, budget)[:3]
             rounds, last = [], None
             for t in compress(range(len(keys)), map(not_, masks)):
                 r = r + 1 if front[t] == last else 0
@@ -866,10 +866,12 @@ def _materialize(top, budget, ladder):
     return keys, mats, err
 
 
-def _certificate(X, m, ladder, tables, found):
+def _certificate(X, m, ladder, tables, c1):
     """(cycles, cocycles) of degree m >= 1 when it is the c1 top degree of
     X, as dicts over the rows of the m-cubes tables; both empty otherwise.
-    found is elementary._levels(X, m + 1), or None to build it here.
+    c1 is the C1Complex of X through degree m + 1 or further, or None to
+    build it here; its top degree tells whether m is the c1 top, and its
+    degree-m basis and d_m give the cycles and cocycles.
 
     Cycle i is alpha(c_i), where c_1..c_t is a Z-basis of ker d_m of the c1
     complex: the pivots of a _ColumnReducer over the columns of d_m stacked
@@ -879,36 +881,36 @@ def _certificate(X, m, ladder, tables, found):
     2^m m! cubes g(alpha(Q_i)), g a symmetry of I^m, the injective cubes
     onto the vertices of Q_i, and zero elsewhere.
     """
-    from .elementary import _alpha_key, _boundary_columns, _levels  # elementary imports this module
-    tr, levels, rows = found or _levels(X, m + 1)
-    if len(levels) != m + 1:  # a c1 (m+1)-cube, or no c1 m-cube
+    from .elementary import _alpha_points, build_c1_complex  # elementary imports this module
+    C = (c1 or build_c1_complex(X, m + 1)).complex
+    if C.max_degree != m:  # a c1 (m+1)-cube, or no c1 m-cube
         return [], []
-    n = len(levels[m])
+    n = len(C.basis(m))
     red = _ColumnReducer()
-    for j, col in enumerate(_boundary_columns(tr, levels, rows, m)):
+    for j, col in enumerate(C.boundary_matrix(m).columns):
         red.add({j: 1, **{n + r: v for r, v in col.items()}})
     keys, pts = ladder.levels[m][0], X.sorted_points
+    at = {p: a for a, p in enumerate(pts)}
+    alpha = [tuple(at[p] for p in _alpha_points(pts[i], ext)) for i, ext in C.basis(m)]  # singular keys
     row = dict(zip(tables, range(len(tables))))  # table -> its row
     cycles, cocycles = [], []
     for r, c in sorted(red.pivots.items()):
         if r < n:
-            cycles.append({row[bisect_left(keys, _alpha_key(tr, *levels[m][k]))]: v
-                           for k, v in c.items()})
-            a = _alpha_key(tr, *levels[m][r])
+            cycles.append({row[bisect_left(keys, alpha[k])]: v for k, v in c.items()})
             cocycles.append({row[bisect_left(keys, key)]: _orientation(key, pts)[2]
-                             for key in (g(a) for g in _symmetries(m))})
+                             for key in (g(alpha[r]) for g in _symmetries(m))})
     return cycles, cocycles
 
 
-def _certified_rank(X, m, ladder, tables, column, counted, d, found):
+def _certified_rank(X, m, ladder, tables, column, counted, d, c1):
     """t when H_m has rank at least t by the cycles and cocycles of
     _certificate, else 0: each cycle has zero boundary under the columns d
     of d_m, each cocycle is zero on the boundary of every cofaces(m) of its
     support, and the t x t pairing of cocycles and cycles is nonsingular.
     The cofaces count toward the budget of degree m+1 through counted; once
-    they run over it, nothing is certified.  found is passed on to
+    they run over it, nothing is certified.  c1 is passed on to
     _certificate."""
-    cycles, cocycles = _certificate(X, m, ladder, tables, found)
+    cycles, cocycles = _certificate(X, m, ladder, tables, c1)
     if not cycles or any(_apply(d, z) for z in cycles):
         return 0
     try:
@@ -955,7 +957,7 @@ def _enumerate(X, q, budget, ladder):
         return []
     pts = X.sorted_points
     return [_cube(q, tuple(map(pts.__getitem__, key)))
-            for key, m in zip(*ladder.level(q, q, budget)[:2]) if not m]
+            for key, m in zip(*ladder.level(q, budget)[:2]) if not m]
 
 
 def build_singular_complex(X, max_q, budget=DEFAULT_BUDGET):
@@ -1026,9 +1028,10 @@ def singular_homology(X, max_q, budget=DEFAULT_BUDGET):
     return _singular_homology(X, max_q, budget)
 
 
-def _singular_homology(X, max_q, budget, found=None):
-    """singular_homology with its arguments checked; found, if given, is
-    elementary._levels(X, max_q + 1), for the certificate."""
+def _singular_homology(X, max_q, budget, c1=None):
+    """singular_homology with its arguments checked; c1, if given, is the
+    C1Complex of X through degree max_q + 1, for the certificate of the
+    top degree (see _certificate), which otherwise builds its own."""
     ladder = _Ladder(X)
     keys, mats, err = _materialize(max_q, budget, ladder)
     m = len(keys) - 1  # top materialized degree
@@ -1045,7 +1048,7 @@ def _singular_homology(X, max_q, budget, found=None):
 
     def stream(saturation, d):
         """The reduction of d_{m+1} (see singular_homology), or None over budget."""
-        free = m and _certified_rank(X, m, ladder, tables, column, counted, d, found)
+        free = m and _certified_rank(X, m, ladder, tables, column, counted, d, c1)
         cubes = counted(ladder.rounds(m, range(len(ladder.levels[m][0]))))
 
         def finish(R):

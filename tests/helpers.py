@@ -21,6 +21,7 @@ from dighom import (
     is_degenerate,
 )
 from dighom.chain import _apply
+from dighom.errors import BudgetExceeded
 from dighom.singular import _counter, _Ladder, _precomposition
 
 
@@ -432,7 +433,10 @@ def stream(X, q, budget, ladder=None):
     ladder = ladder or _Ladder(X)
     if not ladder.edges:
         return iter(()), None
-    keys = ladder.level(q - 1, q, budget)[0]  # in lex order
+    try:
+        keys = ladder.level(q - 1, budget)[0]  # in lex order
+    except BudgetExceeded:  # a level below over budget counts toward degree q too
+        raise BudgetExceeded(q, budget) from None
 
     def keyed(pairs):
         return (keys[x] + keys[y] for x, y in counted(pairs))

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from dighom import bridge, cli, elementary, singular
+from dighom import cli, elementary, singular
 from dighom.cli import build_parser, main
 
 import helpers
@@ -268,20 +268,22 @@ def test_compare_json_roundtrip(run, tmp_path):
 
 @pytest.mark.parametrize("name, q", [("ring", 1), ("square", 2), ("shell", 2), ("path3", 1)])
 def test_compare_builds_the_c1_levels_once(run, tmp_path, monkeypatch, name, q):
-    # the c1 side and the certificate of the singular top degree read the
-    # levels of one build
-    calls = []
-    levels = elementary._levels
-
-    def counting(X, top=None):
-        calls.append(top)
-        return levels(X, top)
-
-    monkeypatch.setattr(elementary, "_levels", counting)
-    monkeypatch.setattr(bridge, "_levels", counting)
-    path = write_image(tmp_path, f"{name}.json", getattr(helpers, name)())
+    # the c1 side and the certificate of the singular top degree read one
+    # c1 complex: its levels are built once, to degree q + 1, and its
+    # boundary columns once per degree
+    X = getattr(helpers, name)()
+    dim = elementary.dimension(X)
+    levels, columns = [], []
+    build_levels, build_columns = elementary._levels, elementary._boundary_columns
+    monkeypatch.setattr(elementary, "_levels",
+                        lambda X, top=None: levels.append(top) or build_levels(X, top))
+    monkeypatch.setattr(elementary, "_boundary_columns",
+                        lambda *args: columns.append(args[-1]) or build_columns(*args))
+    path = write_image(tmp_path, f"{name}.json", X)
     rc, out, _ = run(["compare", path, "--max-q", str(q)])
-    assert rc == 0 and "MISMATCH" not in out and calls == [q + 1]
+    assert rc == 0 and "MISMATCH" not in out
+    assert levels == [q + 1]
+    assert columns == list(range(1, min(q + 1, dim) + 1))
 
 
 # --- classify -------------------------------------------------------------------

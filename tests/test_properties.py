@@ -93,10 +93,12 @@ from dighom import (
     enumerate_singular_cubes,
     homology,
     homology_through,
+    induced_map,
     is_embedding,
     is_homotopy,
     load_image,
     quotient_complex,
+    random_continuous_map,
     rank_and_invariant_factors,
     relative_c1_complex,
     singular_homology,
@@ -104,7 +106,7 @@ from dighom import (
 )
 from dighom import chain, cli, singular
 from dighom.chain import _ColumnReducer
-from dighom.elementary import _alpha_key, _levels
+from dighom.elementary import _alpha_points, _induced_maps, _levels
 from dighom.singular import (
     DEFAULT_BUDGET,
     _Ladder,
@@ -156,10 +158,6 @@ def test_alpha_is_a_chain_map_and_a_section_of_beta(X):
     S, C = bm.singular, bm.elementary.complex
     event(f"c1 cubes of degree 2: {bool(C.basis(2))}")
     alpha = alpha_matrices(X, S, C, 2)
-    # the library's key map, which certifies a top degree, is helpers.alpha
-    tr = _levels(X)[0]
-    assert all(tuple(X.sorted_points[a] for a in _alpha_key(tr, *key)) == helpers.alpha(X, key)
-               for q in range(3) for key in C.basis(q))
     assert verify_chain_map(alpha, C, S) is True
     for q, (a, b) in enumerate(zip(alpha, bm.matrices)):
         assert (b @ a).columns == [{j: 1} for j in range(len(C.basis(q)))]
@@ -168,6 +166,22 @@ def test_alpha_is_a_chain_map_and_a_section_of_beta(X):
     if C.basis(1):
         alpha[1].columns[0] = {r: -v for r, v in alpha[1].columns[0].items()}
         assert verify_chain_map(alpha, C, S) is False
+
+
+@settings(derandomize=True, deadline=None)
+@given(IMAGES, IMAGES, st.lists(st.integers(0, 4), min_size=1, max_size=4),
+       st.sampled_from([0, 1, None]), st.randoms(use_true_random=False))
+def test_induced_maps_over_given_complexes_are_the_induced_maps(X, Y, degrees, further, rng):
+    # the complexes given in place of those built for the call, the
+    # codomain's built to the top degree, one degree above it or to its
+    # dimension, give the matrices of induced_map; degrees past the
+    # dimension of the domain give empty ones
+    f = random_continuous_map(X, Y, rng)
+    top = max(degrees)
+    cx = build_c1_complex(X, top)
+    cy = build_c1_complex(Y, None if further is None else top + further)
+    event(f"degrees past the domain: {top > cx.complex.max_degree}")
+    assert _induced_maps(f, degrees, cx, cy) == [induced_map(f, q) for q in degrees]
 
 
 def top_images():
@@ -370,6 +384,25 @@ def test_c1_columns_are_cube_boundaries(X):
             assert {rows[r]: v for r, v in col.items()} == cube_boundary(Q).coeffs
 
 
+@settings(derandomize=True, deadline=None)
+@given(C1_IMAGES)
+def test_alpha_points_are_the_vertices_of_each_c1_cube(X):
+    # the library's one corner order of alpha, which certifies a top degree
+    # and realizes induced maps, lists the vertices of each c1 cube as
+    # helpers.alpha does, and beta takes its point indices back to the cube
+    # with sign +1
+    pts = X.sorted_points
+    at = {p: a for a, p in enumerate(pts)}
+    C = build_c1_complex(X).complex
+    for q in range(C.max_degree + 1):
+        for key in C.basis(q):
+            i, ext = key
+            corners = _alpha_points(pts[i], ext)
+            assert corners == ElementaryCube(pts[i], ext).vertices()
+            assert tuple(corners) == helpers.alpha(X, key)
+            assert _beta_key(tuple(at[p] for p in corners), pts) == (1, key)
+
+
 OFFSETS = st.one_of(st.integers(-60, -1), st.integers(-10**12 - 3, -10**12 + 3),
                     st.integers(10**12 - 3, 10**12 + 3))
 
@@ -503,7 +536,7 @@ def test_ladder_levels_are_the_continuous_tables(case):
     pts = X.sorted_points
     ladder = _Ladder(X)
     for k in range(top + 1):
-        keys, masks = ladder.level(k, k, DEFAULT_BUDGET)[:2]
+        keys, masks = ladder.level(k, DEFAULT_BUDGET)[:2]
         assert [tuple(pts[a] for a in key) for key in keys] == helpers.continuous_tables(X, k)
         for key, mask in zip(keys, masks):
             for b in range(k):
@@ -581,7 +614,7 @@ def test_index_columns_are_the_boundaries_of_the_cubes(X):
 def test_cofaces_are_listed_in_the_order_of_their_moves(X, k, rnd):
     # the cofaces moved half by half are those of the full keys, in order
     ladder = _Ladder(X)
-    n = len(ladder.level(k, k, DEFAULT_BUDGET)[0])
+    n = len(ladder.level(k, DEFAULT_BUDGET)[0])
     fronts = sorted(rnd.sample(range(n), rnd.randint(0, min(n, 12))))
     assert list(ladder.cofaces(k, fronts)) == helpers.cofaces_oracle(ladder, k, fronts)
 
@@ -590,7 +623,7 @@ def test_cofaces_are_listed_in_the_order_of_their_moves(X, k, rnd):
 @given(st.lists(st.integers(0, 2651), max_size=4, unique=True).map(sorted))
 def test_cofaces_of_square_3_tables_are_listed_in_the_order_of_their_moves(fronts):
     ladder = _Ladder(helpers.square())
-    assert len(ladder.level(3, 3, DEFAULT_BUDGET)[0]) == 2652
+    assert len(ladder.level(3, DEFAULT_BUDGET)[0]) == 2652
     assert list(ladder.cofaces(3, fronts)) == helpers.cofaces_oracle(ladder, 3, fronts)
 
 

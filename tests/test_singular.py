@@ -786,14 +786,14 @@ def test_a_level_over_budget_is_refused_before_it_is_stored():
     # chunk lengths exceed the budget
     ladder = _Ladder(helpers.edge())
     with pytest.raises(BudgetExceeded) as ei:
-        ladder.level(5, 5, 1000)
+        ladder.level(5, 1000)
     assert (ei.value.degree, ei.value.count) == (5, 1000)
     assert len(ladder.levels) == 4
-    ladder.level(4, 4, 64_594)
+    ladder.level(4, 64_594)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded) as ei:
-            ladder.level(5, 5, 20_000)
+            ladder.level(5, 20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -813,28 +813,28 @@ def test_a_level_takes_the_partners_of_each_table_below_once(monkeypatch, image,
     def ladder_below():
         """A ladder built to level k - 1 that records its partners from now on."""
         ladder = _Ladder(X)
-        ladder.level(k - 1, k - 1, DEFAULT_BUDGET)
+        ladder.level(k - 1, DEFAULT_BUDGET)
         partners = ladder._partners
         monkeypatch.setattr(ladder, "_partners", lambda j, x: seen.append((j, x)) or partners(j, x))
         return ladder
 
     ladder = ladder_below()
-    level = ladder.level(k, k, DEFAULT_BUDGET)
+    level = ladder.level(k, DEFAULT_BUDGET)
     once = [(k - 1, x) for x in range(len(ladder.levels[k - 1][0]))]
     assert seen == once
     assert level[0] == sorted(level[0])
     nondeg = level[1].count(0)
     assert nondeg < len(level[0])
     seen.clear()
-    assert ladder_below().level(k, k, nondeg)[:5] == level[:5]
+    assert ladder_below().level(k, nondeg)[:5] == level[:5]
     assert seen == once
 
 
 def test_a_level_fits_a_budget_of_its_nondegenerate_tables():
     # the square's level 3 has 2,652 tables, 2,432 of them nondegenerate
-    assert len(_Ladder(helpers.square()).level(3, 3, 2432)[0]) == 2652
+    assert len(_Ladder(helpers.square()).level(3, 2432)[0]) == 2652
     with pytest.raises(BudgetExceeded) as ei:
-        _Ladder(helpers.square()).level(3, 3, 2431)
+        _Ladder(helpers.square()).level(3, 2431)
     assert (ei.value.degree, ei.value.count) == (3, 2431)
 
 
