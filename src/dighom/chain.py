@@ -14,10 +14,10 @@ Two reduction routines coexist on purpose:
 * ``rank_and_invariant_factors`` is the workhorse for big boundary matrices:
   an incremental integer column echelonization (unimodular column operations
   only, so invariant factors are preserved).  When every pivot entry is 1
-  the invariant factors are all ones.  Otherwise the unit pivots are
-  interreduced and cleared from the k nonunit ones, and the transpose of
-  these k columns goes through the same column reducer, which leaves a
-  k x k block for the dense routine whatever the number of rows.
+  the invariant factors are all ones.  Otherwise the k nonunit ones are
+  cleared of the unit rows, and the transpose of these k columns goes
+  through the same column reducer, which leaves a k x k block for the
+  dense routine whatever the number of rows.
 
 A full reduction of signed incidence columns, each 0, ±e_a or ±(e_a - e_b),
 goes to a spanning forest instead (``_SpanningForest``).  d_1 of every
@@ -614,27 +614,6 @@ class _ColumnReducer:
             self.work += steps
         return False
 
-    def _interreduce(self):
-        """Make every unit pivot zero at every other unit pivot row.
-
-        From the lowest index up: the entries of p_r at unit rows k < r are
-        taken out with the already interreduced p_k, which adds none at the
-        other unit rows; nonunit pivots are left alone.  This only subtracts
-        multiples of earlier unit pivots, so it is unimodular and leaves the
-        span, the pivot rows and the pivot entries as they were.
-        """
-        pivots = self.pivots
-        unit = {r for r, p in pivots.items() if p[r] == 1}
-        for r in sorted(unit):
-            col = pivots[r]
-            for k, m in [(k, v) for k, v in col.items() if k in unit and k != r]:
-                for i, v in pivots[k].items():
-                    w = col.get(i, 0) - m * v
-                    if w:
-                        col[i] = w
-                    else:
-                        col.pop(i, None)
-
     def _choose_witness(self, d, saturation):
         """The t = saturation - rank nonpivot rows j whose column d[j] of
         d_top depends on those at earlier nonpivot rows, saturation = dim ker
@@ -681,22 +660,31 @@ def _pivot_invariant_factors(red):
     """Invariant factors (with 1s) of the pivot columns of a _ColumnReducer.
 
     When every pivot entry is 1, the pivot rows carry a unitriangular minor,
-    which is unimodular, so every invariant factor is 1.  Otherwise the unit
-    pivots are interreduced, here and nowhere else, and each nonunit pivot n
-    becomes n - sum n[k] p_k over the unit rows k.  These column operations
-    are unimodular, and after them each unit row is a unit vector, which
-    splits off one factor 1 per unit pivot.  The k cleared columns carry the
-    other factors; their transpose, one k-entry column per row they touch,
-    is reduced until its pivots span Z^k, or to its end, and the k x k block
-    of its at most k pivots goes through the certified dense SNF.
+    which is unimodular, so every invariant factor is 1.  Otherwise each
+    nonunit pivot n is cleared of the unit rows by back-substitution against
+    the unit pivots as they stand: n becomes n - n[k] p_k for each unit row
+    k from the highest down, and p_k has no entry above its row k, so each
+    step leaves the rows already cleared alone.  These column operations are
+    unimodular and give the one vector of n + span(unit pivots) that is zero
+    at every unit row.  The unit rows of the unit pivots form a unitriangular
+    block, which row operations that touch no cleared column turn into the
+    identity, splitting off one factor 1 per unit pivot.  The k cleared
+    columns carry the other factors; their transpose, one k-entry column per
+    row they touch, is reduced until its pivots span Z^k, or to its end, and
+    the k x k block of its at most k pivots goes through the certified dense
+    SNF.
     """
     if not red.nonunit:
         return (1,) * red.rank
-    red._interreduce()
     pivots = red.pivots
-    unit = {r for r, p in pivots.items() if p[r] == 1}
-    cleared = [_apply(pivots, {r: 1, **{i: -v for i, v in n.items() if i in unit}})
-               for r, n in pivots.items() if r not in unit]
+    units = sorted((r for r, p in pivots.items() if p[r] == 1), reverse=True)
+    cleared = []
+    for n in (dict(p) for r, p in pivots.items() if p[r] != 1):
+        for k in units:
+            if m := n.get(k):
+                for i, v in pivots[k].items():
+                    n[i] = n.get(i, 0) - m * v
+        cleared.append({i: v for i, v in n.items() if v})
     k = len(cleared)
     rows = {}  # row -> {j: entry of cleared[j]}
     for j, col in enumerate(cleared):
@@ -704,7 +692,7 @@ def _pivot_invariant_factors(red):
             rows.setdefault(i, {})[j] = v
     block = list(_reduce(rows.values(), k).pivots.values())
     res = smith_normal_form([[p.get(i, 0) for p in block] for i in range(k)])
-    factors = (1,) * len(unit) + res.invariant_factors
+    factors = (1,) * len(units) + res.invariant_factors
     if len(factors) != red.rank:
         raise RuntimeError("rank mismatch between reduction and invariant factors")
     return factors

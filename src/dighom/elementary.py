@@ -279,9 +279,9 @@ def relative_c1_complex(X, A, max_dim=None):
             raise PointNotInImage(f"{p} is not a point of the ambient image")
     # A's points keep their order in X, so at maps their indices in A to X
     at = [i for i, p in enumerate(X.sorted_points) if p in apts]
-    sub = build_c1_complex(DigitalImage(X.ambient_dim, apts), max_dim).complex.bases
-    sub = {q: [(at[i], ext) for i, ext in b] for q, b in enumerate(sub)}
-    return quotient_complex(build_c1_complex(X, max_dim).complex, sub)
+    C = build_c1_complex(X, max_dim).complex
+    sub = _levels(DigitalImage(X.ambient_dim, apts), max_dim)[1]
+    return quotient_complex(C, {q: [(at[i], ext) for i, ext in b] for q, b in enumerate(sub)})
 
 
 def induced_map(f, q):

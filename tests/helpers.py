@@ -212,6 +212,29 @@ def minors_gcd_factors(rows):
     return tuple(factors)
 
 
+def interreduce(pivots):
+    """A copy of a column reducer's pivots with every unit pivot zero at
+    every other unit pivot row; nonunit pivots are copied as they are.
+
+    From the lowest index up: the entries of p_r at unit rows k < r are
+    taken out with the already interreduced p_k, which adds none at the
+    other unit rows.  This only subtracts multiples of earlier unit pivots,
+    so it is unimodular and keeps the span, the pivot rows and the pivot
+    entries."""
+    out = {r: dict(p) for r, p in pivots.items()}
+    unit = {r for r, p in out.items() if p[r] == 1}
+    for r in sorted(unit):
+        col = out[r]
+        for k, m in [(k, v) for k, v in col.items() if k in unit and k != r]:
+            for i, v in out[k].items():
+                w = col.get(i, 0) - m * v
+                if w:
+                    col[i] = w
+                else:
+                    col.pop(i, None)
+    return out
+
+
 def matmul_oracle(a, b):
     n, k = len(a), len(a[0]) if a else 0
     k2, m = len(b), len(b[0]) if b else 0

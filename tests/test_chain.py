@@ -350,10 +350,12 @@ def test_reducer_pivots_on_the_lowest_row():
     assert chain._reduce([{0: 1, 2: 1}, {1: 1, 2: 1}]).pivots.keys() == {1, 2}
 
 
-def test_invariant_factors_interreduce_the_unit_pivots_before_clearing_the_others():
+def test_invariant_factors_clear_the_nonunit_pivots_by_back_substitution():
     # add() leaves the unit pivot e1 + e0 as it came, not zero at the unit
-    # row 0; clearing the pivot 2e2 + e1 + e0 with it and with e0 as they
-    # stand would leave 2e2 - e0, whose factor is 1, instead of 2e2
+    # row 0.  Subtracting from the pivot 2e2 + e1 + e0 its own entries at
+    # the unit rows times e1 + e0 and e0 at once would leave 2e2 - e0, whose
+    # factor is 1; back-substitution from the highest unit row down takes
+    # out e1 + e0 first, leaving 2e2, which has nothing left at row 0
     cols = [{2: 2, 1: 1, 0: 1}, {1: 1, 0: 1}, {0: 1}]
     assert rank_and_invariant_factors(cols, 3) == (3, (1, 1, 2))
 
@@ -662,13 +664,14 @@ def test_a_noncycle_pivot_leaves_too_many_witness_rows():
     assert chain._reduce(iter(stream), 3).rank == 3
 
 
-def test_interreduction_keeps_the_torsion_of_a_stream(monkeypatch):
+def test_back_substitution_keeps_the_torsion_of_a_stream(monkeypatch):
     # five loops at one vertex; the stream spans the path p1, p2, p3 (unit
     # pivots at rows 1, 2, 3) and the pivot 2 at row 0, so H_1 = Z + Z/2.
     # Each padding column has two entries but telescopes up the path in
     # three or four pivot steps, slow zero columns that would choose witness
     # rows over unit pivots; beside the nonunit pivot none are chosen, and
-    # the invariant factors interreduce the unit pivots to find the torsion
+    # the invariant factors clear it of the unit rows by back-substitution
+    # against the path as it stands to find the torsion
     C = ChainComplex(bases=[("v",), ("e0", "e1", "e2", "e3", "e4")],
                      boundaries=[SparseIntMatrix.zeros(1, 5)])
     path = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {3: 2}]

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from dighom import cli, elementary, singular
+from dighom import FGAbelianGroup, bridge, cli, elementary, singular, singular_homology
 from dighom.cli import build_parser, main
 
 import helpers
@@ -245,6 +245,52 @@ def test_compare_budget_skip_is_not_failure(run, tmp_path):
         "q=0: singular Z vs c1 Z OK\n"
         "q=1: singular skipped (budget exceeded), c1 Z\n"
     )
+
+
+def test_more_points_than_the_budget_skips_every_degree(run, tmp_path):
+    # the ring has 8 points, so degree 0 is over a budget of 7: no group is
+    # given, singular exits 4 and compare skips both degrees without failing
+    assert singular_homology(helpers.ring(), 1, budget=7) == [None, None]
+    path = write_image(tmp_path, "ring.json", helpers.ring())
+    rc, out, _ = run(["singular", path, "--max-q", "1", "--budget", "7"])
+    assert rc == 4
+    assert out == "H_0 = ? (budget exceeded)\nH_1 = ? (budget exceeded)\n"
+    rc, out, _ = run(["compare", path, "--max-q", "1", "--budget", "7"])
+    assert rc == 0
+    assert out == (
+        "q=0: singular skipped (budget exceeded), c1 Z\n"
+        "q=1: singular skipped (budget exceeded), c1 Z\n"
+    )
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--budget", "0", "argument --budget: must be >= 1"),
+    ("--max-q", "-1", "argument --max-q: must be >= 0"),
+])
+def test_budget_and_max_q_out_of_range_are_usage_errors(capsys, tmp_path, flag, value, message):
+    path = write_image(tmp_path, "ring.json", helpers.ring())
+    with pytest.raises(SystemExit) as e:
+        main(["singular", path, flag, value])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith(f"dighom singular: error: {message}\n")
+
+
+def test_compare_reports_a_mismatch(run, tmp_path, monkeypatch):
+    # no image is known on which the two pipelines disagree, so a wrong
+    # singular H_1 is put in by hand
+    Z = FGAbelianGroup(1)
+    monkeypatch.setattr(bridge, "_singular_homology",
+                        lambda X, max_q, budget, c1: [Z, FGAbelianGroup(2)])
+    assert bridge.verify_isomorphism(helpers.ring(), 1).any_mismatch
+    path = write_image(tmp_path, "ring.json", helpers.ring())
+    rc, out, _ = run(["compare", path, "--max-q", "1"])
+    assert rc == 1
+    assert out == "q=0: singular Z vs c1 Z OK\nq=1: singular Z^2 vs c1 Z MISMATCH\n"
+    rc, out, _ = run(["compare", path, "--max-q", "1", "--format", "json"])
+    assert rc == 1
+    doc = json.loads(out)
+    assert [c["verdict"] for c in doc["comparisons"]] == ["ok", "mismatch"]
+    assert doc["all_ok"] is False
 
 
 def test_compare_in_high_ambient_dimension(run, tmp_path):

@@ -40,17 +40,19 @@ largest rows and the columns' span; with one column of another form the
 column reducer takes over, and either way the pivot rows and entries are
 those of the column reducer alone.  On
 streams that repeat their own span, the reducer must have sympy's rank and
-invariant factors, and the interreduction of its unit pivots must keep the
-span, the pivot rows and the pivot entries, and zero each unit pivot at the
-other unit pivot rows.  On streams of boundaries of random singular complexes, the
-reduction with d_top, which tests later columns on witness rows, must have
-the rank, pivot rows, pivot entries and invariant factors of the one
-without it, and each witness test must agree with a reduction; the
-witness rows solved on pivots as they stand must be those read off the same
-pivots interreduced.  The
-reduction that leaves its stream unread once witness rows are chosen, and
-reads the cofaces of the rows of their residuals instead, must find every
-other column in its span and match the reduction of the whole stream.
+invariant factors, the interreduction of its unit pivots (an oracle in
+helpers) must keep the span, the pivot rows and the pivot entries, and zero
+each unit pivot at the other unit pivot rows, and the nonunit pivots cleared
+by back-substitution must be those cleared with the interreduced ones.
+On streams of boundaries of random singular complexes, the reduction with
+d_top, which tests later columns on witness rows, must have the rank, pivot
+rows, pivot entries and invariant factors of the one without it, and each
+witness test must agree with a reduction; the witness rows solved on pivots
+as they stand must leave them so and be those read off the same pivots
+interreduced.  The reduction that leaves its stream unread once witness
+rows are chosen, and reads the cofaces of the rows of their residuals
+instead, must find every other column in its span and match the reduction
+of the whole stream.
 alpha must be a chain map and a section of beta, and the library's key map
 of alpha that of an oracle.  Where the streamed degree sits on the c1 top,
 the singular groups certified through alpha and beta must be those with the
@@ -105,7 +107,7 @@ from dighom import (
     verify_chain_map,
 )
 from dighom import chain, cli, singular
-from dighom.chain import _ColumnReducer
+from dighom.chain import _apply, _ColumnReducer
 from dighom.elementary import _alpha_points, _induced_maps, _levels
 from dighom.singular import (
     DEFAULT_BUDGET,
@@ -925,17 +927,37 @@ def test_interreduction_keeps_the_reduction(case):
     unit = {r for r, v in entries.items() if v == 1}
     tangled = any(k in unit for r in unit for k in red.pivots[r] if k != r)
     event(f"unit pivots at other unit rows: {tangled}")
-    red._interreduce()
-    assert {r: p[r] for r, p in red.pivots.items()} == entries
+    interreduced = helpers.interreduce(red.pivots)
+    assert {r: p[r] for r, p in interreduced.items()} == entries
     for r in unit:
-        assert not any(k in unit for k in red.pivots[r] if k != r)
+        assert not any(k in unit for k in interreduced[r] if k != r)
     # the same span: each column reduces to zero against the interreduced
     # pivots by subtraction alone, with no mix that would change an entry
     oracle = _ColumnReducer()
-    oracle.pivots = {r: dict(p) for r, p in red.pivots.items()}
+    oracle.pivots = {r: dict(p) for r, p in interreduced.items()}
     assert not any(oracle.add(col) for col in stream)
     assert {r: p[r] for r, p in oracle.pivots.items()} == entries
-    assert sorted(chain._pivot_invariant_factors(red)) == sorted(d for d in diagonal if d)
+    # the nonunit pivots cleared by back-substitution against the pivots as
+    # they stand are those cleared with the interreduced ones: the block
+    # whose transpose is reduced has the same rows
+    cleared = [_apply(interreduced, {r: 1, **{i: -v for i, v in n.items() if i in unit}})
+               for r, n in interreduced.items() if r not in unit]
+    rows = {}
+    for j, col in enumerate(cleared):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    reduced = []
+    reduce = chain._reduce
+
+    def recording(columns, saturation=None, d=None, cofaces=None):
+        columns = [dict(c) for c in columns]
+        reduced.append(sorted(sorted(c.items()) for c in columns))
+        return reduce(columns, saturation, d, cofaces)
+
+    with patch.object(chain, "_reduce", recording):
+        factors = chain._pivot_invariant_factors(red)
+    assert reduced == ([sorted(sorted(c.items()) for c in rows.values())] if cleared else [])
+    assert sorted(factors) == sorted(d for d in diagonal if d)
 
 
 def plus(a, b):
@@ -1038,8 +1060,9 @@ def test_witness_rows_keep_the_reduction(case):
 @given(boundary_streams(), st.data())
 def test_solved_witness_rows_are_those_of_interreduced_pivots(case, data):
     # the witness rows solved on the pivots of a prefix of the stream as
-    # they stand must be those solved once the pivots are interreduced, and
-    # on interreduced pivots the residual at j is c[j] - sum of c[r] p_r[j]
+    # they stand, which the solve leaves as they are, must be those read
+    # off the same pivots interreduced: there the residual at j is c[j] -
+    # sum of c[r] p_r[j]
     d, n, saturation, stream = case
     red = _ColumnReducer()
     for col in stream[:data.draw(st.integers(0, len(stream)))]:
@@ -1047,13 +1070,13 @@ def test_solved_witness_rows_are_those_of_interreduced_pivots(case, data):
     event(f"nonunit pivots: {min(red.nonunit, 1)}")
     if red.nonunit:
         return
+    pivots = {r: dict(p) for r, p in red.pivots.items()}
     red._choose_witness(d, saturation)
-    solved, pivots = red.witness, {r: dict(p) for r, p in red.pivots.items()}
-    red._interreduce()
-    event(f"interreduction changed the pivots: {red.pivots != pivots}")
+    assert red.pivots == pivots
+    solved, interreduced = red.witness, helpers.interreduce(pivots)
+    event(f"interreduction changed the pivots: {interreduced != pivots}")
     event(f"witness rows: {min(len(solved), 2)}")
-    assert red.witness == solved
-    assert solved == {j: {j: 1, **{r: -p[j] for r, p in red.pivots.items() if j in p}}
+    assert solved == {j: {j: 1, **{r: -p[j] for r, p in interreduced.items() if j in p}}
                       for j in solved}
 
 

@@ -54,6 +54,7 @@ from dighom.singular import (
     DEFAULT_BUDGET,
     _Ladder,
     _boundary_column,
+    _certified_rank,
     _cube,
     _materialize,
     _signed_face_maps,
@@ -1058,6 +1059,39 @@ def test_singular_homology_budget_partial_results():
     # group is given, and no pass runs below degree 0
     assert singular_homology(helpers.path3(), 1, budget=3) == [None, None]
     assert singular_homology(helpers.path3(), 2, budget=3) == [None, None, None]
+
+
+def test_certificate_cofaces_over_budget_certify_nothing(monkeypatch):
+    # the ring to q=1: the certificate of H_1 reads the 18 cofaces of its
+    # cocycle's support, and the stream 21 cubes after them, all counted
+    # toward one budget.  At 16 and 17 the cofaces run over it, so nothing
+    # is certified and the stream, which cannot saturate, runs over too; at
+    # 18 rank 1 is certified but the stream runs over; at 39 both fit
+    certified = []
+
+    def recording(*args):
+        certified.append(_certified_rank(*args))
+        return certified[-1]
+
+    monkeypatch.setattr("dighom.singular._certified_rank", recording)
+    Z = FGAbelianGroup(1)
+    for budget, rank, groups in ((16, 0, [Z, None]), (17, 0, [Z, None]),
+                                 (18, 1, [Z, None]), (39, 1, [Z, Z])):
+        certified.clear()
+        assert singular_homology(helpers.ring(), 1, budget=budget) == groups
+        assert certified == [rank]
+
+
+def test_a_cavity_below_the_c1_top_is_finished_by_witness_rows():
+    # the 5x5x5 box minus its centre has c1 top 3, above degree 2, so the
+    # streamed degree 3 of singular_homology(X, 2) gets no certificate, and
+    # it cannot saturate as H_2 = Z.  Its witness rows and the cofaces of
+    # the rows of their residuals finish it after 15,222 reads of the
+    # stream and cofaces, of the 825,996 cubes of that degree
+    X = DigitalImage(3, [p for p in product(range(5), repeat=3) if p != (2, 2, 2)])
+    assert singular_homology(X, 2, budget=20_000) == [
+        FGAbelianGroup(1), FGAbelianGroup(0), FGAbelianGroup(1)]
+    assert verify_isomorphism(X, 2).all_ok
 
 
 def test_streamed_top_degree_saturates_within_a_small_budget():
